@@ -17,6 +17,7 @@ Layout, little-endian:
 Round trips are bit-exact.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -78,7 +79,10 @@ def load_bases(path) -> BasisSet:
                 f"{path}: unsupported CMFB version {version} (expected {VERSION})"
             )
         (id_len,) = struct.unpack("<H", _read_exact(fh, 2, "header"))
-        speaker_id = _read_exact(fh, id_len, "speaker id").decode("utf-8")
+        try:
+            speaker_id = _read_exact(fh, id_len, "speaker id").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BasesFileError(f"{path}: speaker id is not UTF-8") from exc
         rank, freq_bins, frame_len, hop, sample_rate, window_id = struct.unpack(
             "<IIIIIB", _read_exact(fh, 21, "header")
         )
@@ -88,16 +92,27 @@ def load_bases(path) -> BasisSet:
             raise BasesFileError(
                 f"{path}: freq_bins {freq_bins} inconsistent with frame_len {frame_len}"
             )
+        # check the declared size against the file before reading, so a
+        # corrupt header cannot request an arbitrarily large read
         expected = freq_bins * rank * 16
-        payload = _read_exact(fh, expected, "payload")
-        extra = fh.read(1)
-        if extra:
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < expected:
+            raise BasesFileError(
+                f"{path}: truncated payload: expected {expected} bytes, got {left}"
+            )
+        if left > expected:
             raise BasesFileError(f"{path}: trailing bytes after payload")
+        payload = _read_exact(fh, expected, "payload")
     x = np.frombuffer(payload, dtype=np.complex128).reshape(freq_bins, rank).copy()
-    cfg = StftConfig(
-        frame_len=frame_len,
-        hop=hop,
-        window=_WINDOW_NAMES[window_id],
-        sample_rate=sample_rate,
-    )
-    return BasisSet(x_train=x, speaker_id=speaker_id, stft_cfg=cfg, rank=rank)
+    if not np.all(np.isfinite(x)):
+        raise BasesFileError(f"{path}: payload contains non-finite entries")
+    try:
+        cfg = StftConfig(
+            frame_len=frame_len,
+            hop=hop,
+            window=_WINDOW_NAMES[window_id],
+            sample_rate=sample_rate,
+        )
+        return BasisSet(x_train=x, speaker_id=speaker_id, stft_cfg=cfg, rank=rank)
+    except ValueError as exc:
+        raise BasesFileError(f"{path}: {exc}") from exc

@@ -118,15 +118,8 @@ def _cmd_train(args) -> int:
 def _cmd_separate(args) -> int:
     bases_a = load_bases(args.bases_a)
     bases_b = load_bases(args.bases_b)
-    if bases_a.stft_cfg != bases_b.stft_cfg:
-        raise ValueError("stft config mismatch between basis files")
     mix = _load_signal(args.mix, bases_a.stft_cfg.sample_rate)
-    cfg = SepConfig(
-        rank=bases_a.rank + bases_b.rank,
-        iters=args.iters,
-        seed=args.seed,
-        stft_cfg=bases_a.stft_cfg,
-    )
+    cfg = SepConfig(iters=args.iters, seed=args.seed)
     est_a, est_b = separate(mix, bases_a, bases_b, cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     for name, est in (("est_a.wav", est_a), ("est_b.wav", est_b)):

@@ -152,13 +152,16 @@ def cmf_factorize(
     With ``fixed_x`` the bases are held constant (split once) and only
     the weights are estimated; this is the separation mode. The logged
     objective is the block-domain error driving the updates; the
-    complex-domain error ``|Z - XH|^2`` is evaluated at every
-    ``checkpoint_every`` iterations (0 = at termination only) and
-    returned as ``final_error``.
+    complex-domain error ``|Z - XH|^2`` is evaluated every
+    ``checkpoint_every`` iterations (0 = never before termination) and
+    at the final iteration, which is always a checkpoint and whose value
+    is returned as ``final_error``.
     """
     z = as_complex_matrix(z)
     if z.size == 0:
         raise ValueError("input matrix is empty")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("input matrix contains non-finite entries")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     cfg = cfg or SepConfig(rank=rank)
@@ -180,6 +183,8 @@ def cmf_factorize(
                 f"fixed_x shape {fixed_x.shape} incompatible with "
                 f"z rows {rows} and rank {rank}"
             )
+        if not np.all(np.isfinite(fixed_x)):
+            raise ValueError("fixed_x contains non-finite entries")
         xc_fixed = assemble_zc(split_complex(fixed_x)).assembled
     else:
         xc_fixed = None
@@ -205,13 +210,15 @@ def cmf_factorize(
 
     checkpoints = []
     prev = frobenius_norm_sq(zc - state.x @ state.h)
-    it = 0
     for it in range(1, cfg.iters + 1):
         nmf_step(state, problem)
         cur = state.objective_history[-1]
-        at_checkpoint = checkpoint_every > 0 and it % checkpoint_every == 0
         stopping = abs(prev - cur) < cfg.tol * max(prev, cfg.epsilon)
-        if at_checkpoint or (stopping and log is not None):
+        if (
+            stopping
+            or it == cfg.iters
+            or (checkpoint_every > 0 and it % checkpoint_every == 0)
+        ):
             x, h = _reassemble(state.x, state.h, rows, rank, cols)
             cerr = frobenius_norm_sq(z - x @ h)
             checkpoints.append((it, cur, cerr))
@@ -223,14 +230,10 @@ def cmf_factorize(
             break
         prev = cur
 
-    x, h = _reassemble(state.x, state.h, rows, rank, cols)
-    final_error = frobenius_norm_sq(z - x @ h)
-    if not checkpoints or checkpoints[-1][0] != it:
-        checkpoints.append((it, state.objective_history[-1], final_error))
     return CmfResult(
         x=x,
         h=h,
         objective_history=list(state.objective_history),
-        final_error=final_error,
+        final_error=checkpoints[-1][2],
         checkpoints=checkpoints,
     )

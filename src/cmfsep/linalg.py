@@ -1,30 +1,12 @@
 """Dense matrix helpers shared by the factorization modules.
 
 Matrices are plain 2-D numpy arrays: float64 for real matrices,
-complex128 for complex ones, row-major. The functions here are thin,
-shape-checked wrappers so that every product and norm in the package
-goes through a single validated path.
+complex128 for complex ones, row-major.
 """
 
 import numpy as np
 
-__all__ = [
-    "as_real_matrix",
-    "as_complex_matrix",
-    "matmul",
-    "frobenius_norm_sq",
-    "complex_matmul_real",
-]
-
-
-def as_real_matrix(a) -> np.ndarray:
-    """Validate and convert to a 2-D float64 array."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D real matrix, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"matrix must be at least 1x1, got shape {m.shape}")
-    return m
+__all__ = ["as_complex_matrix", "frobenius_norm_sq", "complex_matmul_real"]
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -33,17 +15,6 @@ def as_complex_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D complex matrix, got ndim={m.ndim}")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Real matrix product with an explicit conformability check."""
-    a = as_real_matrix(a)
-    b = as_real_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"dimension mismatch in matmul: {a.shape} x {b.shape}"
-        )
-    return a @ b
 
 
 def frobenius_norm_sq(a) -> float:
@@ -59,9 +30,13 @@ def complex_matmul_real(x, h) -> np.ndarray:
     ``x`` with ``h``, recombined.
     """
     x = as_complex_matrix(x)
-    h = as_real_matrix(h)
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim != 2:
+        raise ValueError(f"expected a 2-D real matrix, got ndim={h.ndim}")
+    if h.shape[0] < 1 or h.shape[1] < 1:
+        raise ValueError(f"matrix must be at least 1x1, got shape {h.shape}")
     if x.shape[1] != h.shape[0]:
         raise ValueError(
             f"dimension mismatch in complex_matmul_real: {x.shape} x {h.shape}"
         )
-    return x @ h.astype(np.complex128)
+    return x @ h

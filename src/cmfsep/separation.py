@@ -8,7 +8,7 @@ spectrograms directly: the mixture's phase is never reused.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -34,6 +34,8 @@ class BasisSet:
                 f"basis shape {self.x_train.shape} inconsistent with "
                 f"{self.stft_cfg.freq_bins} bins and rank {self.rank}"
             )
+        if self.rank < 1:
+            raise ValueError(f"rank must be >= 1, got {self.rank}")
 
 
 def _normalize_columns(x: np.ndarray) -> np.ndarray:
@@ -86,14 +88,14 @@ def estimate_weights(
     x_fixed = np.hstack([bases_i.x_train, bases_j.x_train])
     rank = bases_i.rank + bases_j.rank
     cols = mix_spec.shape[1]
-    h_init = []
-    for b in (bases_i, bases_j):
-        rng = _speaker_stream(cfg.seed, b.speaker_id)
-        h_init.append(np.maximum(rng.random((2 * b.rank, 2 * cols)), cfg.epsilon))
-    h0 = np.vstack(h_init)
-    # interleave speaker blocks into the tied (2*rank x 2*cols) layout
-    hp0 = np.vstack([h0[: bases_i.rank, :cols], h0[2 * bases_i.rank : 2 * bases_i.rank + bases_j.rank, :cols]])
-    hm0 = np.vstack([h0[bases_i.rank : 2 * bases_i.rank, :cols], h0[2 * bases_i.rank + bases_j.rank :, :cols]])
+    # each speaker's stream fills a (2*rank x 2*cols) block, as it always
+    # has, so seeded runs keep their initial weights; h_plus takes the
+    # left half of its first rank rows and h_minus that of the rest
+    draws = [
+        _speaker_stream(cfg.seed, b.speaker_id).random((2, b.rank, 2, cols))[:, :, 0]
+        for b in (bases_i, bases_j)
+    ]
+    hp0, hm0 = np.maximum(np.concatenate(draws, axis=1), cfg.epsilon)
     result = cmf_factorize(
         mix_spec, rank, cfg, fixed_x=x_fixed, h_init=(hp0, hm0), log=log
     )
@@ -114,13 +116,8 @@ def separate(
             f"mixture sample rate {mix.sample_rate} does not match "
             f"bases ({bases_i.stft_cfg.sample_rate})"
         )
-    run_cfg = SepConfig(
-        rank=bases_i.rank + bases_j.rank,
-        iters=cfg.iters,
-        tol=cfg.tol,
-        epsilon=cfg.epsilon,
-        seed=cfg.seed,
-        stft_cfg=bases_i.stft_cfg,
+    run_cfg = replace(
+        cfg, rank=bases_i.rank + bases_j.rank, stft_cfg=bases_i.stft_cfg
     )
     z = stft(mix, bases_i.stft_cfg)
     h = estimate_weights(z, bases_i, bases_j, run_cfg)

@@ -8,7 +8,7 @@ one column per frame. Only complete frames are analyzed; signals are
 never zero-padded.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +50,8 @@ class Signal:
         self.samples = np.asarray(self.samples, dtype=np.float64).ravel()
         if self.samples.size == 0:
             raise ValueError("signal must be non-empty")
+        if not np.all(np.isfinite(self.samples)):
+            raise ValueError("signal contains non-finite samples")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -61,18 +63,8 @@ def sqrt_hann_window(n: int) -> np.ndarray:
     return np.sqrt(hann)
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    bits = n.bit_length() - 1
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
 def dft(frame, inverse: bool = False) -> np.ndarray:
-    """Radix-2 Cooley-Tukey transform along the last axis.
+    """Discrete Fourier transform along the last axis.
 
     Forward applies no scaling; inverse scales by 1/N, so
     ``dft(dft(x), inverse=True) == x``.
@@ -81,53 +73,27 @@ def dft(frame, inverse: bool = False) -> np.ndarray:
     n = x.shape[-1]
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"transform length must be a power of two, got {n}")
-    if n == 1:
-        return x.copy()
-
-    out = x[..., _bit_reverse_indices(n)].copy()
-    sign = 1.0 if inverse else -1.0
-    half = 1
-    while half < n:
-        step = 2 * half
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / step)
-        blocks = out.reshape(*out.shape[:-1], n // step, step)
-        even = blocks[..., :half].copy()
-        odd = blocks[..., half:] * tw
-        blocks[..., :half] = even + odd
-        blocks[..., half:] = even - odd
-        half = step
-    if inverse:
-        out /= n
-    return out
+    return np.fft.ifft(x) if inverse else np.fft.fft(x)
 
 
 def stft(signal: Signal, cfg: StftConfig) -> np.ndarray:
     """One-sided spectrogram: freq_bins x frame_count, complex128."""
     x = signal.samples
-    n, hop = cfg.frame_len, cfg.hop
+    n = cfg.frame_len
     if x.size < n:
         raise ValueError(
             f"signal of {x.size} samples is shorter than one frame ({n})"
         )
-    n_frames = (x.size - n) // hop + 1
-    win = sqrt_hann_window(n)
-    offsets = hop * np.arange(n_frames)[:, None] + np.arange(n)[None, :]
-    frames = x[offsets] * win
-    spectra = dft(frames)[:, : cfg.freq_bins]
-    return np.ascontiguousarray(spectra.T)
-
-
-def _full_spectrum(one_sided: np.ndarray, n: int) -> np.ndarray:
-    """Rebuild the Hermitian-symmetric length-n spectrum per frame."""
-    tail = np.conj(one_sided[..., -2:0:-1])
-    return np.concatenate([one_sided, tail], axis=-1)
+    frames = np.lib.stride_tricks.sliding_window_view(x, n)[:: cfg.hop]
+    return np.ascontiguousarray(np.fft.rfft(frames * sqrt_hann_window(n)).T)
 
 
 def istft(spec: np.ndarray, cfg: StftConfig) -> Signal:
     """Windowed overlap-add synthesis inverting :func:`stft`.
 
     With the sqrt-Hann window at 50% overlap the squared windows sum to
-    one, so interior samples are reconstructed exactly.
+    one, so interior samples are reconstructed exactly. Each frame's
+    first half lands on hop block t and its second half on block t + 1.
     """
     spec = np.asarray(spec, dtype=np.complex128)
     if spec.ndim != 2 or spec.shape[0] != cfg.freq_bins:
@@ -136,10 +102,8 @@ def istft(spec: np.ndarray, cfg: StftConfig) -> Signal:
             f"expected {cfg.freq_bins} for frame_len {cfg.frame_len}"
         )
     n, hop = cfg.frame_len, cfg.hop
-    n_frames = spec.shape[1]
-    win = sqrt_hann_window(n)
-    frames = dft(_full_spectrum(spec.T, n), inverse=True).real * win
-    out = np.zeros((n_frames - 1) * hop + n)
-    for t in range(n_frames):
-        out[t * hop : t * hop + n] += frames[t]
+    frames = np.fft.irfft(spec.T, n) * sqrt_hann_window(n)
+    out = np.zeros((spec.shape[1] + 1) * hop)
+    out[:-hop] += frames[:, :hop].ravel()
+    out[hop:] += frames[:, hop:].ravel()
     return Signal(out, cfg.sample_rate)

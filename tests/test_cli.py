@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from cmfsep.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_main
 from cmfsep.io_wav import write_wav
@@ -95,6 +96,38 @@ class TestExitCodes:
              "--out", str(tmp_path / "a.cmfb")]
         )
         assert code == EXIT_DATA
+
+
+class TestNonFiniteInput:
+    @pytest.fixture()
+    def nan_dir(self, tmp_path):
+        d = tmp_path / "spk_nan"
+        d.mkdir()
+        x = 0.5 * np.sin(2 * np.pi * 440 * np.arange(16000) / 16000)
+        x[5000] = np.nan
+        wavfile.write(d / "u1.wav", 16000, x.astype(np.float32))
+        return d
+
+    def test_factorize_is_data_error(self, nan_dir, capsys):
+        log = nan_dir / "run.log"
+        code = cli_main(
+            ["factorize", "--in", str(nan_dir / "u1.wav"), "--rank", "2",
+             "--iters", "5", "--log", str(log)]
+        )
+        assert code == EXIT_DATA
+        assert "non-finite" in capsys.readouterr().err
+        assert not log.exists()
+
+    def test_train_is_data_error(self, nan_dir, tmp_path, capsys):
+        out = tmp_path / "nan.cmfb"
+        code = cli_main(
+            ["train", "--speaker-dir", str(nan_dir), "--speaker-id", "N",
+             "--rank", "2", "--iters", "5", "--out", str(out)]
+        )
+        assert code == EXIT_DATA
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
 
 
 class TestFactorize:

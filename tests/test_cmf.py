@@ -185,6 +185,17 @@ class TestCmfFactorize:
         with pytest.raises(ValueError, match="rank"):
             cmf_factorize(np.ones((2, 2), dtype=complex), 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        z = np.ones((3, 3), dtype=complex)
+        z[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            cmf_factorize(z, 2)
+        x = np.ones((3, 2), dtype=complex)
+        x[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            cmf_factorize(np.ones((3, 3), dtype=complex), 2, fixed_x=x)
+
     def test_rejects_fixed_x_shape(self):
         with pytest.raises(ValueError, match="fixed_x shape"):
             cmf_factorize(
@@ -266,12 +277,60 @@ class TestCmfFactorize:
         assert len(lines[9].split("\t")) == 3
         assert len(lines[0].split("\t")) == 2
 
+    def test_final_log_line_carries_complex_error(self):
+        rng = np.random.default_rng(29)
+        z = random_complex(rng, (8, 6))
+        buf = io.StringIO()
+        res = cmf_factorize(
+            z, 2, SepConfig(rank=2, iters=25, tol=0.0), checkpoint_every=10, log=buf
+        )
+        assert [c[0] for c in res.checkpoints] == [10, 20, 25]
+        last = buf.getvalue().strip().split("\n")[-1].split("\t")
+        assert int(last[0]) == 25
+        assert float(last[2]) == res.final_error
+
     def test_final_checkpoint_always_present(self):
         rng = np.random.default_rng(28)
         z = random_complex(rng, (6, 5))
         res = cmf_factorize(z, 2, SepConfig(rank=2, iters=17, tol=0.0))
         assert res.checkpoints[-1][0] == 17
         assert res.checkpoints[-1][2] == res.final_error
+
+
+class TestComplexErrorBound:
+    """Write R for the block residual Zc - Xc Hc with tied Hc. Then
+    Re(Z - XH) = R11 - R12 and Im(Z - XH) = R21 - R22, so by the
+    parallelogram law |Z - XH|^2 <= 2 * block objective."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_residual_identity(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, rank, cols = (int(v) for v in rng.integers(1, 9, size=3))
+        z = random_complex(rng, (rows, cols))
+        xc = rng.random((2 * rows, 2 * rank))
+        hp, hm = rng.random((rank, cols)), rng.random((rank, cols))
+        r = assemble_zc(split_complex(z)).assembled - xc @ assemble_hc(hp, hm).assembled
+        x = (xc[:rows, :rank] - xc[:rows, rank:]) + 1j * (
+            xc[rows:, :rank] - xc[rows:, rank:]
+        )
+        diff = z - x @ (hp - hm)
+        r11, r12 = r[:rows, :cols], r[:rows, cols:]
+        r21, r22 = r[rows:, :cols], r[rows:, cols:]
+        np.testing.assert_allclose(diff.real, r11 - r12, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(diff.imag, r21 - r22, rtol=0, atol=1e-12)
+        assert frobenius_norm_sq(diff) <= 2 * frobenius_norm_sq(r) * (1 + 1e-12)
+
+    def test_bound_holds_at_every_checkpoint(self):
+        from test_acceptance import descent_runs
+
+        worst = 0.0
+        for _, res in descent_runs(checkpoint_every=10):
+            for _, block_obj, complex_err in res.checkpoints:
+                assert complex_err <= 2 * block_obj * (1 + 1e-12)
+                worst = max(worst, complex_err / block_obj)
+        # the constant 1 is not enough on this workload (criterion 4)
+        assert worst > 1.0
 
 
 class TestStatedConvergenceTargets:

@@ -3,54 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfsep.linalg import (
-    as_complex_matrix,
-    as_real_matrix,
-    complex_matmul_real,
-    frobenius_norm_sq,
-    matmul,
-)
-
-
-def naive_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        assert np.array_equal(matmul(np.eye(2), b), b)
-
-    def test_hand_product(self):
-        assert np.array_equal(matmul([[1.0, 2.0]], [[3.0], [4.0]]), [[11.0]])
-
-    def test_matches_naive_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 2))
-        got = matmul(a, b)
-        assert got.shape == (3, 2)
-        np.testing.assert_allclose(got, naive_matmul(a, b), atol=1e-12)
-
-    def test_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    @given(st.integers(0, 1000))
-    @settings(max_examples=30, deadline=None)
-    def test_associativity(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 5))
-        c = rng.standard_normal((5, 2))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        np.testing.assert_allclose(left, right, rtol=1e-9, atol=1e-9)
+from cmfsep.linalg import as_complex_matrix, complex_matmul_real, frobenius_norm_sq
 
 
 class TestFrobeniusNormSq:
@@ -98,16 +51,16 @@ class TestComplexMatmulReal:
         with pytest.raises(ValueError, match="dimension mismatch"):
             complex_matmul_real(np.ones((2, 3), dtype=complex), np.ones((2, 2)))
 
+    def test_rejects_vector_weights(self):
+        with pytest.raises(ValueError, match="2-D"):
+            complex_matmul_real(np.ones((2, 2), dtype=complex), [1.0, 2.0])
+
+    def test_rejects_empty_weights(self):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            complex_matmul_real(np.ones((2, 0), dtype=complex), np.zeros((0, 3)))
+
 
 class TestConversions:
-    def test_as_real_rejects_vectors(self):
-        with pytest.raises(ValueError, match="2-D"):
-            as_real_matrix([1.0, 2.0])
-
     def test_as_complex_rejects_3d(self):
         with pytest.raises(ValueError, match="2-D"):
             as_complex_matrix(np.zeros((2, 2, 2)))
-
-    def test_as_real_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least 1x1"):
-            as_real_matrix(np.zeros((0, 3)))

@@ -36,6 +36,15 @@ class TestBasisSet:
                 rank=2,
             )
 
+    def test_rejects_zero_rank(self):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            BasisSet(
+                x_train=np.zeros((257, 0), dtype=complex),
+                speaker_id="x",
+                stft_cfg=StftConfig(),
+                rank=0,
+            )
+
 
 class TestTrainBases:
     def test_rejects_empty_corpus(self):

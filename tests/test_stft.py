@@ -15,6 +15,27 @@ def naive_dft(x, inverse=False):
     return out / n if inverse else out
 
 
+def loop_stft(x, cfg):
+    """Per-frame reference: window each complete frame, keep the
+    one-sided half of its naive DFT."""
+    n, hop = cfg.frame_len, cfg.hop
+    win = sqrt_hann_window(n)
+    cols = [naive_dft(x[t : t + n] * win)[: cfg.freq_bins] for t in range(0, x.size - n + 1, hop)]
+    return np.array(cols).T
+
+
+def loop_istft(spec, cfg):
+    """Per-frame reference: rebuild each Hermitian spectrum, invert,
+    window and overlap-add."""
+    n, hop = cfg.frame_len, cfg.hop
+    win = sqrt_hann_window(n)
+    out = np.zeros((spec.shape[1] - 1) * hop + n)
+    for t in range(spec.shape[1]):
+        full = np.concatenate([spec[:, t], np.conj(spec[-2:0:-1, t])])
+        out[t * hop : t * hop + n] += naive_dft(full, inverse=True).real * win
+    return out
+
+
 class TestDft:
     def test_impulse(self):
         np.testing.assert_allclose(dft([1, 0, 0, 0]), np.ones(4), atol=1e-15)
@@ -76,6 +97,11 @@ class TestSignal:
         with pytest.raises(ValueError, match="non-empty"):
             Signal(np.array([]), 16000)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Signal(np.array([0.0, bad, 0.5]), 16000)
+
 
 class TestStft:
     def test_sine_peak_bin(self):
@@ -104,6 +130,14 @@ class TestStft:
             spec = stft(Signal(np.ones(n), 16000), cfg)
             assert spec.shape == (257, (n - 512) // 256 + 1)
 
+    def test_matches_per_frame_reference(self):
+        rng = np.random.default_rng(10)
+        cfg = StftConfig(frame_len=64, hop=32)
+        x = rng.standard_normal(1000)
+        want = loop_stft(x, cfg)
+        got = stft(Signal(x, 16000), cfg)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_rejects_short_signal(self):
         with pytest.raises(ValueError, match="shorter than one frame"):
             stft(Signal(np.ones(100), 16000), StftConfig())
@@ -131,6 +165,16 @@ class TestIstft:
         rec = istft(spec[:, :1], cfg)
         win = sqrt_hann_window(512)
         np.testing.assert_allclose(rec.samples, x * win**2, atol=1e-12)
+
+    def test_matches_per_frame_overlap_add(self):
+        # DC and Nyquist carry imaginary parts, as in estimated spectrograms
+        rng = np.random.default_rng(11)
+        cfg = StftConfig(frame_len=64, hop=32)
+        spec = rng.standard_normal((33, 20)) + 1j * rng.standard_normal((33, 20))
+        want = loop_istft(spec, cfg)
+        got = istft(spec, cfg).samples
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_rejects_wrong_row_count(self):
         with pytest.raises(ValueError, match="expected 257"):

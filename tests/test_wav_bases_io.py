@@ -1,7 +1,10 @@
 import logging
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from cmfsep.bases_file import BasesFileError, load_bases, save_bases
@@ -163,3 +166,98 @@ class TestBasesFile:
         p.write_bytes(bytes(raw))
         with pytest.raises(BasesFileError, match="unknown window id"):
             load_bases(p)
+
+    def test_non_finite_payload_rejected(self, tmp_path):
+        b = random_basis()
+        b.x_train[4, 1] = complex(np.nan, 0.0)
+        p = tmp_path / "n.cmfb"
+        save_bases(p, b)
+        with pytest.raises(BasesFileError, match="non-finite"):
+            load_bases(p)
+
+    def test_invalid_utf8_speaker_id_rejected(self, tmp_path):
+        b = random_basis()
+        p = tmp_path / "u.cmfb"
+        save_bases(p, b)
+        raw = bytearray(p.read_bytes())
+        raw[8] = 0xFF  # first byte of the speaker id
+        p.write_bytes(bytes(raw))
+        with pytest.raises(BasesFileError, match="UTF-8"):
+            load_bases(p)
+
+    def test_invalid_stft_fields_rejected(self, tmp_path):
+        b = random_basis()
+        p = tmp_path / "h.cmfb"
+        save_bases(p, b)
+        raw = bytearray(p.read_bytes())
+        off = 8 + len("speaker-α".encode("utf-8")) + 12  # hop
+        raw[off : off + 4] = (100).to_bytes(4, "little")
+        p.write_bytes(bytes(raw))
+        with pytest.raises(BasesFileError, match="hop"):
+            load_bases(p)
+
+
+def _valid_bases_bytes(tmp_path):
+    p = tmp_path / "valid.cmfb"
+    save_bases(p, random_basis(rank=2))
+    return p.read_bytes()
+
+
+# a 37-byte header declaring rank 2**20 with no payload behind it
+_HUGE_RANK_HEADER = struct.pack(
+    "<4sHH8sIIIIIB", b"CMFB", 1, 8, b"speaker1", 2**20, 257, 512, 256, 16000, 0
+)
+
+
+class TestBasesFileFuzz:
+    """Malformed input of any kind raises only BasesFileError."""
+
+    @staticmethod
+    def _load_or_reject(path, data):
+        path.write_bytes(data)
+        try:
+            load_bases(path)
+        except BasesFileError:
+            pass
+
+    @given(cut=st.integers(0, 10_000))
+    @settings(
+        max_examples=50, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_truncated(self, tmp_path, cut):
+        raw = _valid_bases_bytes(tmp_path)
+        (tmp_path / "t.cmfb").write_bytes(raw[: cut % len(raw)])
+        with pytest.raises(BasesFileError):
+            load_bases(tmp_path / "t.cmfb")
+
+    @given(data=st.binary(max_size=200))
+    @example(data=_HUGE_RANK_HEADER)
+    @settings(
+        max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_random_bytes(self, tmp_path, data):
+        self._load_or_reject(tmp_path / "r.cmfb", data)
+        self._load_or_reject(tmp_path / "r.cmfb", b"CMFB\x01\x00" + data)
+
+    @given(
+        edits=st.lists(
+            st.tuples(st.integers(0, 39), st.integers(0, 255)), min_size=1, max_size=6
+        )
+    )
+    # header fields start at byte 18, after the 10-byte speaker id
+    @example(edits=[(18, 0), (19, 0), (20, 16), (21, 0)])  # rank 2**20
+    @example(  # frame 2**32-2 with the freq_bins it implies
+        edits=[(22, 0), (23, 0), (24, 0), (25, 0x80)]
+        + [(26, 0xFE), (27, 0xFF), (28, 0xFF), (29, 0xFF)]
+    )
+    @settings(
+        max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_header_mutations(self, tmp_path, edits):
+        raw = bytearray(_valid_bases_bytes(tmp_path))
+        for pos, value in edits:
+            raw[pos] = value
+        self._load_or_reject(tmp_path / "m.cmfb", bytes(raw))
