@@ -11,7 +11,7 @@ from .cmf import (
 )
 from .config import SepConfig
 from .metrics import EvalReport, correlation, evaluate, snr_db, tir_esc, tir_loss
-from .nmf import NmfProblem, NmfState, nmf_init, nmf_solve, nmf_step
+from .nmf import NmfProblem, NmfState, nmf_init, nmf_step
 from .separation import BasisSet, reconstruct, separate, train_bases
 from .stft import Signal, StftConfig, dft, istft, stft
 
@@ -32,7 +32,6 @@ __all__ = [
     "istft",
     "merge_quad",
     "nmf_init",
-    "nmf_solve",
     "nmf_step",
     "reconstruct",
     "separate",

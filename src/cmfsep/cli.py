@@ -77,6 +77,16 @@ def _load_signal(path, expected_rate):
     return wav.samples
 
 
+def _write_log(path, result) -> None:
+    """One ``iteration<TAB>block_objective`` line per iteration; checkpoint
+    lines add the complex-domain error as a third field."""
+    errors = {it: err for it, _, err in result.checkpoints}
+    with open(path, "w") as fh:
+        for it, obj in enumerate(result.objective_history, 1):
+            tail = f"\t{errors[it]:.17g}" if it in errors else ""
+            fh.write(f"{it}\t{obj:.17g}{tail}\n")
+
+
 def _cmd_factorize(args) -> int:
     cfg_stft = _stft_cfg(args)
     signal = _load_signal(args.infile, cfg_stft.sample_rate)
@@ -84,11 +94,9 @@ def _cmd_factorize(args) -> int:
         rank=args.rank, iters=args.iters, seed=args.seed, stft_cfg=cfg_stft
     )
     z = stft(signal, cfg_stft)
+    result = cmf_factorize(z, args.rank, cfg, checkpoint_every=10 if args.log else 0)
     if args.log:
-        with open(args.log, "w") as fh:
-            result = cmf_factorize(z, args.rank, cfg, log=fh, checkpoint_every=10)
-    else:
-        result = cmf_factorize(z, args.rank, cfg)
+        _atomic_write(args.log, lambda tmp: _write_log(tmp, result))
     denom = frobenius_norm_sq(z)
     rel = result.final_error / denom if denom > 0 else 0.0
     print(f"relative complex-domain error: {rel:.6g}")

@@ -10,7 +10,7 @@ signed factors are reassembled from the blocks.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional, TextIO
+from typing import Optional
 
 import numpy as np
 
@@ -144,18 +144,17 @@ def cmf_factorize(
     cfg: Optional[SepConfig] = None,
     fixed_x=None,
     checkpoint_every: int = 0,
-    log: Optional[TextIO] = None,
     h_init=None,
 ) -> CmfResult:
     """Factor a complex matrix into complex bases and real weights.
 
     With ``fixed_x`` the bases are held constant (split once) and only
-    the weights are estimated; this is the separation mode. The logged
-    objective is the block-domain error driving the updates; the
-    complex-domain error ``|Z - XH|^2`` is evaluated every
-    ``checkpoint_every`` iterations (0 = never before termination) and
-    at the final iteration, which is always a checkpoint and whose value
-    is returned as ``final_error``.
+    the weights are estimated; this is the separation mode.
+    ``objective_history`` holds the block-domain error driving the
+    updates, one entry per iteration; the complex-domain error
+    ``|Z - XH|^2`` is evaluated every ``checkpoint_every`` iterations
+    (0 = never before termination) and at the final iteration, which is
+    always a checkpoint and whose value is returned as ``final_error``.
     """
     z = as_complex_matrix(z)
     if z.size == 0:
@@ -222,10 +221,6 @@ def cmf_factorize(
             x, h = _reassemble(state.x, state.h, rows, rank, cols)
             cerr = frobenius_norm_sq(z - x @ h)
             checkpoints.append((it, cur, cerr))
-            if log is not None:
-                log.write(f"{it}\t{cur:.17g}\t{cerr:.17g}\n")
-        elif log is not None:
-            log.write(f"{it}\t{cur:.17g}\n")
         if stopping:
             break
         prev = cur

@@ -1,10 +1,11 @@
 """Euclidean NMF with Lee-Seung multiplicative updates.
 
-Serves two roles: the engine under the complex-factorization reduction
-(via the ``coupling`` hook, which re-ties weight blocks after each
-iteration) and a plain magnitude-only factorizer. Denominators are
+The single update step under the complex-factorization reduction: the
+iterate-and-stop loop lives in ``cmf.cmf_factorize``, and the
+``coupling`` hook re-ties the weight blocks after each step. Plain NMF
+is ``nmf_init`` followed by repeated ``nmf_step``. Denominators are
 floored at ``epsilon`` so updates are defined everywhere; the objective
-is recorded once per iteration, after the update and any coupling, so
+is recorded once per step, after the update and any coupling, so
 ``objective_history`` always describes the actual iterate.
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .linalg import frobenius_norm_sq
 
-__all__ = ["NmfProblem", "NmfState", "nmf_init", "nmf_step", "nmf_solve"]
+__all__ = ["NmfProblem", "NmfState", "nmf_init", "nmf_step"]
 
 DEFAULT_EPSILON = 1e-12
 
@@ -55,12 +56,6 @@ class NmfState:
     h: np.ndarray
     objective_history: list = field(default_factory=list)
 
-    @property
-    def objective(self) -> float:
-        if not self.objective_history:
-            raise ValueError("no iterations recorded yet")
-        return self.objective_history[-1]
-
 
 def nmf_init(problem: NmfProblem, seed: int) -> NmfState:
     """Uniform random factors in (epsilon, 1]; deterministic per seed."""
@@ -95,23 +90,3 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
     state.objective_history.append(_objective(state, problem))
     return state
 
-
-def nmf_solve(
-    problem: NmfProblem,
-    iters: int = 500,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> NmfState:
-    """Run up to ``iters`` steps, stopping early when the relative
-    objective change drops below ``tol``."""
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    state = nmf_init(problem, seed)
-    prev = _objective(state, problem)
-    for _ in range(iters):
-        nmf_step(state, problem)
-        cur = state.objective_history[-1]
-        if abs(prev - cur) < tol * max(prev, problem.epsilon):
-            break
-        prev = cur
-    return state

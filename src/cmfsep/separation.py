@@ -9,7 +9,7 @@ spectrograms directly: the mixture's phase is never reused.
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, TextIO, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -77,7 +77,6 @@ def estimate_weights(
     bases_i: BasisSet,
     bases_j: BasisSet,
     cfg: SepConfig,
-    log: Optional[TextIO] = None,
 ) -> np.ndarray:
     """Solve for the stacked weights of both speakers, bases fixed.
 
@@ -96,9 +95,7 @@ def estimate_weights(
         for b in (bases_i, bases_j)
     ]
     hp0, hm0 = np.maximum(np.concatenate(draws, axis=1), cfg.epsilon)
-    result = cmf_factorize(
-        mix_spec, rank, cfg, fixed_x=x_fixed, h_init=(hp0, hm0), log=log
-    )
+    result = cmf_factorize(mix_spec, rank, cfg, fixed_x=x_fixed, h_init=(hp0, hm0))
     return result.h
 
 

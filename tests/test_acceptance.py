@@ -5,6 +5,7 @@ with ``pytest -s``); under ``pytest -v`` the per-test PASSED/FAILED line
 itself is the verdict. Stated runtime budgets are asserted too.
 """
 
+import functools
 import json
 import time
 
@@ -62,6 +63,15 @@ def descent_runs(checkpoint_every=0):
     return results
 
 
+@functools.cache
+def checkpointed_descent_runs():
+    """``descent_runs(checkpoint_every=10)``, solved once and shared by
+    criteria 3 and 4 and the factor-2 bound test in test_cmf; the
+    objective history does not depend on ``checkpoint_every``. Criterion
+    10 solves its own runs under its instrumented coupling."""
+    return tuple(descent_runs(checkpoint_every=10))
+
+
 def test_criterion_01_split_round_trip():
     start = time.monotonic()
     rng = np.random.default_rng(0)
@@ -100,7 +110,7 @@ def test_criterion_02_block_equivalence():
 def test_criterion_03_monotone_descent():
     start = time.monotonic()
     worst = 0.0
-    for _, res in descent_runs():
+    for _, res in checkpointed_descent_runs():
         hist = res.objective_history
         steps = np.diff(hist)
         worst = max(worst, float(steps.max(initial=0.0)))
@@ -125,7 +135,7 @@ def test_criterion_04_complex_error_upper_bound():
     iters, every = 300, 10
     violations = 0
     worst = (0.0, 0)
-    for z, res in descent_runs(checkpoint_every=every):
+    for z, res in checkpointed_descent_runs():
         assert [c[0] for c in res.checkpoints] == list(range(every, iters + 1, every))
         for it, block_obj, complex_err in res.checkpoints:
             # the checkpoint reports the objective the solver minimises

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import cmfsep.cli as cli_mod
 from cmfsep.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_main
 from cmfsep.io_wav import write_wav
 from cmfsep.stft import Signal
@@ -147,6 +148,62 @@ class TestFactorize:
             assert len(fields) in (2, 3)
             int(fields[0])
             float(fields[1])
+
+    @pytest.fixture()
+    def noise_wav(self, tmp_path):
+        # broadband input, so the default tolerance never stops a short run early
+        path = tmp_path / "noise.wav"
+        noise = np.random.default_rng(3).uniform(-0.5, 0.5, 8000)
+        write_wav(path, Signal(noise, 16000), "float32")
+        return path
+
+    def factorize_log(self, monkeypatch, wav, iters):
+        results = []
+        solve = cli_mod.cmf_factorize
+
+        def recording(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli_mod, "cmf_factorize", recording)
+        log = wav.parent / "run.log"
+        code = cli_main(
+            ["factorize", "--in", str(wav), "--rank", "2", "--iters", str(iters),
+             "--log", str(log)]
+        )
+        assert code == EXIT_OK
+        return [ln.split("\t") for ln in log.read_text().strip().split("\n")], results[0]
+
+    def test_checkpoints_and_log_format(self, noise_wav, monkeypatch):
+        lines, res = self.factorize_log(monkeypatch, noise_wav, 30)
+        assert [c[0] for c in res.checkpoints] == [10, 20, 30]
+        assert len(lines) == 30
+        for n, fields in enumerate(lines, 1):
+            assert int(fields[0]) == n
+            # checkpoint lines carry the complex-domain error as a third field
+            assert len(fields) == (3 if n in (10, 20, 30) else 2)
+
+    def test_final_log_line_carries_complex_error(self, noise_wav, monkeypatch):
+        lines, res = self.factorize_log(monkeypatch, noise_wav, 25)
+        assert [c[0] for c in res.checkpoints] == [10, 20, 25]
+        last = lines[-1]
+        assert int(last[0]) == 25 and len(last) == 3
+        assert float(last[2]) == res.final_error
+
+    def test_failed_solve_leaves_no_log(self, noise_wav, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise ValueError("solver failed")
+
+        monkeypatch.setattr(cli_mod, "cmf_factorize", failing)
+        log = noise_wav.parent / "run.log"
+        code = cli_main(
+            ["factorize", "--in", str(noise_wav), "--rank", "2", "--iters", "5",
+             "--log", str(log)]
+        )
+        assert code == EXIT_DATA
+        assert "solver failed" in capsys.readouterr().err
+        assert not log.exists()
+        assert not [p for p in noise_wav.parent.iterdir() if p.name.startswith(".tmp-")]
 
 
 class TestEval:

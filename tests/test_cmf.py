@@ -1,10 +1,9 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmfsep.cmf as cmf_mod
 from cmfsep.cmf import (
     CmfResult,
     SplitQuad,
@@ -185,6 +184,10 @@ class TestCmfFactorize:
         with pytest.raises(ValueError, match="rank"):
             cmf_factorize(np.ones((2, 2), dtype=complex), 0)
 
+    def test_rejects_zero_iters(self):
+        with pytest.raises(ValueError, match="iters"):
+            SepConfig(rank=2, iters=0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
     def test_rejects_non_finite(self, bad):
         z = np.ones((3, 3), dtype=complex)
@@ -258,36 +261,32 @@ class TestCmfFactorize:
         with pytest.raises(ValueError, match="nonnegative"):
             cmf_factorize(z, 1, h_init=(-np.ones((1, 3)), np.ones((1, 3))))
 
-    def test_checkpoints_and_log_format(self):
-        rng = np.random.default_rng(27)
+    def test_infinite_tol_runs_one_iteration(self):
+        rng = np.random.default_rng(14)
         z = random_complex(rng, (8, 6))
-        buf = io.StringIO()
-        res = cmf_factorize(
-            z, 2, SepConfig(rank=2, iters=30, tol=0.0), checkpoint_every=10, log=buf
-        )
-        its = [c[0] for c in res.checkpoints]
-        assert its == [10, 20, 30]
-        lines = buf.getvalue().strip().split("\n")
-        assert len(lines) == 30
-        for ln in lines:
-            fields = ln.split("\t")
-            assert int(fields[0]) >= 1
-            assert len(fields) in (2, 3)
-        # checkpoint lines carry the complex-domain error as a third field
-        assert len(lines[9].split("\t")) == 3
-        assert len(lines[0].split("\t")) == 2
+        res = cmf_factorize(z, 2, SepConfig(rank=2, iters=100, tol=np.inf))
+        assert len(res.objective_history) == 1
+        assert res.checkpoints == [(1, res.objective_history[0], res.final_error)]
+        assert res.final_error == frobenius_norm_sq(z - res.x @ res.h)
 
-    def test_final_log_line_carries_complex_error(self):
-        rng = np.random.default_rng(29)
-        z = random_complex(rng, (8, 6))
-        buf = io.StringIO()
-        res = cmf_factorize(
-            z, 2, SepConfig(rank=2, iters=25, tol=0.0), checkpoint_every=10, log=buf
-        )
-        assert [c[0] for c in res.checkpoints] == [10, 20, 25]
-        last = buf.getvalue().strip().split("\n")[-1].split("\t")
-        assert int(last[0]) == 25
-        assert float(last[2]) == res.final_error
+    def test_coupling_reties_weights_every_iteration(self, monkeypatch):
+        calls = []
+        original = cmf_mod._make_coupling
+
+        def counted(rank, cols):
+            inner = original(rank, cols)
+
+            def couple(hc):
+                calls.append(1)
+                return inner(hc)
+
+            return couple
+
+        monkeypatch.setattr(cmf_mod, "_make_coupling", counted)
+        rng = np.random.default_rng(16)
+        cmf_factorize(random_complex(rng, (4, 4)), 2, SepConfig(rank=2, iters=7, tol=0.0))
+        # once to tie the initial weights, then once per iteration
+        assert len(calls) == 8
 
     def test_final_checkpoint_always_present(self):
         rng = np.random.default_rng(28)
@@ -322,10 +321,10 @@ class TestComplexErrorBound:
         assert frobenius_norm_sq(diff) <= 2 * frobenius_norm_sq(r) * (1 + 1e-12)
 
     def test_bound_holds_at_every_checkpoint(self):
-        from test_acceptance import descent_runs
+        from test_acceptance import checkpointed_descent_runs
 
         worst = 0.0
-        for _, res in descent_runs(checkpoint_every=10):
+        for _, res in checkpointed_descent_runs():
             for _, block_obj, complex_err in res.checkpoints:
                 assert complex_err <= 2 * block_obj * (1 + 1e-12)
                 worst = max(worst, complex_err / block_obj)

@@ -3,12 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfsep.nmf import NmfProblem, NmfState, nmf_init, nmf_solve, nmf_step
+from cmfsep.nmf import NmfProblem, NmfState, nmf_init, nmf_step
 
 
 def random_problem(seed, m=8, p=6, rank=3):
     rng = np.random.default_rng(seed)
     return NmfProblem(z=rng.random((m, p)), rank=rank)
+
+
+def run_steps(problem, iters, seed=0):
+    """Plain NMF: seeded init, then a fixed number of steps."""
+    state = nmf_init(problem, seed)
+    for _ in range(iters):
+        nmf_step(state, problem)
+    return state
 
 
 class TestProblemValidation:
@@ -54,11 +62,6 @@ class TestInit:
         assert state.x.min() >= problem.epsilon
         assert state.h.min() >= problem.epsilon
 
-    def test_objective_before_any_step_raises(self):
-        state = nmf_init(random_problem(1), 0)
-        with pytest.raises(ValueError, match="no iterations"):
-            state.objective
-
 
 class TestStep:
     def test_hand_evaluated_scalar_update(self):
@@ -69,7 +72,7 @@ class TestStep:
         nmf_step(state, problem)
         assert state.x[0, 0] == pytest.approx(2.0)
         assert state.h[0, 0] == pytest.approx(1.0)
-        assert state.objective == pytest.approx(0.0, abs=1e-15)
+        assert state.objective_history == pytest.approx([0.0], abs=1e-15)
 
     def test_exact_factorization_is_fixed_point(self):
         rng = np.random.default_rng(10)
@@ -82,20 +85,13 @@ class TestStep:
         np.testing.assert_allclose(state.h, h, rtol=1e-12)
 
     def test_history_nonincreasing(self):
-        problem = random_problem(11)
-        state = nmf_init(problem, 0)
-        for _ in range(100):
-            nmf_step(state, problem)
-        hist = state.objective_history
+        hist = run_steps(random_problem(11), 100).objective_history
         assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
 
     def test_fixed_x_never_updated(self):
         rng = np.random.default_rng(12)
         x = rng.uniform(0.1, 1.0, (5, 2))
-        problem = NmfProblem(z=rng.random((5, 4)), rank=2, fixed_x=x)
-        state = nmf_init(problem, 0)
-        for _ in range(10):
-            nmf_step(state, problem)
+        state = run_steps(NmfProblem(z=rng.random((5, 4)), rank=2, fixed_x=x), 10)
         assert np.array_equal(state.x, x)
 
     @given(st.integers(0, 500))
@@ -116,30 +112,23 @@ class TestStep:
 
 
 class TestSolve:
-    def test_rejects_zero_iters(self):
-        with pytest.raises(ValueError, match="iters"):
-            nmf_solve(random_problem(0), iters=0)
-
-    def test_infinite_tol_runs_one_iteration(self):
-        state = nmf_solve(random_problem(14), iters=100, tol=np.inf)
-        assert len(state.objective_history) == 1
+    """Plain NMF driven to convergence by repeated ``nmf_step``."""
 
     def test_full_rank_square_converges(self):
         rels = []
         for seed in range(10):
             rng = np.random.default_rng(seed)
             z = rng.random((4, 4))
-            state = nmf_solve(NmfProblem(z=z, rank=4), iters=2000, tol=0.0, seed=seed)
-            rels.append(state.objective / float(np.sum(z**2)))
+            state = run_steps(NmfProblem(z=z, rank=4), 2000, seed=seed)
+            rels.append(state.objective_history[-1] / float(np.sum(z**2)))
         assert max(rels) <= 1e-3
 
     def test_fixed_x_recovers_planted_weights(self):
         rng = np.random.default_rng(15)
         x = rng.uniform(0.1, 1.0, (8, 3))
         h = rng.uniform(0.1, 1.0, (3, 6))
-        problem = NmfProblem(z=x @ h, rank=3, fixed_x=x)
-        state = nmf_solve(problem, iters=2000, tol=0.0)
-        assert state.objective <= 1e-6
+        state = run_steps(NmfProblem(z=x @ h, rank=3, fixed_x=x), 2000)
+        assert state.objective_history[-1] <= 1e-6
 
     def test_coupling_hook_runs_every_iteration(self):
         calls = []
@@ -149,5 +138,5 @@ class TestSolve:
             return h
 
         problem = NmfProblem(z=np.random.default_rng(16).random((4, 4)), rank=2, coupling=hook)
-        nmf_solve(problem, iters=7, tol=0.0)
+        run_steps(problem, 7)
         assert len(calls) == 7
