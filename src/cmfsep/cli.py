@@ -42,11 +42,15 @@ def _default_seed() -> int:
 
 def _atomic_write(path, writer) -> None:
     """Write via a sibling temp file and rename, so failures leave no
-    partial output."""
+    partial output. The file gets the mode a plain ``open`` would give
+    (0o666 less the umask), not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-cmfsep-")
     os.close(fd)
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.chmod(tmp, 0o666 & ~umask)
         writer(tmp)
         os.replace(tmp, path)
     except BaseException:

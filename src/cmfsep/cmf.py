@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import SepConfig
 from .linalg import as_complex_matrix, frobenius_norm_sq
-from .nmf import NmfProblem, nmf_init, nmf_step
+from .nmf import NmfProblem, gram_terms, nmf_init, nmf_step, objective
 
 __all__ = [
     "SplitQuad",
@@ -208,7 +208,7 @@ def cmf_factorize(
     state.h = problem.coupling(state.h)
 
     checkpoints = []
-    prev = frobenius_norm_sq(zc - state.x @ state.h)
+    prev = objective(problem, state, *gram_terms(problem, state.x))
     for it in range(1, cfg.iters + 1):
         nmf_step(state, problem)
         cur = state.objective_history[-1]

@@ -20,7 +20,7 @@ def as_complex_matrix(a) -> np.ndarray:
 def frobenius_norm_sq(a) -> float:
     """Sum of squared moduli over all entries."""
     m = np.asarray(a)
-    return float(np.sum(np.abs(m) ** 2))
+    return float(np.vdot(m, m).real)
 
 
 def complex_matmul_real(x, h) -> np.ndarray:

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -271,6 +273,26 @@ class TestPipeline:
              "--rank", "2", "--iters", "5", "--out", str(corpus / "x.cmfb")]
         )
         assert code == EXIT_USAGE
+
+    def test_outputs_get_the_umask_mode(self, corpus):
+        # a plain open() under umask 022 gives 0644; the temp-then-rename
+        # write must not leave mkstemp's 0600 behind
+        old = os.umask(0o022)
+        try:
+            run_pipeline(corpus, iters=5)
+            log = corpus / "run.log"
+            code = cli_main(
+                ["factorize", "--in", str(corpus / "mix.wav"), "--rank", "2",
+                 "--iters", "5", "--log", str(log)]
+            )
+        finally:
+            os.umask(old)
+        assert code == EXIT_OK
+        outputs = [corpus / "a.cmfb", corpus / "b.cmfb", corpus / "out" / "est_a.wav",
+                   corpus / "out" / "est_b.wav", log]
+        assert {p.name: oct(stat.S_IMODE(p.stat().st_mode)) for p in outputs} == {
+            p.name: "0o644" for p in outputs
+        }
 
     def test_no_partial_output_on_failure(self, corpus, tmp_path):
         # unwritable sibling directory: the temp-then-rename write leaves

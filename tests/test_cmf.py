@@ -296,6 +296,30 @@ class TestCmfFactorize:
         assert res.checkpoints[-1][2] == res.final_error
 
 
+class TestSubnormalFlush:
+    def test_factor_entries_are_zero_or_normal(self, monkeypatch):
+        # weights fitted with bases trained on the same input, and the
+        # training itself, drive some entries toward 0 geometrically
+        states = []
+        step = cmf_mod.nmf_step
+
+        def recording(state, problem):
+            if not states or states[-1] is not state:
+                states.append(state)
+            return step(state, problem)
+
+        monkeypatch.setattr(cmf_mod, "nmf_step", recording)
+        z = random_complex(np.random.default_rng(0), (32, 24))
+        cfg = SepConfig(rank=4, iters=500, tol=0.0)
+        trained = cmf_factorize(z, 4, cfg)
+        cmf_factorize(z, 4, cfg, fixed_x=trained.x)
+        assert len(states) == 2
+        floor = np.sqrt(np.finfo(np.float64).tiny)
+        for state in states:
+            for a in (state.x, state.h):
+                assert np.all((a == 0) | (a >= floor))
+
+
 class TestComplexErrorBound:
     """Write R for the block residual Zc - Xc Hc with tied Hc. Then
     Re(Z - XH) = R11 - R12 and Im(Z - XH) = R21 - R22, so by the

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfsep.nmf import NmfProblem, NmfState, nmf_init, nmf_step
+from cmfsep.linalg import frobenius_norm_sq
+from cmfsep.nmf import GRAM_GUARD, NmfProblem, NmfState, nmf_init, nmf_step
 
 
 def random_problem(seed, m=8, p=6, rank=3):
@@ -140,3 +141,41 @@ class TestSolve:
         problem = NmfProblem(z=np.random.default_rng(16).random((4, 4)), rank=2, coupling=hook)
         run_steps(problem, 7)
         assert len(calls) == 7
+
+
+def histories(problem, iters, seed=0):
+    """Recorded objective and the direct residual after each of ``iters`` steps."""
+    state = nmf_init(problem, seed)
+    direct = []
+    for _ in range(iters):
+        nmf_step(state, problem)
+        direct.append(frobenius_norm_sq(problem.z - state.x @ state.h))
+    return np.array(state.objective_history), np.array(direct)
+
+
+class TestGramObjective:
+    """The recorded objective comes from the Gram form above
+    ``GRAM_GUARD``·|Z|^2 and is the direct residual below it."""
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_direct_residual_above_guard(self, seed, fixed):
+        rng = np.random.default_rng(seed)
+        z = rng.random((40, 30))
+        problem = NmfProblem(z=z, rank=6, fixed_x=rng.random((40, 6)) if fixed else None)
+        recorded, direct = histories(problem, 300, seed)
+        assert np.all(recorded >= GRAM_GUARD * problem.z_norm_sq)
+        assert np.max(np.abs(recorded - direct) / direct) <= 1e-12
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_direct_residual_below_guard(self, fixed):
+        rng = np.random.default_rng(17)
+        x = rng.uniform(0.1, 1.0, (8, 3))
+        z = x @ rng.uniform(0.1, 1.0, (3, 6))
+        problem = NmfProblem(z=z, rank=3, fixed_x=x if fixed else None)
+        recorded, direct = histories(problem, 2000)
+        below = recorded < GRAM_GUARD * problem.z_norm_sq
+        assert below.sum() > 100
+        assert np.array_equal(recorded[below], direct[below])
+        # a guard set too low lets Gram rounding noise into this descent
+        assert np.all(np.abs(recorded - direct) <= 1e-12 * direct)
