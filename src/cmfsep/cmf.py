@@ -16,7 +16,15 @@ import numpy as np
 
 from .config import SepConfig
 from .linalg import as_complex_matrix, frobenius_norm_sq
-from .nmf import NmfProblem, gram_terms, nmf_init, nmf_step, objective
+from .nmf import (
+    NmfProblem,
+    NmfState,
+    gram_terms,
+    init_bases,
+    nmf_init,
+    nmf_step,
+    objective,
+)
 
 __all__ = [
     "SplitQuad",
@@ -106,8 +114,10 @@ def block_product_identity_check(
 
 def symmetrize_h(h1, h2, h3, h4):
     """Tie the weight blocks pairwise by arithmetic averaging."""
-    h_plus = 0.5 * (h1 + h4)
-    h_minus = 0.5 * (h2 + h3)
+    h_plus = h1 + h4
+    h_plus *= 0.5
+    h_minus = h2 + h3
+    h_minus *= 0.5
     return h_plus, h_minus
 
 
@@ -121,11 +131,16 @@ class CmfResult:
 
 
 def _make_coupling(rank: int, cols: int):
+    """The tie as an ``nmf_step`` coupling hook: the two averages are
+    written back into the blocks of ``hc``, which is returned."""
+
     def couple(hc: np.ndarray) -> np.ndarray:
-        h_plus, h_minus = symmetrize_h(
-            hc[:rank, :cols], hc[:rank, cols:], hc[rank:, :cols], hc[rank:, cols:]
-        )
-        return np.block([[h_plus, h_minus], [h_minus, h_plus]])
+        h11, h12 = hc[:rank, :cols], hc[:rank, cols:]
+        h21, h22 = hc[rank:, :cols], hc[rank:, cols:]
+        h_plus, h_minus = symmetrize_h(h11, h12, h21, h22)
+        h11[...] = h22[...] = h_plus
+        h12[...] = h21[...] = h_minus
+        return hc
 
     return couple
 
@@ -195,19 +210,22 @@ def cmf_factorize(
         coupling=_make_coupling(rank, cols),
         epsilon=cfg.epsilon,
     )
-    state = nmf_init(problem, cfg.seed)
-    if h_init is not None:
+    if h_init is None:
+        state = nmf_init(problem, cfg.seed)
+    else:
         hp0, hm0 = (np.asarray(a, dtype=np.float64) for a in h_init)
         if hp0.shape != (rank, cols) or hm0.shape != (rank, cols):
             raise ValueError("h_init halves must each be rank x cols")
         if np.any(hp0 < 0) or np.any(hm0 < 0):
             raise ValueError("h_init must be nonnegative")
-        state.h = np.block([[hp0, hm0], [hm0, hp0]])
+        x0 = init_bases(problem, np.random.default_rng(cfg.seed))
+        state = NmfState(x=x0, h=np.block([[hp0, hm0], [hm0, hp0]]))
     # the first X update must see tied weight blocks, as after every
     # later iteration
     state.h = problem.coupling(state.h)
 
     checkpoints = []
+    # also leaves on the state the product the first update needs
     prev = objective(problem, state, *gram_terms(problem, state.x))
     for it in range(1, cfg.iters + 1):
         nmf_step(state, problem)
@@ -219,7 +237,10 @@ def cmf_factorize(
             or (checkpoint_every > 0 and it % checkpoint_every == 0)
         ):
             x, h = _reassemble(state.x, state.h, rows, rank, cols)
-            cerr = frobenius_norm_sq(z - x @ h)
+            # formed in the product's buffer: one complex F×T temporary
+            resid = x @ h
+            np.subtract(z, resid, out=resid)
+            cerr = frobenius_norm_sq(resid)
             checkpoints.append((it, cur, cerr))
         if stopping:
             break

@@ -13,10 +13,20 @@ the X update, evaluated as ``x @ (h @ h.T)``). ``NmfProblem`` computes
 ‖Z‖² once and, when the bases are fixed, XᵀZ and XᵀX once; a free step
 computes them from its new X and shares them between the H update and
 the objective. The objective is then the Gram form
-``‖Z‖² − 2⟨H, XᵀZ⟩ + ⟨H, XᵀX H⟩``, which costs no 2F×2T residual. It
-subtracts terms of size ‖Z‖², so its absolute rounding error is about
-1e-16·‖Z‖²; below ``GRAM_GUARD``·‖Z‖² the direct residual ‖Z − XH‖² is
-computed instead. The guard sits at 1e-3, not lower, because a history
+``‖Z‖² − 2⟨H, XᵀZ⟩ + ⟨H, XᵀX H⟩``, which costs no 2F×2T residual.
+
+Its quadratic term is taken from the product the next update needs,
+so a step forms one quadratic product fewer. With fixed bases it is
+⟨H, XᵀX·H⟩, and XᵀX·H becomes the next H-update denominator, in whose
+buffer the update's ratio is then formed in place. With free bases it
+is ⟨XᵀX, H·Hᵀ⟩, and H·Hᵀ goes into the next X update. The product is
+kept as ``NmfState.carried``, which assigning ``NmfState.h`` drops. The
+coupling hook may therefore write into the weights it is given, as
+``cmf``'s tie does, but code outside a step replaces them by assignment.
+
+The Gram form subtracts terms of size ‖Z‖², so its absolute rounding
+error is about 1e-16·‖Z‖²; below ``GRAM_GUARD``·‖Z‖² the direct
+residual ‖Z − XH‖² is computed instead. The guard sits at 1e-3, not lower, because a history
 entry must agree with the direct residual to about 1e-12 relative: at
 1e-8 the planted-recovery histories drifted by up to 6e-8, and a
 ``tol=1e-14`` stop rule fired on Gram rounding noise.
@@ -40,6 +50,7 @@ __all__ = [
     "NmfProblem",
     "NmfState",
     "nmf_init",
+    "init_bases",
     "nmf_step",
     "gram_terms",
     "objective",
@@ -89,23 +100,48 @@ class NmfProblem:
         self.z_norm_sq = frobenius_norm_sq(self.z)
 
 
-@dataclass
 class NmfState:
-    x: np.ndarray
-    h: np.ndarray
-    objective_history: list = field(default_factory=list)
+    """The iterate ``x``, ``h`` and its objective history.
+
+    ``carried`` is the quadratic product the last objective computed
+    from the current ``h`` for the next update: XᵀX·H when the bases
+    are fixed, H·Hᵀ when they are free, and None when no objective has
+    seen this ``h``. Assigning ``h`` drops it, so a product never
+    outlives the weights it came from; ``nmf_step`` itself updates the
+    weights in place, and other code replaces them by assignment.
+    """
+
+    def __init__(self, x: np.ndarray, h: np.ndarray, objective_history=None):
+        self.x = x
+        self.h = h
+        self.objective_history = [] if objective_history is None else objective_history
+
+    @property
+    def h(self) -> np.ndarray:
+        return self._h
+
+    @h.setter
+    def h(self, value: np.ndarray) -> None:
+        self._h = value
+        self.carried = None
+
+
+def init_bases(problem: NmfProblem, rng: np.random.Generator) -> np.ndarray:
+    """Starting bases: a copy of ``fixed_x``, else uniform draws in
+    (epsilon, 1] from ``rng``. ``nmf_init`` draws them before the
+    weights, so a solve that brings its own weights starts from the
+    same bases for a seed."""
+    if problem.fixed_x is not None:
+        return problem.fixed_x.copy()
+    m = problem.z.shape[0]
+    return np.maximum(rng.random((m, problem.rank)), problem.epsilon)
 
 
 def nmf_init(problem: NmfProblem, seed: int) -> NmfState:
     """Uniform random factors in (epsilon, 1]; deterministic per seed."""
     rng = np.random.default_rng(seed)
-    m, p = problem.z.shape
-    eps = problem.epsilon
-    if problem.fixed_x is not None:
-        x = problem.fixed_x.copy()
-    else:
-        x = np.maximum(rng.random((m, problem.rank)), eps)
-    h = np.maximum(rng.random((problem.rank, p)), eps)
+    x = init_bases(problem, rng)
+    h = np.maximum(rng.random((problem.rank, problem.z.shape[1])), problem.epsilon)
     return NmfState(x=x, h=h)
 
 
@@ -119,9 +155,17 @@ def gram_terms(problem: NmfProblem, x: np.ndarray):
 def objective(problem: NmfProblem, state: NmfState, xtz, xtx) -> float:
     """‖Z − XH‖² of ``state`` from its Gram terms ``xtz``, ``xtx``; the
     direct residual below ``GRAM_GUARD``·‖Z‖², where the Gram form
-    cancels."""
+    cancels. The quadratic term is ⟨H, XᵀX·H⟩ with fixed bases and
+    ⟨XᵀX, H·Hᵀ⟩ with free ones, from the product the next update needs,
+    which is left on ``state.carried``."""
     h = state.h
-    gram = problem.z_norm_sq - 2.0 * np.vdot(h, xtz) + np.vdot(h, xtx @ h)
+    if problem.fixed_x is not None:
+        state.carried = xtx @ h
+        quad = np.vdot(h, state.carried)
+    else:
+        state.carried = h @ h.T
+        quad = np.vdot(xtx, state.carried)
+    gram = problem.z_norm_sq - 2.0 * np.vdot(h, xtz) + quad
     if gram < GRAM_GUARD * problem.z_norm_sq:
         return frobenius_norm_sq(problem.z - state.x @ h)
     return float(gram)
@@ -136,14 +180,25 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
 
     The coupling hook, when present, runs after the H update; the
     objective appended to the history reflects the coupled iterate.
+    The hook may write into the array it is given; it returns the
+    coupled weights.
     """
     z, eps = problem.z, problem.epsilon
     x, h = state.x, state.h
+    carried, state.carried = state.carried, None
     if problem.fixed_x is None:
-        x *= (z @ h.T) / np.maximum(x @ (h @ h.T), eps)
+        hht = h @ h.T if carried is None else carried
+        x *= (z @ h.T) / np.maximum(x @ hht, eps)
         _flush(x)
+        carried = None  # H·Hᵀ, of no use to the H update
     xtz, xtx = gram_terms(problem, x)
-    h *= xtz / np.maximum(xtx @ h, eps)
+    # the H-update ratio is formed in place in XᵀX·H's buffer, the
+    # carried one when the bases are fixed
+    ratio = xtx @ h if carried is None else carried
+    np.maximum(ratio, eps, out=ratio)
+    np.divide(xtz, ratio, out=ratio)
+    h *= ratio
+    del carried, ratio  # freed before the objective forms the next product
     if problem.coupling is not None:
         state.h = problem.coupling(h)
     _flush(state.h)

@@ -3,8 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmfsep.cmf import _make_coupling
 from cmfsep.linalg import frobenius_norm_sq
-from cmfsep.nmf import GRAM_GUARD, NmfProblem, NmfState, nmf_init, nmf_step
+from cmfsep.nmf import (
+    FLUSH_BELOW,
+    GRAM_GUARD,
+    NmfProblem,
+    NmfState,
+    gram_terms,
+    nmf_init,
+    nmf_step,
+    objective,
+)
 
 
 def random_problem(seed, m=8, p=6, rank=3):
@@ -179,3 +189,98 @@ class TestGramObjective:
         assert np.array_equal(recorded[below], direct[below])
         # a guard set too low lets Gram rounding noise into this descent
         assert np.all(np.abs(recorded - direct) <= 1e-12 * direct)
+
+
+def block_coupling(rank, cols):
+    """The weight-block tie built as a new array with ``np.block``."""
+
+    def couple(hc):
+        h_plus = 0.5 * (hc[:rank, :cols] + hc[rank:, cols:])
+        h_minus = 0.5 * (hc[:rank, cols:] + hc[rank:, :cols])
+        return np.block([[h_plus, h_minus], [h_minus, h_plus]])
+
+    return couple
+
+
+def reference_step(state, problem, couple):
+    """One step computed plainly: nothing carried from the last step, an
+    allocating H-update ratio, and the quadratic term as ⟨H, XᵀX H⟩."""
+    z, eps = problem.z, problem.epsilon
+    x, h = state.x, state.h
+    if problem.fixed_x is None:
+        x *= (z @ h.T) / np.maximum(x @ (h @ h.T), eps)
+        x[x < FLUSH_BELOW] = 0.0
+        xtz, xtx = x.T @ z, x.T @ x
+    else:
+        xtz, xtx = problem.xtz, problem.xtx
+    h *= xtz / np.maximum(xtx @ h, eps)
+    h = couple(h)
+    h[h < FLUSH_BELOW] = 0.0
+    gram = problem.z_norm_sq - 2.0 * np.vdot(h, xtz) + np.vdot(h, xtx @ h)
+    if gram < GRAM_GUARD * problem.z_norm_sq:
+        gram = frobenius_norm_sq(z - x @ h)
+    state.h = h
+    state.objective_history.append(float(gram))
+
+
+class TestCarriedProduct:
+    """Each objective leaves the quadratic product the next update needs
+    on the state (XᵀX·H with fixed bases, H·Hᵀ with free ones)."""
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("new_array_hook", [False, True])
+    def test_replacing_h_matches_a_fresh_state(self, fixed, new_array_hook):
+        rng = np.random.default_rng(20)
+        hook = (lambda h: 0.5 * (h + h[::-1, ::-1])) if new_array_hook else None
+        problem = NmfProblem(
+            z=rng.random((12, 10)),
+            rank=4,
+            fixed_x=rng.random((12, 4)) if fixed else None,
+            coupling=hook,
+        )
+        state = run_steps(problem, 5)
+        h = rng.random((4, 10))
+        state.h = h.copy()
+        fresh = NmfState(x=state.x.copy(), h=h)
+        for _ in range(5):
+            nmf_step(state, problem)
+            nmf_step(fresh, problem)
+        assert state.objective_history[5:] == fresh.objective_history
+        assert np.array_equal(state.x, fresh.x)
+        assert np.array_equal(state.h, fresh.h)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_matches_reference_step(self, fixed, planted):
+        rows, rank, cols = 10, 3, 8
+        rng = np.random.default_rng(21)
+        xc = rng.uniform(0.1, 1.0, (2 * rows, 2 * rank))
+        if planted:
+            hp, hm = rng.uniform(0.1, 1.0, (2, rank, cols))
+            z = xc @ np.block([[hp, hm], [hm, hp]])
+        else:
+            z = rng.random((2 * rows, 2 * cols))
+        problem = NmfProblem(
+            z=z,
+            rank=2 * rank,
+            fixed_x=xc if fixed else None,
+            coupling=_make_coupling(rank, cols),
+        )
+        # set up as cmf_factorize does: tie, then an objective that
+        # seeds the carried product
+        state = nmf_init(problem, 3)
+        state.h = problem.coupling(state.h)
+        ref = NmfState(x=state.x.copy(), h=state.h.copy())
+        objective(problem, state, *gram_terms(problem, state.x))
+        couple = block_coupling(rank, cols)
+        for _ in range(300):
+            nmf_step(state, problem)
+            reference_step(ref, problem, couple)
+        assert np.array_equal(state.x, ref.x)
+        assert np.array_equal(state.h, ref.h)
+        got, want = np.array(state.objective_history), np.array(ref.objective_history)
+        if fixed:
+            assert np.array_equal(got, want)
+        else:
+            # free bases: the quadratic term is evaluated as ⟨XᵀX, H·Hᵀ⟩
+            assert np.max(np.abs(got - want) / want) <= 1e-12
