@@ -85,29 +85,30 @@ def correlation(ref: Signal, est: Signal) -> float:
     return float(np.clip(np.dot(rc, ec) / (rn * en), -1.0, 1.0))
 
 
+def _frame_energies(x: np.ndarray, n: int, hop: int) -> np.ndarray:
+    """Sum of squares of each complete n-sample frame, frames hop apart."""
+    frames = np.lib.stride_tricks.sliding_window_view(x, n)[::hop]
+    return np.einsum("ij,ij->i", frames, frames)
+
+
 def _frame_losses(ref: Signal, est: Signal, cfg: StftConfig) -> np.ndarray:
     r, e = _aligned(ref, est)
     n, hop = cfg.frame_len, cfg.hop
     if r.size < n:
         # short signals degenerate to a single frame
-        n = r.size
-        hop = n
-    losses = []
-    for start in range(0, r.size - n + 1, hop):
-        rf = r[start : start + n]
-        ef = e[start : start + n]
-        ref_energy = float(np.sum(rf**2))
-        if ref_energy <= _SILENCE:
-            continue  # silent reference frame carries no target information
-        err_energy = float(np.sum((ef - rf) ** 2))
-        if err_energy <= _SILENCE:
-            losses.append(0.0)
-            continue
-        snr = 10.0 * math.log10(ref_energy / err_energy)
-        losses.append(min(1.0, max(0.0, 1.0 - snr / FULL_CREDIT_SNR_DB)))
-    if not losses:
+        n = hop = r.size
+    ref_energy = _frame_energies(r, n, hop)
+    err_energy = _frame_energies(e - r, n, hop)
+    # a silent reference frame carries no target information
+    voiced = ref_energy > _SILENCE
+    if not voiced.any():
         raise ValueError("reference is silent in every frame")
-    return np.asarray(losses)
+    ref_energy, err_energy = ref_energy[voiced], err_energy[voiced]
+    losses = np.zeros(ref_energy.size)
+    lossy = err_energy > _SILENCE
+    snr = 10.0 * np.log10(ref_energy[lossy] / err_energy[lossy])
+    losses[lossy] = np.clip(1.0 - snr / FULL_CREDIT_SNR_DB, 0.0, 1.0)
+    return losses
 
 
 def tir_loss(ref: Signal, est: Signal, cfg: StftConfig) -> float:

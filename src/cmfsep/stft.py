@@ -12,7 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StftConfig", "Signal", "dft", "stft", "istft", "sqrt_hann_window"]
+__all__ = [
+    "StftConfig",
+    "Signal",
+    "dft",
+    "stft",
+    "istft",
+    "synthesis_frames",
+    "overlap_add",
+    "sqrt_hann_window",
+]
 
 
 @dataclass(frozen=True)
@@ -88,12 +97,12 @@ def stft(signal: Signal, cfg: StftConfig) -> np.ndarray:
     return np.ascontiguousarray(np.fft.rfft(frames * sqrt_hann_window(n)).T)
 
 
-def istft(spec: np.ndarray, cfg: StftConfig) -> Signal:
-    """Windowed overlap-add synthesis inverting :func:`stft`.
+def synthesis_frames(spec, cfg: StftConfig) -> np.ndarray:
+    """Windowed inverse transforms of the spectrogram's columns.
 
-    With the sqrt-Hann window at 50% overlap the squared windows sum to
-    one, so interior samples are reconstructed exactly. Each frame's
-    first half lands on hop block t and its second half on block t + 1.
+    Returns one row of frame_len samples per column: the real inverse
+    FFT of that one-sided spectrum (imaginary parts of the DC and
+    Nyquist rows are dropped) times the synthesis window.
     """
     spec = np.asarray(spec, dtype=np.complex128)
     if spec.ndim != 2 or spec.shape[0] != cfg.freq_bins:
@@ -101,9 +110,30 @@ def istft(spec: np.ndarray, cfg: StftConfig) -> Signal:
             f"spectrogram has {spec.shape[0] if spec.ndim == 2 else '?'} rows, "
             f"expected {cfg.freq_bins} for frame_len {cfg.frame_len}"
         )
-    n, hop = cfg.frame_len, cfg.hop
-    frames = np.fft.irfft(spec.T, n) * sqrt_hann_window(n)
-    out = np.zeros((spec.shape[1] + 1) * hop)
-    out[:-hop] += frames[:, :hop].ravel()
-    out[hop:] += frames[:, hop:].ravel()
-    return Signal(out, cfg.sample_rate)
+    frames = np.fft.irfft(spec.T, cfg.frame_len)
+    frames *= sqrt_hann_window(cfg.frame_len)
+    return frames
+
+
+def overlap_add(frames: np.ndarray, cfg: StftConfig) -> Signal:
+    """Sum frames placed hop samples apart into one signal.
+
+    ``frames`` has one row per frame, in any memory layout. Since
+    hop = frame_len/2, frame t's first half lands on hop block t and its
+    second half on block t + 1; the halves are added into a
+    (frames + 1) x hop view of the output.
+    """
+    hop = cfg.hop
+    out = np.zeros((frames.shape[0] + 1, hop))
+    out[:-1] += frames[:, :hop]
+    out[1:] += frames[:, hop:]
+    return Signal(out.reshape(-1), cfg.sample_rate)
+
+
+def istft(spec: np.ndarray, cfg: StftConfig) -> Signal:
+    """Windowed overlap-add synthesis inverting :func:`stft`.
+
+    With the sqrt-Hann window at 50% overlap the squared windows sum to
+    one, so interior samples are reconstructed exactly.
+    """
+    return overlap_add(synthesis_frames(spec, cfg), cfg)

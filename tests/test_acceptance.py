@@ -124,13 +124,20 @@ def test_criterion_03_monotone_descent():
 def test_criterion_04_complex_error_upper_bound():
     """The block objective bounds the complex-domain error with constant 2.
 
-    Write R for the block residual Zc - Xc Hc with tied weight blocks.
-    Then Re(Z - XH) = R11 - R12 and Im(Z - XH) = R21 - R22, so
-    |Z - XH|^2 = |R|^2 - 2<R11, R12> - 2<R21, R22>. The cross terms can
-    be negative (an underfit entry Pr = 1, Nr = 0 fitted as 0.5 and 0.2),
-    so the constant 1 is false; by the parallelogram law
-    |Z - XH|^2 <= 2 |R|^2, with equality when R12 = -R11 and R22 = -R21,
-    so 2 is the tight universal constant.
+    Write h = h+ - h-, s = h+ + h-, X~ = (Xpr + Xnr) + i(Xpi + Xni) and
+    Z~ = |Re Z| + i|Im Z|. With tied weight blocks, the symmetric
+    orthogonal Q = [[I, I], [I, -I]]/sqrt(2) gives
+    Q [[h+, h-], [h-, h+]] Q = diag(s, h), while Zc Q and Xc Q hold
+    (Z~, Z) and (X~, X) with real parts over imaginary parts, over
+    sqrt(2). Right-multiplying the block residual by Q keeps its norm, so
+
+        block objective = ½|Z - Xh|^2 + ½|Z~ - X~s|^2
+
+    (checked in tests/test_cmf.py::TestTiedBlockIdentity). Hence
+    |Z - Xh|^2 = 2 * block objective - |Z~ - X~s|^2 <= 2 * block
+    objective. The constant 1 is false: the Z~ term can be smaller than
+    the complex one (an underfit entry Pr = 1, Nr = 0 fitted as 0.5 and
+    0.2). 2 is tight, reached when X~s fits Z~ exactly while Xh misses Z.
     """
     iters, every = 300, 10
     violations = 0

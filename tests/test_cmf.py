@@ -357,8 +357,9 @@ class TestSubnormalFlush:
 
 class TestComplexErrorBound:
     """Write R for the block residual Zc - Xc Hc with tied Hc. Then
-    Re(Z - XH) = R11 - R12 and Im(Z - XH) = R21 - R22, so by the
-    parallelogram law |Z - XH|^2 <= 2 * block objective."""
+    Re(Z - XH) = R11 - R12 and Im(Z - XH) = R21 - R22, and by the tied
+    block identity (TestTiedBlockIdentity) |Z - XH|^2 <= 2 * block
+    objective."""
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -391,6 +392,64 @@ class TestComplexErrorBound:
         # states the constant 2: the cross terms <R11, R12> and <R21, R22>
         # can be negative, so the block objective alone does not bound it
         assert worst > 1.0
+
+
+def tied_identity_sides(rng, rows, rank, cols, tied=True):
+    """The block objective |Zc - Xc Hc|^2 and the two-term form
+    ½|Z - Xh|^2 + ½|Z~ - X~s|^2 for random Z, Xc and weight blocks.
+    Untied blocks keep h+ and h- in the first block row and draw the
+    second one independently."""
+    z = random_complex(rng, (rows, cols))
+    xc = rng.random((2 * rows, 2 * rank))
+    hp, hm = rng.random((rank, cols)), rng.random((rank, cols))
+    hc = assemble_hc(hp, hm).assembled
+    if not tied:
+        hc[rank:] = rng.random((rank, 2 * cols))
+    block = frobenius_norm_sq(assemble_zc(split_complex(z)).assembled - xc @ hc)
+    xpr, xnr = xc[:rows, :rank], xc[:rows, rank:]
+    xpi, xni = xc[rows:, :rank], xc[rows:, rank:]
+    x = (xpr - xnr) + 1j * (xpi - xni)
+    x_abs = (xpr + xnr) + 1j * (xpi + xni)
+    z_abs = np.abs(z.real) + 1j * np.abs(z.imag)
+    two_term = 0.5 * frobenius_norm_sq(z - x @ (hp - hm)) + 0.5 * frobenius_norm_sq(
+        z_abs - x_abs @ (hp + hm)
+    )
+    return block, two_term
+
+
+class TestTiedBlockIdentity:
+    """Write h = h+ - h-, s = h+ + h-, X = (Xpr - Xnr) + i(Xpi - Xni),
+    X~ = (Xpr + Xnr) + i(Xpi + Xni) and Z~ = |Re Z| + i|Im Z|. The
+    symmetric orthogonal Q = [[I, I], [I, -I]]/sqrt(2) gives
+    Q [[h+, h-], [h-, h+]] Q = diag(s, h), Zc Q = [[Re Z~, Re Z],
+    [Im Z~, Im Z]]/sqrt(2) and likewise Xc Q for X~ and X.
+    Right-multiplying the block residual by Q keeps its norm, so with
+    tied blocks
+
+        block objective = ½|Z - Xh|^2 + ½|Z~ - X~s|^2,
+
+    hence |Z - Xh|^2 = 2 * block objective - |Z~ - X~s|^2, the factor 2
+    of criterion 4 with its exact slack."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_tied_blocks_split_into_two_fits(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, rank, cols = (int(v) for v in rng.integers(1, 9, size=3))
+        block, two_term = tied_identity_sides(rng, rows, rank, cols)
+        assert abs(block - two_term) <= 1e-12 * block
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_holds_at_spectrogram_size(self, seed):
+        rng = np.random.default_rng(seed)
+        block, two_term = tied_identity_sides(rng, 257, 40, 156)
+        assert abs(block - two_term) <= 1e-12 * block
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_untied_blocks_break_it(self, seed):
+        rng = np.random.default_rng(seed)
+        block, two_term = tied_identity_sides(rng, 257, 40, 156, tied=False)
+        assert abs(block - two_term) > 1e-3 * block
 
 
 class TestStatedConvergenceTargets:

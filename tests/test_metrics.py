@@ -7,6 +7,7 @@ import pytest
 from cmfsep.metrics import (
     EvalReport,
     FULL_CREDIT_SNR_DB,
+    _frame_losses,
     correlation,
     evaluate,
     snr_db,
@@ -25,6 +26,33 @@ def sig(x, rate=16000):
 
 def noise(seed, n=16000):
     return np.random.default_rng(seed).standard_normal(n)
+
+
+def loop_frame_losses(ref, est, cfg):
+    """Per-frame reference: align the estimate to the reference, then
+    score each complete frame on its own."""
+    r = ref.samples
+    e = np.zeros(r.size)
+    e[: min(r.size, est.samples.size)] = est.samples[: r.size]
+    n, hop = cfg.frame_len, cfg.hop
+    if r.size < n:
+        n = hop = r.size
+    losses = []
+    for start in range(0, r.size - n + 1, hop):
+        rf = r[start : start + n]
+        ef = e[start : start + n]
+        ref_energy = float(np.sum(rf**2))
+        if ref_energy <= 1e-300:
+            continue
+        err_energy = float(np.sum((ef - rf) ** 2))
+        if err_energy <= 1e-300:
+            losses.append(0.0)
+            continue
+        snr = 10.0 * math.log10(ref_energy / err_energy)
+        losses.append(min(1.0, max(0.0, 1.0 - snr / FULL_CREDIT_SNR_DB)))
+    if not losses:
+        raise ValueError("reference is silent in every frame")
+    return np.asarray(losses)
 
 
 class TestCorrelation:
@@ -91,6 +119,52 @@ class TestTirLoss:
         for seed in range(10):
             v = tir_loss(sig(noise(seed)), sig(noise(seed + 100)), CFG)
             assert 0.0 <= v <= 1.0
+
+
+class TestFrameLossesOracle:
+    def check(self, ref, est):
+        want = loop_frame_losses(sig(ref), sig(est), CFG)
+        got = _frame_losses(sig(ref), sig(est), CFG)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+        return got
+
+    def test_silent_stretches(self):
+        ref = noise(30, 20000)
+        ref[3000:9000] = 0.0
+        ref[15000:] = 0.0
+        est = ref + 0.3 * noise(31, 20000)
+        got = self.check(ref, est)
+        # frames lying wholly inside a silent stretch are skipped
+        assert got.size < (ref.size - CFG.frame_len) // CFG.hop + 1
+
+    def test_exact_match_frames_score_zero(self):
+        ref = noise(32, 8192)
+        est = ref + 0.5 * noise(33, 8192)
+        est[2048:6144] = ref[2048:6144]
+        got = self.check(ref, est)
+        assert np.count_nonzero(got == 0.0) >= 8
+        assert np.count_nonzero(got > 0.0) >= 4
+
+    def test_shorter_estimate(self):
+        ref = noise(34, 10000)
+        self.check(ref, ref[:7000] + 0.1 * noise(35, 7000))
+
+    def test_longer_estimate(self):
+        ref = noise(36, 10000)
+        self.check(ref, np.concatenate([ref, noise(37, 3000)]) + 0.2 * noise(38, 13000))
+
+    def test_reference_shorter_than_one_frame(self):
+        ref = noise(39, 300)
+        got = self.check(ref, ref + 0.05 * noise(40, 300))
+        assert got.size == 1
+
+    def test_all_silent_reference_raises(self):
+        ref, est = sig(np.zeros(4096)), sig(noise(41, 4096))
+        with pytest.raises(ValueError, match="silent in every frame"):
+            loop_frame_losses(ref, est, CFG)
+        with pytest.raises(ValueError, match="silent in every frame"):
+            _frame_losses(ref, est, CFG)
 
 
 class TestTirEsc:

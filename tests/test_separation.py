@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,10 +9,11 @@ from cmfsep.linalg import complex_matmul_real
 from cmfsep.separation import (
     BasisSet,
     estimate_weights,
+    reconstruct,
     separate,
     train_bases,
 )
-from cmfsep.stft import Signal, StftConfig, stft
+from cmfsep.stft import Signal, StftConfig, istft, stft
 
 
 def tone(freq, seconds=1.0, rate=16000, amp=0.5):
@@ -171,3 +175,51 @@ class TestSeparate:
         mix = Signal(np.ones(4096), 8000)
         with pytest.raises(ValueError, match="sample rate"):
             separate(mix, ba, bb, SepConfig(rank=4))
+
+
+def spectrogram_path(x, h, cfg):
+    """Reference synthesis: form the complex spectrogram, then invert it."""
+    return istft(complex_matmul_real(x, h), cfg.stft_cfg).samples
+
+
+class TestReconstruct:
+    @pytest.mark.parametrize("rank", [1, 80])
+    @pytest.mark.parametrize("frames", [1, 300])
+    def test_matches_spectrogram_path(self, rank, frames):
+        # DC and Nyquist rows carry imaginary parts; both paths drop them
+        rng = np.random.default_rng(rank * 1000 + frames)
+        cfg = SepConfig(rank=rank)
+        bins = cfg.stft_cfg.freq_bins
+        x = rng.standard_normal((bins, rank)) + 1j * rng.standard_normal((bins, rank))
+        assert np.all(x[[0, -1]].imag != 0)
+        h = rng.standard_normal((rank, frames))
+        want = spectrogram_path(x, h, cfg)
+        got = reconstruct(x, h, cfg)
+        assert got.sample_rate == cfg.stft_cfg.sample_rate
+        assert got.samples.shape == want.shape
+        assert np.max(np.abs(got.samples - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_shape_mismatch_names_both_shapes(self):
+        x = np.ones((257, 3), dtype=complex)
+        with pytest.raises(ValueError, match=re.escape("(257, 3)") + ".*" + re.escape("(4, 10)")):
+            reconstruct(x, np.ones((4, 10)), SepConfig())
+
+    def test_vector_weights_name_both_shapes(self):
+        x = np.ones((257, 3), dtype=complex)
+        with pytest.raises(ValueError, match=re.escape("(257, 3)") + ".*" + re.escape("(3,)")):
+            reconstruct(x, np.ones(3), SepConfig())
+
+    def test_rejects_wrong_row_count(self):
+        with pytest.raises(ValueError, match="expected 257"):
+            reconstruct(np.ones((100, 2), dtype=complex), np.ones((2, 5)), SepConfig())
+
+    def test_separate_matches_spectrogram_path(self, tone_bases):
+        ba, bb = tone_bases
+        cfg = SepConfig(rank=4, iters=100)
+        mix = Signal(tone(440).samples + tone(1870).samples, 16000)
+        est_a, est_b = separate(mix, ba, bb, cfg)
+        run_cfg = replace(cfg, stft_cfg=ba.stft_cfg)
+        h = estimate_weights(stft(mix, run_cfg.stft_cfg), ba, bb, run_cfg)
+        for est, x, rows in ((est_a, ba.x_train, h[: ba.rank]), (est_b, bb.x_train, h[ba.rank :])):
+            want = spectrogram_path(x, rows, run_cfg)
+            assert np.max(np.abs(est.samples - want)) <= 1e-12 * np.max(np.abs(want))
