@@ -8,9 +8,9 @@ Layout, little-endian:
     rank       u32
     freq_bins  u32
     frame_len  u32
-    hop        u32
+    hop        u32      must equal frame_len/2
     sample_rate u32
-    window_id  u8       0 = sqrt_hann
+    window_id  u8       must be 0 (sqrt_hann, the only window)
     payload    freq_bins*rank complex entries as interleaved f64 pairs,
                row-major
 
@@ -29,8 +29,7 @@ __all__ = ["save_bases", "load_bases", "BasesFileError"]
 
 MAGIC = b"CMFB"
 VERSION = 1
-_WINDOW_IDS = {"sqrt_hann": 0}
-_WINDOW_NAMES = {v: k for k, v in _WINDOW_IDS.items()}
+WINDOW_ID = 0  # sqrt_hann
 
 
 class BasesFileError(ValueError):
@@ -51,7 +50,7 @@ def save_bases(path, b: BasisSet) -> None:
         cfg.frame_len,
         cfg.hop,
         cfg.sample_rate,
-        _WINDOW_IDS[cfg.window],
+        WINDOW_ID,
     )
     payload = np.ascontiguousarray(b.x_train, dtype=np.complex128)
     with open(path, "wb") as fh:
@@ -86,8 +85,13 @@ def load_bases(path) -> BasisSet:
         rank, freq_bins, frame_len, hop, sample_rate, window_id = struct.unpack(
             "<IIIIIB", _read_exact(fh, 21, "header")
         )
-        if window_id not in _WINDOW_NAMES:
+        if window_id != WINDOW_ID:
             raise BasesFileError(f"{path}: unknown window id {window_id}")
+        if hop != frame_len // 2:
+            raise BasesFileError(
+                f"{path}: sqrt_hann synthesis requires hop = frame_len/2 "
+                f"(got hop={hop}, frame_len={frame_len})"
+            )
         if freq_bins != frame_len // 2 + 1:
             raise BasesFileError(
                 f"{path}: freq_bins {freq_bins} inconsistent with frame_len {frame_len}"
@@ -107,12 +111,7 @@ def load_bases(path) -> BasisSet:
     if not np.all(np.isfinite(x)):
         raise BasesFileError(f"{path}: payload contains non-finite entries")
     try:
-        cfg = StftConfig(
-            frame_len=frame_len,
-            hop=hop,
-            window=_WINDOW_NAMES[window_id],
-            sample_rate=sample_rate,
-        )
-        return BasisSet(x_train=x, speaker_id=speaker_id, stft_cfg=cfg, rank=rank)
+        cfg = StftConfig(frame_len=frame_len, sample_rate=sample_rate)
+        return BasisSet(x_train=x, speaker_id=speaker_id, stft_cfg=cfg)
     except ValueError as exc:
         raise BasesFileError(f"{path}: {exc}") from exc

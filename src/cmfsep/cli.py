@@ -60,14 +60,11 @@ def _atomic_write(path, writer) -> None:
 
 
 def _stft_cfg(args) -> StftConfig:
-    return StftConfig(
-        frame_len=args.frame, hop=args.hop, sample_rate=args.sr
-    )
+    return StftConfig(frame_len=args.frame, sample_rate=args.sr)
 
 
 def _add_stft_flags(p):
     p.add_argument("--frame", type=int, default=512)
-    p.add_argument("--hop", type=int, default=256)
     p.add_argument("--sr", type=int, default=16000)
 
 
@@ -146,9 +143,7 @@ def _cmd_eval(args) -> int:
     est_wav = read_wav(args.est)
     if ref_wav.samples.sample_rate != est_wav.samples.sample_rate:
         raise ValueError("sample rate mismatch between ref and est")
-    cfg = StftConfig(
-        frame_len=args.frame, hop=args.hop, sample_rate=ref_wav.samples.sample_rate
-    )
+    cfg = StftConfig(frame_len=args.frame, sample_rate=ref_wav.samples.sample_rate)
     report = evaluate(ref_wav.samples, est_wav.samples, cfg)
     if args.csv:
         print(report.to_csv_row())
@@ -193,11 +188,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a reconstruction")
     p.add_argument("--ref", required=True)
     p.add_argument("--est", required=True)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--csv", action="store_true", default=False)
+    p.add_argument("--csv", action="store_true", help="one CSV row, not JSON")
     p.add_argument("--frame", type=int, default=512)
-    p.add_argument("--hop", type=int, default=256)
     p.set_defaults(func=_cmd_eval)
 
     return parser

@@ -17,6 +17,7 @@ import numpy as np
 from .config import SepConfig
 from .linalg import as_complex_matrix, frobenius_norm_sq
 from .nmf import (
+    EPSILON,
     NmfProblem,
     NmfState,
     gram_terms,
@@ -208,7 +209,6 @@ def cmf_factorize(
         rank=2 * rank,
         fixed_x=xc_fixed,
         coupling=_make_coupling(rank, cols),
-        epsilon=cfg.epsilon,
     )
     if h_init is None:
         state = nmf_init(problem, cfg.seed)
@@ -230,7 +230,7 @@ def cmf_factorize(
     for it in range(1, cfg.iters + 1):
         nmf_step(state, problem)
         cur = state.objective_history[-1]
-        stopping = abs(prev - cur) < cfg.tol * max(prev, cfg.epsilon)
+        stopping = abs(prev - cur) < cfg.tol * max(prev, EPSILON)
         if (
             stopping
             or it == cfg.iters

@@ -12,12 +12,9 @@ class SepConfig:
     rank: int = 40
     iters: int = 500
     tol: float = 1e-6
-    epsilon: float = 1e-12
     seed: int = 0
     stft_cfg: StftConfig = field(default_factory=StftConfig)
 
     def __post_init__(self):
         if self.rank < 1 or self.iters < 1:
             raise ValueError("rank and iters must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")

@@ -11,7 +11,7 @@ shortfall.
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,8 +40,6 @@ class EvalReport:
     tir_loss: float
     tir_esc: float
     snr_db: float
-    per_frame: Optional[np.ndarray] = None
-    pesq: Optional[float] = None  # externally computed, never produced here
 
     def to_json(self) -> str:
         payload = {
@@ -51,8 +49,6 @@ class EvalReport:
             "snr_db": self.snr_db,
             "tir_loss_definition": "surrogate",
         }
-        if self.pesq is not None:
-            payload["pesq"] = self.pesq
         return json.dumps(payload, sort_keys=True)
 
     def to_csv_row(self) -> str:
@@ -133,18 +129,14 @@ def snr_db(ref: Signal, est: Signal) -> float:
     return min(SNR_CAP_DB, 10.0 * math.log10(ref_energy / err_energy))
 
 
-def evaluate(
-    ref: Signal, est: Signal, cfg: StftConfig, with_per_frame: bool = False
-) -> EvalReport:
+def evaluate(ref: Signal, est: Signal, cfg: StftConfig) -> EvalReport:
     r = correlation(ref, est)
-    losses = _frame_losses(ref, est, cfg)
-    loss = float(np.mean(losses))
+    loss = tir_loss(ref, est, cfg)
     return EvalReport(
         correlation=r,
         tir_loss=loss,
         tir_esc=loss * (1.0 - r * r),
         snr_db=snr_db(ref, est),
-        per_frame=losses if with_per_frame else None,
     )
 
 

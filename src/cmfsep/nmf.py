@@ -4,7 +4,7 @@ The single update step under the complex-factorization reduction: the
 iterate-and-stop loop lives in ``cmf.cmf_factorize``, and the
 ``coupling`` hook re-ties the weight blocks after each step. Plain NMF
 is ``nmf_init`` followed by repeated ``nmf_step``. Denominators are
-floored at ``epsilon`` so updates are defined everywhere; the objective
+floored at ``EPSILON`` so updates are defined everywhere; the objective
 is recorded once per step, after the update and any coupling, so
 ``objective_history`` always describes the actual iterate.
 
@@ -47,6 +47,7 @@ import numpy as np
 from .linalg import frobenius_norm_sq
 
 __all__ = [
+    "EPSILON",
     "NmfProblem",
     "NmfState",
     "nmf_init",
@@ -56,7 +57,7 @@ __all__ = [
     "objective",
 ]
 
-DEFAULT_EPSILON = 1e-12
+EPSILON = 1e-12
 GRAM_GUARD = 1e-3
 FLUSH_BELOW = float(np.sqrt(np.finfo(np.float64).tiny))
 
@@ -71,7 +72,6 @@ class NmfProblem:
     rank: int
     fixed_x: Optional[np.ndarray] = None
     coupling: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    epsilon: float = DEFAULT_EPSILON
     z_norm_sq: float = field(init=False, repr=False)
     xtz: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     xtx: Optional[np.ndarray] = field(init=False, repr=False, default=None)
@@ -84,8 +84,6 @@ class NmfProblem:
             raise ValueError("z must be entrywise nonnegative")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if self.fixed_x is not None:
             self.fixed_x = np.asarray(self.fixed_x, dtype=np.float64)
             if self.fixed_x.shape != (self.z.shape[0], self.rank):
@@ -128,20 +126,20 @@ class NmfState:
 
 def init_bases(problem: NmfProblem, rng: np.random.Generator) -> np.ndarray:
     """Starting bases: a copy of ``fixed_x``, else uniform draws in
-    (epsilon, 1] from ``rng``. ``nmf_init`` draws them before the
+    (EPSILON, 1] from ``rng``. ``nmf_init`` draws them before the
     weights, so a solve that brings its own weights starts from the
     same bases for a seed."""
     if problem.fixed_x is not None:
         return problem.fixed_x.copy()
     m = problem.z.shape[0]
-    return np.maximum(rng.random((m, problem.rank)), problem.epsilon)
+    return np.maximum(rng.random((m, problem.rank)), EPSILON)
 
 
 def nmf_init(problem: NmfProblem, seed: int) -> NmfState:
-    """Uniform random factors in (epsilon, 1]; deterministic per seed."""
+    """Uniform random factors in (EPSILON, 1]; deterministic per seed."""
     rng = np.random.default_rng(seed)
     x = init_bases(problem, rng)
-    h = np.maximum(rng.random((problem.rank, problem.z.shape[1])), problem.epsilon)
+    h = np.maximum(rng.random((problem.rank, problem.z.shape[1])), EPSILON)
     return NmfState(x=x, h=h)
 
 
@@ -183,19 +181,18 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
     The hook may write into the array it is given; it returns the
     coupled weights.
     """
-    z, eps = problem.z, problem.epsilon
     x, h = state.x, state.h
     carried, state.carried = state.carried, None
     if problem.fixed_x is None:
         hht = h @ h.T if carried is None else carried
-        x *= (z @ h.T) / np.maximum(x @ hht, eps)
+        x *= (problem.z @ h.T) / np.maximum(x @ hht, EPSILON)
         _flush(x)
         carried = None  # H·Hᵀ, of no use to the H update
     xtz, xtx = gram_terms(problem, x)
     # the H-update ratio is formed in place in XᵀX·H's buffer, the
     # carried one when the bases are fixed
     ratio = xtx @ h if carried is None else carried
-    np.maximum(ratio, eps, out=ratio)
+    np.maximum(ratio, EPSILON, out=ratio)
     np.divide(xtz, ratio, out=ratio)
     h *= ratio
     del carried, ratio  # freed before the objective forms the next product

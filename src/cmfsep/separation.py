@@ -20,6 +20,7 @@ import numpy as np
 from .cmf import cmf_factorize
 from .config import SepConfig
 from .linalg import as_complex_matrix
+from .nmf import EPSILON
 from .stft import Signal, StftConfig, overlap_add, stft, synthesis_frames
 
 # not called here: bench/spans.py times calls under these two names
@@ -34,16 +35,19 @@ class BasisSet:
     x_train: np.ndarray  # freq_bins x rank, unit-norm columns
     speaker_id: str
     stft_cfg: StftConfig
-    rank: int
 
     def __post_init__(self):
-        if self.x_train.shape != (self.stft_cfg.freq_bins, self.rank):
+        if self.x_train.ndim != 2 or self.x_train.shape[0] != self.stft_cfg.freq_bins:
             raise ValueError(
                 f"basis shape {self.x_train.shape} inconsistent with "
-                f"{self.stft_cfg.freq_bins} bins and rank {self.rank}"
+                f"{self.stft_cfg.freq_bins} bins"
             )
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
+
+    @property
+    def rank(self) -> int:
+        return self.x_train.shape[1]
 
 
 def _normalize_columns(x: np.ndarray) -> np.ndarray:
@@ -76,7 +80,6 @@ def train_bases(
         x_train=_normalize_columns(result.x),
         speaker_id=speaker_id,
         stft_cfg=cfg.stft_cfg,
-        rank=cfg.rank,
     )
 
 
@@ -102,7 +105,7 @@ def estimate_weights(
         _speaker_stream(cfg.seed, b.speaker_id).random((2, b.rank, 2, cols))[:, :, 0]
         for b in (bases_i, bases_j)
     ]
-    hp0, hm0 = np.maximum(np.concatenate(draws, axis=1), cfg.epsilon)
+    hp0, hm0 = np.maximum(np.concatenate(draws, axis=1), EPSILON)
     result = cmf_factorize(mix_spec, rank, cfg, fixed_x=x_fixed, h_init=(hp0, hm0))
     return result.h
 
@@ -121,9 +124,7 @@ def separate(
             f"mixture sample rate {mix.sample_rate} does not match "
             f"bases ({bases_i.stft_cfg.sample_rate})"
         )
-    run_cfg = replace(
-        cfg, rank=bases_i.rank + bases_j.rank, stft_cfg=bases_i.stft_cfg
-    )
+    run_cfg = replace(cfg, stft_cfg=bases_i.stft_cfg)
     z = stft(mix, bases_i.stft_cfg)
     h = estimate_weights(z, bases_i, bases_j, run_cfg)
     return (

@@ -3,9 +3,10 @@
 The transform uses a square-root Hann window with 50% overlap, so the
 squared analysis/synthesis windows satisfy constant overlap-add and the
 round trip is exact (to floating point) on the fully overlapped
-interior. Spectrograms are one-sided: frame_len/2 + 1 frequency rows,
-one column per frame. Only complete frames are analyzed; signals are
-never zero-padded.
+interior. Neither is a setting: the window is fixed, and the hop is
+derived as frame_len/2. Spectrograms are one-sided: frame_len/2 + 1
+frequency rows, one column per frame. Only complete frames are
+analyzed; signals are never zero-padded.
 """
 
 from dataclasses import dataclass
@@ -27,23 +28,19 @@ __all__ = [
 @dataclass(frozen=True)
 class StftConfig:
     frame_len: int = 512
-    hop: int = 256
-    window: str = "sqrt_hann"
     sample_rate: int = 16000
 
     def __post_init__(self):
         n = self.frame_len
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"frame_len must be a power of two, got {n}")
-        if not (0 < self.hop <= n):
-            raise ValueError(f"hop must be in (0, frame_len], got {self.hop}")
-        if self.window != "sqrt_hann":
-            raise ValueError(f"unsupported window {self.window!r}")
-        if self.hop != n // 2:
-            raise ValueError(
-                "sqrt_hann synthesis requires hop = frame_len/2 "
-                f"(got hop={self.hop}, frame_len={n})"
-            )
+        if self.sample_rate < 1:
+            raise ValueError(f"sample rate must be >= 1, got {self.sample_rate}")
+
+    @property
+    def hop(self) -> int:
+        """frame_len/2: the sqrt-Hann window is exact only at 50% overlap."""
+        return self.frame_len // 2
 
     @property
     def freq_bins(self) -> int:
@@ -61,6 +58,8 @@ class Signal:
             raise ValueError("signal must be non-empty")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("signal contains non-finite samples")
+        if self.sample_rate < 1:
+            raise ValueError(f"sample rate must be >= 1, got {self.sample_rate}")
 
     def __len__(self) -> int:
         return self.samples.size

@@ -80,7 +80,7 @@ class TestExitCodes:
         )
         cli_main(
             ["train", "--speaker-dir", str(corpus / "spk_b"), "--speaker-id", "B",
-             "--rank", "2", "--iters", "5", "--frame", "256", "--hop", "128",
+             "--rank", "2", "--iters", "5", "--frame", "256",
              "--out", str(corpus / "b256.cmfb")]
         )
         code = cli_main(
@@ -99,6 +99,19 @@ class TestExitCodes:
              "--out", str(tmp_path / "a.cmfb")]
         )
         assert code == EXIT_DATA
+
+    def test_zero_sample_rate_is_data_error(self, tmp_path):
+        d = tmp_path / "spk_0hz"
+        d.mkdir()
+        x = 0.5 * np.sin(2 * np.pi * 440 * np.arange(16000) / 16000)
+        wavfile.write(d / "u1.wav", 0, x.astype(np.float32))
+        out = tmp_path / "a.cmfb"
+        code = cli_main(
+            ["train", "--speaker-dir", str(d), "--speaker-id", "A", "--rank", "2",
+             "--iters", "5", "--sr", "0", "--out", str(out)]
+        )
+        assert code == EXIT_DATA
+        assert not out.exists()
 
 
 class TestNonFiniteInput:

@@ -249,19 +249,9 @@ class TestEvalReport:
         }
         assert payload["tir_loss_definition"] == "surrogate"
 
-    def test_json_optional_external_quality_slot(self):
-        rep = EvalReport(
-            correlation=1.0, tir_loss=0.0, tir_esc=0.0, snr_db=120.0, pesq=2.26
-        )
-        assert json.loads(rep.to_json())["pesq"] == 2.26
-
     def test_csv_row(self):
         rep = EvalReport(correlation=0.5, tir_loss=0.25, tir_esc=0.1875, snr_db=3.0)
         assert rep.to_csv_row() == "0.5,0.25,0.1875,3"
-
-    def test_per_frame_requested(self):
-        rep = evaluate(sig(noise(24)), sig(noise(25)), CFG, with_per_frame=True)
-        assert rep.per_frame is not None and rep.per_frame.ndim == 1
 
 
 class TestSummarize:

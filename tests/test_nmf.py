@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cmfsep.cmf import _make_coupling
 from cmfsep.linalg import frobenius_norm_sq
 from cmfsep.nmf import (
+    EPSILON,
     FLUSH_BELOW,
     GRAM_GUARD,
     NmfProblem,
@@ -47,10 +48,6 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="fixed_x"):
             NmfProblem(z=np.ones((2, 2)), rank=1, fixed_x=-np.ones((2, 1)))
 
-    def test_rejects_nonpositive_epsilon(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            NmfProblem(z=np.ones((2, 2)), rank=1, epsilon=0.0)
-
 
 class TestInit:
     def test_same_seed_bit_identical(self):
@@ -70,8 +67,8 @@ class TestInit:
     def test_entries_above_epsilon(self, seed):
         problem = random_problem(seed)
         state = nmf_init(problem, seed)
-        assert state.x.min() >= problem.epsilon
-        assert state.h.min() >= problem.epsilon
+        assert state.x.min() >= EPSILON
+        assert state.h.min() >= EPSILON
 
 
 class TestStep:
@@ -205,7 +202,7 @@ def block_coupling(rank, cols):
 def reference_step(state, problem, couple):
     """One step computed plainly: nothing carried from the last step, an
     allocating H-update ratio, and the quadratic term as ⟨H, XᵀX H⟩."""
-    z, eps = problem.z, problem.epsilon
+    z, eps = problem.z, EPSILON
     x, h = state.x, state.h
     if problem.fixed_x is None:
         x *= (z @ h.T) / np.maximum(x @ (h @ h.T), eps)

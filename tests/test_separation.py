@@ -32,13 +32,13 @@ def tone_bases():
 
 class TestBasisSet:
     def test_shape_validation(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            BasisSet(
-                x_train=np.zeros((10, 2), dtype=complex),
-                speaker_id="x",
-                stft_cfg=StftConfig(),
-                rank=2,
-            )
+        for shape in [(10, 2), (257,)]:
+            with pytest.raises(ValueError, match="inconsistent"):
+                BasisSet(
+                    x_train=np.zeros(shape, dtype=complex),
+                    speaker_id="x",
+                    stft_cfg=StftConfig(),
+                )
 
     def test_rejects_zero_rank(self):
         with pytest.raises(ValueError, match="rank must be >= 1"):
@@ -46,7 +46,6 @@ class TestBasisSet:
                 x_train=np.zeros((257, 0), dtype=complex),
                 speaker_id="x",
                 stft_cfg=StftConfig(),
-                rank=0,
             )
 
 
@@ -133,7 +132,6 @@ class TestSeparate:
             x_train=ba.x_train * scale,
             speaker_id=ba.speaker_id,
             stft_cfg=ba.stft_cfg,
-            rank=ba.rank,
         )
         cfg = SepConfig(rank=4, iters=2000, tol=1e-14)
         mix = Signal(tone(440).samples + tone(1870).samples, 16000)
@@ -160,12 +158,11 @@ class TestSeparate:
 
     def test_rejects_stft_cfg_mismatch(self, tone_bases):
         ba, _ = tone_bases
-        other_cfg = StftConfig(frame_len=256, hop=128)
+        other_cfg = StftConfig(frame_len=256)
         bb_other = BasisSet(
             x_train=np.zeros((129, 2), dtype=complex),
             speaker_id="y",
             stft_cfg=other_cfg,
-            rank=2,
         )
         with pytest.raises(ValueError, match="stft config mismatch"):
             separate(tone(440), ba, bb_other, SepConfig(rank=4))

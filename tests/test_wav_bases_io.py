@@ -19,7 +19,7 @@ def random_basis(seed=0, rank=3):
     x = rng.standard_normal((cfg.freq_bins, rank)) + 1j * rng.standard_normal(
         (cfg.freq_bins, rank)
     )
-    return BasisSet(x_train=x, speaker_id="speaker-α", stft_cfg=cfg, rank=rank)
+    return BasisSet(x_train=x, speaker_id="speaker-α", stft_cfg=cfg)
 
 
 class TestWav:
@@ -184,6 +184,30 @@ class TestBasesFile:
         p.write_bytes(bytes(raw))
         with pytest.raises(BasesFileError, match="UTF-8"):
             load_bases(p)
+
+    def test_zero_sample_rate_rejected(self, tmp_path):
+        b = random_basis()
+        p = tmp_path / "sr.cmfb"
+        save_bases(p, b)
+        raw = bytearray(p.read_bytes())
+        off = 8 + len("speaker-α".encode("utf-8")) + 16  # sample_rate
+        raw[off : off + 4] = (0).to_bytes(4, "little")
+        p.write_bytes(bytes(raw))
+        with pytest.raises(BasesFileError, match="sample rate"):
+            load_bases(p)
+
+    def test_layout_pinned(self, tmp_path):
+        # round trips alone would pass a save and a load that both shift
+        b = random_basis(rank=2)
+        p = tmp_path / "pin.cmfb"
+        save_bases(p, b)
+        sid = "speaker-α".encode("utf-8")
+        n = len(sid)
+        header = struct.pack(
+            f"<4sHH{n}sIIIIIB", b"CMFB", 1, n, sid, 2, 257, 512, 256, 16000, 0
+        )
+        payload = np.stack([b.x_train.real, b.x_train.imag], axis=-1).astype("<f8")
+        assert p.read_bytes() == header + payload.tobytes()
 
     def test_invalid_stft_fields_rejected(self, tmp_path):
         b = random_basis()
