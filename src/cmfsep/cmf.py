@@ -4,9 +4,11 @@ A complex matrix is split into four nonnegative parts (positive and
 negative parts of the real and imaginary components). Stacking the
 parts into a 2x2 block matrix turns the complex factorization
 ``Z ~ X H`` (complex bases X, real weights H) into one nonnegative
-problem, with the weight blocks tied pairwise. The tie is enforced by
-an averaging hook after every multiplicative update; at termination the
-signed factors are reassembled from the blocks.
+problem, with the weight blocks tied pairwise as [[h⁺, h⁻], [h⁻, h⁺]].
+The solve stores the weights once, as W = [h⁺; h⁻], and at every
+multiplicative update averages the two block ratios that multiply h⁺,
+and the two that multiply h⁻, into one multiplier each; at termination
+the signed factors are reassembled from the blocks.
 """
 
 from dataclasses import dataclass, field
@@ -132,8 +134,9 @@ class CmfResult:
 
 
 def _make_coupling(rank: int, cols: int):
-    """The tie as an ``nmf_step`` coupling hook: the two averages are
-    written back into the blocks of ``hc``, which is returned."""
+    """The tie of a 2·rank × 2·cols weight block matrix: the two averages
+    are written back into the blocks of ``hc``, which is returned.
+    ``cmf_factorize`` ties its start with it once."""
 
     def couple(hc: np.ndarray) -> np.ndarray:
         h11, h12 = hc[:rank, :cols], hc[:rank, cols:]
@@ -146,11 +149,21 @@ def _make_coupling(rank: int, cols: int):
     return couple
 
 
-def _reassemble(xc: np.ndarray, hc: np.ndarray, rows: int, rank: int, cols: int):
+def _tie_ratio(ratio: np.ndarray):
+    """The tie as an ``nmf_step`` coupling hook. The stacked H-update
+    ratio's row blocks are R11, R21, R22 and R12, block (i, j) being the
+    ratio for block (i, j) of [[h⁺, h⁻], [h⁻, h⁺]]; averaging the pairs
+    that multiply the same half gives the multipliers of h⁺ and h⁻."""
+    k = len(ratio) // 4
+    r11, r21, r22, r12 = (ratio[i * k : (i + 1) * k] for i in range(4))
+    return symmetrize_h(r11, r12, r21, r22)
+
+
+def _reassemble(xc: np.ndarray, w: np.ndarray, rows: int, rank: int):
     x = (xc[:rows, :rank] - xc[:rows, rank:]) + 1j * (
         xc[rows:, :rank] - xc[rows:, rank:]
     )
-    h = hc[:rank, :cols] - hc[:rank, cols:]
+    h = w[:rank] - w[rank:]
     return x, h
 
 
@@ -208,7 +221,7 @@ def cmf_factorize(
         z=zc,
         rank=2 * rank,
         fixed_x=xc_fixed,
-        coupling=_make_coupling(rank, cols),
+        coupling=_tie_ratio,
     )
     if h_init is None:
         state = nmf_init(problem, cfg.seed)
@@ -220,9 +233,9 @@ def cmf_factorize(
             raise ValueError("h_init must be nonnegative")
         x0 = init_bases(problem, np.random.default_rng(cfg.seed))
         state = NmfState(x=x0, h=np.block([[hp0, hm0], [hm0, hp0]]))
-    # the first X update must see tied weight blocks, as after every
-    # later iteration
-    state.h = problem.coupling(state.h)
+    # the start is a full block matrix: tied once, its left column
+    # block is W = [h⁺; h⁻]
+    state.h = _make_coupling(rank, cols)(state.h)[:, :cols].copy()
 
     checkpoints = []
     # also leaves on the state the product the first update needs
@@ -236,7 +249,7 @@ def cmf_factorize(
             or it == cfg.iters
             or (checkpoint_every > 0 and it % checkpoint_every == 0)
         ):
-            x, h = _reassemble(state.x, state.h, rows, rank, cols)
+            x, h = _reassemble(state.x, state.h, rows, rank)
             # formed in the product's buffer: one complex F×T temporary
             resid = x @ h
             np.subtract(z, resid, out=resid)

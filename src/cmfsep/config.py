@@ -18,3 +18,6 @@ class SepConfig:
     def __post_init__(self):
         if self.rank < 1 or self.iters < 1:
             raise ValueError("rank and iters must be >= 1")
+        # a NaN tol would never stop the loop; inf stops after one iteration
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")

@@ -44,9 +44,16 @@ def read_wav(path) -> WavFile:
 
 
 def write_wav(path, signal: Signal, bit_depth: str = "pcm16") -> None:
+    """Write ``signal`` as a mono WAV. The samples and rate are checked
+    here, before anything is written, because a ``Signal`` can be
+    changed after its constructor checked it."""
     x = signal.samples
     if x.size == 0:
         raise ValueError("refusing to write an empty signal")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("refusing to write non-finite samples")
+    if signal.sample_rate < 1:
+        raise ValueError(f"sample rate must be >= 1, got {signal.sample_rate}")
     clipped = int(np.sum((x < -1.0) | (x > 1.0)))
     if clipped:
         log.warning("%s: clipped %d samples to [-1, 1]", path, clipped)

@@ -1,46 +1,60 @@
 """Euclidean NMF with Lee-Seung multiplicative updates.
 
 The single update step under the complex-factorization reduction: the
-iterate-and-stop loop lives in ``cmf.cmf_factorize``, and the
-``coupling`` hook re-ties the weight blocks after each step. Plain NMF
-is ``nmf_init`` followed by repeated ``nmf_step``. Denominators are
+iterate-and-stop loop lives in ``cmf.cmf_factorize``. Plain NMF is
+``nmf_init`` followed by repeated ``nmf_step``. Denominators are
 floored at ``EPSILON`` so updates are defined everywhere; the objective
-is recorded once per step, after the update and any coupling, so
-``objective_history`` always describes the actual iterate.
+is recorded once per step, after the update, so ``objective_history``
+always describes the actual iterate.
 
-Each step needs Z only through the Gram terms XᵀZ and XᵀX (and H Hᵀ for
-the X update, evaluated as ``x @ (h @ h.T)``). ``NmfProblem`` computes
-‖Z‖² once and, when the bases are fixed, XᵀZ and XᵀX once; a free step
-computes them from its new X and shares them between the H update and
-the objective. The objective is then the Gram form
-``‖Z‖² − 2⟨H, XᵀZ⟩ + ⟨H, XᵀX H⟩``, which costs no 2F×2T residual.
+A problem with a ``coupling`` hook is tied: Z has 2T columns and the
+weights are tied as H = [[h⁺, h⁻], [h⁻, h⁺]] = [W, ΠW], where
+W = [h⁺; h⁻] is stored alone and Π swaps its two row halves. Lee–Seung
+updates act on each column of H separately, so both column halves of H
+update from W. The numerator is the stacked [Y_L; ΠY_R] from the column
+halves of Y = XᵀZ, and one product [G; ΠGΠ]·W with G = XᵀX gives the
+denominators of both halves. The hook ties the resulting four block
+ratios into the two multipliers of h⁺ and h⁻. Without a hook a problem
+is the one-block case of the same code: numerator XᵀZ, Gram XᵀX, and
+the ratio is the multiplier.
+
+Each step needs Z only through these Gram terms (and, for the X update,
+Z·Hᵀ and H·Hᵀ, evaluated as ``x @ (h @ h.T)``; when tied they are
+Z_L·Wᵀ + Z_R·(ΠW)ᵀ and W·Wᵀ + Π·W·Wᵀ·Π, so H is never formed).
+``NmfProblem`` computes ‖Z‖² once and, when the bases are fixed, the
+stacked XᵀZ and XᵀX once; a free step computes them from its new X and
+shares them between the H update and the objective. The objective is
+then the Gram form ``‖Z‖² − 2⟨H, XᵀZ⟩ + ⟨H, XᵀX H⟩``, which costs no
+2F×2T residual; with tied weights each inner product over H is the sum
+of two over W, one per row block of the stacked term.
 
 Its quadratic term is taken from the product the next update needs,
 so a step forms one quadratic product fewer. With fixed bases it is
-⟨H, XᵀX·H⟩, and XᵀX·H becomes the next H-update denominator, in whose
-buffer the update's ratio is then formed in place. With free bases it
-is ⟨XᵀX, H·Hᵀ⟩, and H·Hᵀ goes into the next X update. The product is
-kept as ``NmfState.carried``, which assigning ``NmfState.h`` drops. The
-coupling hook may therefore write into the weights it is given, as
-``cmf``'s tie does, but code outside a step replaces them by assignment.
+⟨W, [G; ΠGΠ]·W⟩ summed over the two row blocks, and that product becomes
+the next H-update denominator, in whose buffer the update's ratio is
+then formed in place. With free bases it is ⟨XᵀX, H·Hᵀ⟩, and H·Hᵀ goes
+into the next X update. The product is kept as ``NmfState.carried``,
+which assigning ``NmfState.h`` drops; ``nmf_step`` updates the weights
+in place, and code outside a step replaces them by assignment.
 
 The Gram form subtracts terms of size ‖Z‖², so its absolute rounding
 error is about 1e-16·‖Z‖²; below ``GRAM_GUARD``·‖Z‖² the direct
-residual ‖Z − XH‖² is computed instead. The guard sits at 1e-3, not lower, because a history
-entry must agree with the direct residual to about 1e-12 relative: at
-1e-8 the planted-recovery histories drifted by up to 6e-8, and a
-``tol=1e-14`` stop rule fired on Gram rounding noise.
+residual ‖Z − XH‖² is computed instead, from the assembled H. The
+guard sits at 1e-3, not lower, because a history entry must agree with
+the direct residual to about 1e-12 relative: at 1e-8 the
+planted-recovery histories drifted by up to 6e-8, and a ``tol=1e-14``
+stop rule fired on Gram rounding noise.
 
-After each step's X update, and after its H update and coupling,
-factor entries below ``FLUSH_BELOW`` (sqrt of the smallest normal
-float64, about 1.5e-154) are set to 0. Multiplicative updates keep a
-zero at zero, and such entries only shrink further into subnormal
-floats, whose arithmetic is many times slower and which would make the
-late iterations of a long solve up to twice as slow as the early ones.
+After each step's X update, and after its H update, factor entries
+below ``FLUSH_BELOW`` (sqrt of the smallest normal float64, about
+1.5e-154) are set to 0. Multiplicative updates keep a zero at zero, and
+such entries only shrink further into subnormal floats, whose
+arithmetic is many times slower and which would make the late
+iterations of a long solve up to twice as slow as the early ones.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -65,13 +79,17 @@ FLUSH_BELOW = float(np.sqrt(np.finfo(np.float64).tiny))
 @dataclass
 class NmfProblem:
     """Nonnegative ``z ~ x @ h`` at ``rank``; ``fixed_x`` holds the bases
-    constant. ``z_norm_sq`` and, with ``fixed_x``, ``xtz`` and ``xtx`` are
-    derived once at construction."""
+    constant. ``coupling``, when set, ties the weights (see the module
+    docstring): it takes the stacked H-update ratio, 2·rank × T, and
+    returns the multipliers of the weights' two row halves.
+    ``z_norm_sq`` and, with ``fixed_x``, ``xtz`` and ``xtx`` (the
+    stacked numerator and Gram of ``gram_terms``) are derived once at
+    construction."""
 
     z: np.ndarray
     rank: int
     fixed_x: Optional[np.ndarray] = None
-    coupling: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    coupling: Optional[Callable[[np.ndarray], Sequence[np.ndarray]]] = None
     z_norm_sq: float = field(init=False, repr=False)
     xtz: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     xtx: Optional[np.ndarray] = field(init=False, repr=False, default=None)
@@ -84,6 +102,11 @@ class NmfProblem:
             raise ValueError("z must be entrywise nonnegative")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
+        if self.coupling is not None and (self.rank % 2 or self.z.shape[1] % 2):
+            raise ValueError(
+                f"tied weights need an even rank and column count, got rank "
+                f"{self.rank} and {self.z.shape[1]} columns"
+            )
         if self.fixed_x is not None:
             self.fixed_x = np.asarray(self.fixed_x, dtype=np.float64)
             if self.fixed_x.shape != (self.z.shape[0], self.rank):
@@ -93,20 +116,21 @@ class NmfProblem:
                 )
             if np.any(self.fixed_x < 0):
                 raise ValueError("fixed_x must be entrywise nonnegative")
-            self.xtz = self.fixed_x.T @ self.z
-            self.xtx = self.fixed_x.T @ self.fixed_x
+            self.xtz, self.xtx = _gram_terms(self, self.fixed_x)
         self.z_norm_sq = frobenius_norm_sq(self.z)
 
 
 class NmfState:
-    """The iterate ``x``, ``h`` and its objective history.
+    """The iterate ``x``, ``h`` and its objective history. For a tied
+    problem ``h`` holds the stored-once weights W = [h⁺; h⁻].
 
     ``carried`` is the quadratic product the last objective computed
-    from the current ``h`` for the next update: XᵀX·H when the bases
-    are fixed, H·Hᵀ when they are free, and None when no objective has
-    seen this ``h``. Assigning ``h`` drops it, so a product never
-    outlives the weights it came from; ``nmf_step`` itself updates the
-    weights in place, and other code replaces them by assignment.
+    from the current ``h`` for the next update: the stacked XᵀX·H when
+    the bases are fixed, H·Hᵀ when they are free, and None when no
+    objective has seen this ``h``. Assigning ``h`` drops it, so a
+    product never outlives the weights it came from; ``nmf_step``
+    itself updates the weights in place, and other code replaces them
+    by assignment.
     """
 
     def __init__(self, x: np.ndarray, h: np.ndarray, objective_history=None):
@@ -136,18 +160,61 @@ def init_bases(problem: NmfProblem, rng: np.random.Generator) -> np.ndarray:
 
 
 def nmf_init(problem: NmfProblem, seed: int) -> NmfState:
-    """Uniform random factors in (EPSILON, 1]; deterministic per seed."""
+    """Uniform random factors in (EPSILON, 1]; deterministic per seed.
+    The weights are drawn rank × (columns of z); a tied solve ties that
+    block matrix and keeps its left column block as W, as
+    ``cmf.cmf_factorize`` does."""
     rng = np.random.default_rng(seed)
     x = init_bases(problem, rng)
     h = np.maximum(rng.random((problem.rank, problem.z.shape[1])), EPSILON)
     return NmfState(x=x, h=h)
 
 
+def _swap(a: np.ndarray) -> np.ndarray:
+    """Π·a: a copy of ``a`` with its two row halves exchanged."""
+    n = len(a) // 2
+    return np.concatenate((a[n:], a[:n]))
+
+
+def _swap_both(a: np.ndarray) -> np.ndarray:
+    """Π·a·Π: rows and columns of ``a`` swapped half for half."""
+    return _swap(_swap(a).T).T
+
+
+def _gram_terms(problem: NmfProblem, x: np.ndarray):
+    xtz, xtx = x.T @ problem.z, x.T @ x
+    if problem.coupling is None:
+        return xtz, xtx
+    half, cols = problem.rank // 2, xtz.shape[1] // 2
+    # [Y_L; ΠY_R] from one product: two half products into its rows
+    # measured slower per free step
+    xtz = np.concatenate((xtz[:, :cols], xtz[half:, cols:], xtz[:half, cols:]))
+    return xtz, np.concatenate((xtx, _swap_both(xtx)))
+
+
 def gram_terms(problem: NmfProblem, x: np.ndarray):
-    """``(XᵀZ, XᵀX)`` for bases ``x``: the hoisted pair when fixed."""
+    """The H update's numerator and Gram for bases ``x``: ``(XᵀZ, XᵀX)``,
+    or with tied weights the stacked ``([Y_L; ΠY_R], [G; ΠGΠ])``; the
+    hoisted pair when the bases are fixed."""
     if problem.fixed_x is not None:
         return problem.xtz, problem.xtx
-    return x.T @ problem.z, x.T @ x
+    return _gram_terms(problem, x)
+
+
+def _weight_gram(problem: NmfProblem, h: np.ndarray) -> np.ndarray:
+    """H·Hᵀ; with tied weights W·Wᵀ + Π·W·Wᵀ·Π, without forming H."""
+    hht = h @ h.T
+    if problem.coupling is not None:
+        hht += _swap_both(hht)
+    return hht
+
+
+def _stacked_vdot(h: np.ndarray, stacked: np.ndarray) -> float:
+    """⟨H, ·⟩ of a stacked term: the sum of ⟨h, block⟩ over its row
+    blocks, one for plain weights, two for tied ones."""
+    if len(stacked) == len(h):
+        return np.vdot(h, stacked)
+    return np.vdot(h, stacked[: len(h)]) + np.vdot(h, stacked[len(h) :])
 
 
 def objective(problem: NmfProblem, state: NmfState, xtz, xtx) -> float:
@@ -159,12 +226,14 @@ def objective(problem: NmfProblem, state: NmfState, xtz, xtx) -> float:
     h = state.h
     if problem.fixed_x is not None:
         state.carried = xtx @ h
-        quad = np.vdot(h, state.carried)
+        quad = _stacked_vdot(h, state.carried)
     else:
-        state.carried = h @ h.T
-        quad = np.vdot(xtx, state.carried)
-    gram = problem.z_norm_sq - 2.0 * np.vdot(h, xtz) + quad
+        state.carried = _weight_gram(problem, h)
+        quad = np.vdot(xtx[: problem.rank], state.carried)
+    gram = problem.z_norm_sq - 2.0 * _stacked_vdot(h, xtz) + quad
     if gram < GRAM_GUARD * problem.z_norm_sq:
+        if problem.coupling is not None:
+            h = np.concatenate((h, _swap(h)), axis=1)  # H = [W, ΠW]
         return frobenius_norm_sq(problem.z - state.x @ h)
     return float(gram)
 
@@ -176,16 +245,30 @@ def _flush(a: np.ndarray) -> None:
 def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
     """One multiplicative update of X then H (X skipped when fixed).
 
-    The coupling hook, when present, runs after the H update; the
-    objective appended to the history reflects the coupled iterate.
-    The hook may write into the array it is given; it returns the
-    coupled weights.
+    With a coupling hook the H update multiplies each row half of the
+    weights by the hook's tie of the update ratio; without one, by the
+    ratio itself. The objective appended to the history reflects the
+    updated iterate.
     """
     x, h = state.x, state.h
     carried, state.carried = state.carried, None
     if problem.fixed_x is None:
-        hht = h @ h.T if carried is None else carried
-        x *= (problem.z @ h.T) / np.maximum(x @ hht, EPSILON)
+        hht = _weight_gram(problem, h) if carried is None else carried
+        if problem.coupling is None:
+            zht, ratio = problem.z @ h.T, x @ hht
+        else:
+            # Z·Hᵀ = Z_L·Wᵀ + Z_R·(ΠW)ᵀ without forming H; the second
+            # product's buffer then takes X·H·Hᵀ, one fresh 2F×2K array
+            # fewer per step
+            cols = h.shape[1]
+            ratio = problem.z[:, cols:] @ _swap(h).T
+            zht = problem.z[:, :cols] @ h.T
+            zht += ratio
+            np.matmul(x, hht, out=ratio)
+        np.maximum(ratio, EPSILON, out=ratio)
+        np.divide(zht, ratio, out=ratio)
+        del zht
+        x *= ratio
         _flush(x)
         carried = None  # H·Hᵀ, of no use to the H update
     xtz, xtx = gram_terms(problem, x)
@@ -194,10 +277,15 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
     ratio = xtx @ h if carried is None else carried
     np.maximum(ratio, EPSILON, out=ratio)
     np.divide(xtz, ratio, out=ratio)
-    h *= ratio
+    if problem.coupling is None:
+        h *= ratio
+    else:
+        half = len(h) // 2
+        m_plus, m_minus = problem.coupling(ratio)
+        h[:half] *= m_plus
+        h[half:] *= m_minus
+        del m_plus, m_minus
     del carried, ratio  # freed before the objective forms the next product
-    if problem.coupling is not None:
-        state.h = problem.coupling(h)
-    _flush(state.h)
+    _flush(h)
     state.objective_history.append(objective(problem, state, xtz, xtx))
     return state

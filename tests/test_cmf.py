@@ -189,6 +189,11 @@ class TestCmfFactorize:
         with pytest.raises(ValueError, match="iters"):
             SepConfig(rank=2, iters=0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -np.inf])
+    def test_rejects_nan_or_negative_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            SepConfig(rank=2, tol=tol)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
     def test_rejects_non_finite(self, bad):
         z = np.ones((3, 3), dtype=complex)
@@ -271,23 +276,48 @@ class TestCmfFactorize:
         assert res.final_error == frobenius_norm_sq(z - res.x @ res.h)
 
     def test_coupling_reties_weights_every_iteration(self, monkeypatch):
-        calls = []
-        original = cmf_mod._make_coupling
+        starts, steps = [], []
+        original_start, original_tie = cmf_mod._make_coupling, cmf_mod._tie_ratio
 
         def counted(rank, cols):
-            inner = original(rank, cols)
+            inner = original_start(rank, cols)
 
             def couple(hc):
-                calls.append(1)
+                starts.append(hc.shape)
                 return inner(hc)
 
             return couple
 
+        def tie(ratio):
+            steps.append(ratio.shape)
+            return original_tie(ratio)
+
         monkeypatch.setattr(cmf_mod, "_make_coupling", counted)
+        monkeypatch.setattr(cmf_mod, "_tie_ratio", tie)
         rng = np.random.default_rng(16)
         cmf_factorize(random_complex(rng, (4, 4)), 2, SepConfig(rank=2, iters=7, tol=0.0))
-        # once to tie the initial weights, then once per iteration
-        assert len(calls) == 8
+        # the drawn 2K x 2T start is tied once; every iteration then ties
+        # the stacked 4K x T update ratio into the multipliers of h+, h-
+        assert starts == [(4, 8)]
+        assert steps == [(8, 4)] * 7
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_weights_stored_once(self, monkeypatch, fixed):
+        shapes = []
+        step = cmf_mod.nmf_step
+
+        def recording(state, problem):
+            shapes.append(state.h.shape)
+            return step(state, problem)
+
+        monkeypatch.setattr(cmf_mod, "nmf_step", recording)
+        rng = np.random.default_rng(18)
+        z = random_complex(rng, (6, 5))
+        kwargs = {"fixed_x": random_complex(rng, (6, 2))} if fixed else {}
+        res = cmf_factorize(z, 2, SepConfig(rank=2, iters=3, tol=0.0), **kwargs)
+        # W = [h+; h-] is 2K x T, never the 2K x 2T block matrix
+        assert shapes == [(4, 5)] * 3
+        assert res.h.shape == (2, 5)
 
     def test_final_checkpoint_always_present(self):
         rng = np.random.default_rng(28)

@@ -87,6 +87,24 @@ class TestWav:
         with pytest.raises(ValueError, match="empty"):
             write_wav(tmp_path / "e.wav", sig)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_write(self, tmp_path, bad):
+        sig = Signal(np.zeros(10), 16000)
+        sig.samples[3] = bad
+        p = tmp_path / "n.wav"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_wav(p, sig)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("rate", [0, -16000])
+    def test_rejects_bad_sample_rate_write(self, tmp_path, rate):
+        sig = Signal(np.zeros(10), 16000)
+        sig.sample_rate = rate
+        p = tmp_path / "r.wav"
+        with pytest.raises(ValueError, match="sample rate"):
+            write_wav(p, sig)
+        assert not p.exists()
+
     def test_rejects_unknown_bit_depth(self, tmp_path):
         with pytest.raises(ValueError, match="bit depth"):
             write_wav(tmp_path / "x.wav", Signal(np.ones(10), 16000), "pcm24")
