@@ -11,7 +11,7 @@ from .cmf import (
 )
 from .config import SepConfig
 from .metrics import EvalReport, correlation, evaluate, snr_db, tir_esc, tir_loss
-from .nmf import NmfProblem, NmfState, nmf_init, nmf_step
+from .nmf import NmfProblem, NmfState, nmf_step
 from .separation import BasisSet, reconstruct, separate, train_bases
 from .stft import Signal, StftConfig, dft, istft, stft
 
@@ -31,7 +31,6 @@ __all__ = [
     "evaluate",
     "istft",
     "merge_quad",
-    "nmf_init",
     "nmf_step",
     "reconstruct",
     "separate",

@@ -23,8 +23,6 @@ from .nmf import (
     NmfProblem,
     NmfState,
     gram_terms,
-    init_bases,
-    nmf_init,
     nmf_step,
     objective,
 )
@@ -136,7 +134,7 @@ class CmfResult:
 def _make_coupling(rank: int, cols: int):
     """The tie of a 2·rank × 2·cols weight block matrix: the two averages
     are written back into the blocks of ``hc``, which is returned.
-    ``cmf_factorize`` ties its start with it once."""
+    ``_start`` ties the start with it once."""
 
     def couple(hc: np.ndarray) -> np.ndarray:
         h11, h12 = hc[:rank, :cols], hc[:rank, cols:]
@@ -157,6 +155,32 @@ def _tie_ratio(ratio: np.ndarray):
     k = len(ratio) // 4
     r11, r21, r22, r12 = (ratio[i * k : (i + 1) * k] for i in range(4))
     return symmetrize_h(r11, r12, r21, r22)
+
+
+def _start(problem: NmfProblem, seed: int, h_init=None) -> NmfState:
+    """The seeded start of a solve of ``problem``, from one generator:
+    the bases first, a copy of ``fixed_x`` or uniform draws in
+    (EPSILON, 1]; then the 2K×2T weight block matrix, the next draws or
+    built from the halves ``h_init``. It is tied once, and its left
+    column block is kept as W = [h⁺; h⁻]."""
+    rng = np.random.default_rng(seed)
+    if problem.fixed_x is not None:
+        x = problem.fixed_x.copy()
+    else:
+        x = np.maximum(rng.random((problem.z.shape[0], problem.rank)), EPSILON)
+    rank, cols = problem.rank // 2, problem.z.shape[1] // 2
+    if h_init is None:
+        hc = np.maximum(rng.random((2 * rank, 2 * cols)), EPSILON)
+    else:
+        hp0, hm0 = (np.asarray(a, dtype=np.float64) for a in h_init)
+        if hp0.shape != (rank, cols) or hm0.shape != (rank, cols):
+            raise ValueError("h_init halves must each be rank x cols")
+        if not (np.all(np.isfinite(hp0)) and np.all(np.isfinite(hm0))):
+            raise ValueError("h_init contains non-finite entries")
+        if np.any(hp0 < 0) or np.any(hm0 < 0):
+            raise ValueError("h_init must be nonnegative")
+        hc = np.block([[hp0, hm0], [hm0, hp0]])
+    return NmfState(x=x, h=_make_coupling(rank, cols)(hc)[:, :cols].copy())
 
 
 def _reassemble(xc: np.ndarray, w: np.ndarray, rows: int, rank: int):
@@ -184,6 +208,12 @@ def cmf_factorize(
     ``|Z - XH|^2`` is evaluated every ``checkpoint_every`` iterations
     (0 = never before termination) and at the final iteration, which is
     always a checkpoint and whose value is returned as ``final_error``.
+
+    The start is drawn from ``cfg.seed``: bases first, then weights.
+    ``h_init`` = (h⁺, h⁻), two nonnegative finite rank × cols arrays,
+    replaces the drawn weights; the bases are the same as without it.
+    Of ``cfg`` only ``iters``, ``tol`` and ``seed`` are read; the rank
+    is the argument.
     """
     z = as_complex_matrix(z)
     if z.size == 0:
@@ -223,19 +253,7 @@ def cmf_factorize(
         fixed_x=xc_fixed,
         coupling=_tie_ratio,
     )
-    if h_init is None:
-        state = nmf_init(problem, cfg.seed)
-    else:
-        hp0, hm0 = (np.asarray(a, dtype=np.float64) for a in h_init)
-        if hp0.shape != (rank, cols) or hm0.shape != (rank, cols):
-            raise ValueError("h_init halves must each be rank x cols")
-        if np.any(hp0 < 0) or np.any(hm0 < 0):
-            raise ValueError("h_init must be nonnegative")
-        x0 = init_bases(problem, np.random.default_rng(cfg.seed))
-        state = NmfState(x=x0, h=np.block([[hp0, hm0], [hm0, hp0]]))
-    # the start is a full block matrix: tied once, its left column
-    # block is W = [h⁺; h⁻]
-    state.h = _make_coupling(rank, cols)(state.h)[:, :cols].copy()
+    state = _start(problem, cfg.seed, h_init)
 
     checkpoints = []
     # also leaves on the state the product the first update needs

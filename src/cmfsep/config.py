@@ -9,6 +9,14 @@ __all__ = ["SepConfig"]
 
 @dataclass(frozen=True)
 class SepConfig:
+    """Settings of a factorization or separation run.
+
+    ``train_bases`` reads all five fields. ``separate`` and
+    ``cmf_factorize`` read only ``iters``, ``tol`` and ``seed``:
+    ``separate`` takes the rank and STFT settings from its basis sets,
+    and ``cmf_factorize`` takes the rank from its argument.
+    """
+
     rank: int = 40
     iters: int = 500
     tol: float = 1e-6

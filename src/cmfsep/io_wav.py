@@ -19,7 +19,6 @@ _PCM16_SCALE = 32768.0
 class WavFile:
     samples: Signal
     bit_depth: str  # "pcm16" | "float32"
-    channels: int
 
 
 def read_wav(path) -> WavFile:
@@ -40,7 +39,7 @@ def read_wav(path) -> WavFile:
             f"{path}: unsupported sample format {data.dtype}; "
             "expected pcm16 or float32"
         )
-    return WavFile(samples=Signal(samples, int(rate)), bit_depth=bit_depth, channels=1)
+    return WavFile(samples=Signal(samples, int(rate)), bit_depth=bit_depth)
 
 
 def write_wav(path, signal: Signal, bit_depth: str = "pcm16") -> None:

@@ -11,7 +11,6 @@ shortfall.
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -24,14 +23,11 @@ __all__ = [
     "tir_esc",
     "snr_db",
     "evaluate",
-    "summarize",
 ]
 
 FULL_CREDIT_SNR_DB = 35.0
 SNR_CAP_DB = 120.0
 _SILENCE = 1e-300
-
-CSV_HEADER = "correlation,tir_loss,tir_esc,snr_db"
 
 
 @dataclass(frozen=True)
@@ -138,18 +134,3 @@ def evaluate(ref: Signal, est: Signal, cfg: StftConfig) -> EvalReport:
         tir_esc=loss * (1.0 - r * r),
         snr_db=snr_db(ref, est),
     )
-
-
-def summarize(reports: Sequence[EvalReport]) -> str:
-    """Mean and standard deviation rows over a batch, as CSV."""
-    if not reports:
-        raise ValueError("no reports to summarize")
-    rows = np.array(
-        [[r.correlation, r.tir_loss, r.tir_esc, r.snr_db] for r in reports]
-    )
-    mu = rows.mean(axis=0)
-    sigma = rows.std(axis=0)
-    lines = ["stat," + CSV_HEADER]
-    lines.append("mean," + ",".join(f"{v:.12g}" for v in mu))
-    lines.append("std," + ",".join(f"{v:.12g}" for v in sigma))
-    return "\n".join(lines)

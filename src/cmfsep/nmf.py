@@ -1,32 +1,29 @@
 """Euclidean NMF with Lee-Seung multiplicative updates.
 
-The single update step under the complex-factorization reduction: the
-iterate-and-stop loop lives in ``cmf.cmf_factorize``. Plain NMF is
-``nmf_init`` followed by repeated ``nmf_step``. Denominators are
-floored at ``EPSILON`` so updates are defined everywhere; the objective
-is recorded once per step, after the update, so ``objective_history``
-always describes the actual iterate.
+The single update step of the complex-factorization reduction; the
+iterate-and-stop loop (``cmf.cmf_factorize``) and the seeded start live
+in ``cmf``. Denominators are floored at ``EPSILON`` so
+updates are defined everywhere; the objective is recorded once per
+step, after the update, so ``objective_history`` always describes the
+actual iterate.
 
-A problem with a ``coupling`` hook is tied: Z has 2T columns and the
-weights are tied as H = [[h⁺, h⁻], [h⁻, h⁺]] = [W, ΠW], where
-W = [h⁺; h⁻] is stored alone and Π swaps its two row halves. Lee–Seung
-updates act on each column of H separately, so both column halves of H
-update from W. The numerator is the stacked [Y_L; ΠY_R] from the column
-halves of Y = XᵀZ, and one product [G; ΠGΠ]·W with G = XᵀX gives the
-denominators of both halves. The hook ties the resulting four block
-ratios into the two multipliers of h⁺ and h⁻. Without a hook a problem
-is the one-block case of the same code: numerator XᵀZ, Gram XᵀX, and
-the ratio is the multiplier.
+The problem is tied: Z has 2T columns and the weights are tied as
+H = [[h⁺, h⁻], [h⁻, h⁺]] = [W, ΠW], where W = [h⁺; h⁻] is stored alone
+and Π swaps its two row halves. Lee–Seung updates act on each column of
+H separately, so both column halves of H update from W. The numerator
+is the stacked [Y_L; ΠY_R] from the column halves of Y = XᵀZ, and one
+product [G; ΠGΠ]·W with G = XᵀX gives the denominators of both halves.
+The problem's ``coupling`` hook ties the resulting four block ratios
+into the two multipliers of h⁺ and h⁻.
 
-Each step needs Z only through these Gram terms (and, for the X update,
-Z·Hᵀ and H·Hᵀ, evaluated as ``x @ (h @ h.T)``; when tied they are
-Z_L·Wᵀ + Z_R·(ΠW)ᵀ and W·Wᵀ + Π·W·Wᵀ·Π, so H is never formed).
-``NmfProblem`` computes ‖Z‖² once and, when the bases are fixed, the
-stacked XᵀZ and XᵀX once; a free step computes them from its new X and
-shares them between the H update and the objective. The objective is
-then the Gram form ``‖Z‖² − 2⟨H, XᵀZ⟩ + ⟨H, XᵀX H⟩``, which costs no
-2F×2T residual; with tied weights each inner product over H is the sum
-of two over W, one per row block of the stacked term.
+Each step needs Z only through these Gram terms and, for the X update,
+Z·Hᵀ = Z_L·Wᵀ + Z_R·(ΠW)ᵀ and H·Hᵀ = W·Wᵀ + Π·W·Wᵀ·Π, so H is never
+formed. ``NmfProblem`` computes ‖Z‖² once and, when the bases are fixed,
+the stacked XᵀZ and XᵀX once; a free step computes them from its new X
+and shares them between the H update and the objective. The objective
+is then the Gram form ``‖Z‖² − 2⟨H, XᵀZ⟩ + ⟨H, XᵀX H⟩``, which costs no
+2F×2T residual; each inner product over H is the sum of two over W, one
+per row block of the stacked term.
 
 Its quadratic term is taken from the product the next update needs,
 so a step forms one quadratic product fewer. With fixed bases it is
@@ -64,8 +61,6 @@ __all__ = [
     "EPSILON",
     "NmfProblem",
     "NmfState",
-    "nmf_init",
-    "init_bases",
     "nmf_step",
     "gram_terms",
     "objective",
@@ -78,18 +73,18 @@ FLUSH_BELOW = float(np.sqrt(np.finfo(np.float64).tiny))
 
 @dataclass
 class NmfProblem:
-    """Nonnegative ``z ~ x @ h`` at ``rank``; ``fixed_x`` holds the bases
-    constant. ``coupling``, when set, ties the weights (see the module
-    docstring): it takes the stacked H-update ratio, 2·rank × T, and
-    returns the multipliers of the weights' two row halves.
-    ``z_norm_sq`` and, with ``fixed_x``, ``xtz`` and ``xtx`` (the
-    stacked numerator and Gram of ``gram_terms``) are derived once at
-    construction."""
+    """Nonnegative ``z ~ x @ h`` at ``rank`` with tied weights (see the
+    module docstring); ``z`` has 2T columns and ``rank`` is 2K.
+    ``coupling`` ties the weights: it takes the stacked H-update ratio,
+    2·rank × T, and returns the multipliers of the weights' two row
+    halves. ``fixed_x`` holds the bases constant. ``z_norm_sq`` and,
+    with ``fixed_x``, ``xtz`` and ``xtx`` (the stacked numerator and
+    Gram of ``gram_terms``) are derived once at construction."""
 
     z: np.ndarray
     rank: int
+    coupling: Callable[[np.ndarray], Sequence[np.ndarray]]
     fixed_x: Optional[np.ndarray] = None
-    coupling: Optional[Callable[[np.ndarray], Sequence[np.ndarray]]] = None
     z_norm_sq: float = field(init=False, repr=False)
     xtz: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     xtx: Optional[np.ndarray] = field(init=False, repr=False, default=None)
@@ -102,7 +97,7 @@ class NmfProblem:
             raise ValueError("z must be entrywise nonnegative")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.coupling is not None and (self.rank % 2 or self.z.shape[1] % 2):
+        if self.rank % 2 or self.z.shape[1] % 2:
             raise ValueError(
                 f"tied weights need an even rank and column count, got rank "
                 f"{self.rank} and {self.z.shape[1]} columns"
@@ -121,8 +116,8 @@ class NmfProblem:
 
 
 class NmfState:
-    """The iterate ``x``, ``h`` and its objective history. For a tied
-    problem ``h`` holds the stored-once weights W = [h⁺; h⁻].
+    """The iterate ``x``, ``h`` and its objective history; ``h`` holds
+    the stored-once weights W = [h⁺; h⁻].
 
     ``carried`` is the quadratic product the last objective computed
     from the current ``h`` for the next update: the stacked XᵀX·H when
@@ -148,28 +143,6 @@ class NmfState:
         self.carried = None
 
 
-def init_bases(problem: NmfProblem, rng: np.random.Generator) -> np.ndarray:
-    """Starting bases: a copy of ``fixed_x``, else uniform draws in
-    (EPSILON, 1] from ``rng``. ``nmf_init`` draws them before the
-    weights, so a solve that brings its own weights starts from the
-    same bases for a seed."""
-    if problem.fixed_x is not None:
-        return problem.fixed_x.copy()
-    m = problem.z.shape[0]
-    return np.maximum(rng.random((m, problem.rank)), EPSILON)
-
-
-def nmf_init(problem: NmfProblem, seed: int) -> NmfState:
-    """Uniform random factors in (EPSILON, 1]; deterministic per seed.
-    The weights are drawn rank × (columns of z); a tied solve ties that
-    block matrix and keeps its left column block as W, as
-    ``cmf.cmf_factorize`` does."""
-    rng = np.random.default_rng(seed)
-    x = init_bases(problem, rng)
-    h = np.maximum(rng.random((problem.rank, problem.z.shape[1])), EPSILON)
-    return NmfState(x=x, h=h)
-
-
 def _swap(a: np.ndarray) -> np.ndarray:
     """Π·a: a copy of ``a`` with its two row halves exchanged."""
     n = len(a) // 2
@@ -183,8 +156,6 @@ def _swap_both(a: np.ndarray) -> np.ndarray:
 
 def _gram_terms(problem: NmfProblem, x: np.ndarray):
     xtz, xtx = x.T @ problem.z, x.T @ x
-    if problem.coupling is None:
-        return xtz, xtx
     half, cols = problem.rank // 2, xtz.shape[1] // 2
     # [Y_L; ΠY_R] from one product: two half products into its rows
     # measured slower per free step
@@ -193,27 +164,24 @@ def _gram_terms(problem: NmfProblem, x: np.ndarray):
 
 
 def gram_terms(problem: NmfProblem, x: np.ndarray):
-    """The H update's numerator and Gram for bases ``x``: ``(XᵀZ, XᵀX)``,
-    or with tied weights the stacked ``([Y_L; ΠY_R], [G; ΠGΠ])``; the
-    hoisted pair when the bases are fixed."""
+    """The H update's stacked numerator and Gram for bases ``x``,
+    ``([Y_L; ΠY_R], [G; ΠGΠ])``; the hoisted pair when the bases are
+    fixed."""
     if problem.fixed_x is not None:
         return problem.xtz, problem.xtx
     return _gram_terms(problem, x)
 
 
-def _weight_gram(problem: NmfProblem, h: np.ndarray) -> np.ndarray:
-    """H·Hᵀ; with tied weights W·Wᵀ + Π·W·Wᵀ·Π, without forming H."""
+def _weight_gram(h: np.ndarray) -> np.ndarray:
+    """H·Hᵀ as W·Wᵀ + Π·W·Wᵀ·Π, without forming H."""
     hht = h @ h.T
-    if problem.coupling is not None:
-        hht += _swap_both(hht)
+    hht += _swap_both(hht)
     return hht
 
 
 def _stacked_vdot(h: np.ndarray, stacked: np.ndarray) -> float:
-    """⟨H, ·⟩ of a stacked term: the sum of ⟨h, block⟩ over its row
-    blocks, one for plain weights, two for tied ones."""
-    if len(stacked) == len(h):
-        return np.vdot(h, stacked)
+    """⟨H, ·⟩ of a stacked term: the sum of ⟨W, block⟩ over its two row
+    blocks."""
     return np.vdot(h, stacked[: len(h)]) + np.vdot(h, stacked[len(h) :])
 
 
@@ -228,12 +196,11 @@ def objective(problem: NmfProblem, state: NmfState, xtz, xtx) -> float:
         state.carried = xtx @ h
         quad = _stacked_vdot(h, state.carried)
     else:
-        state.carried = _weight_gram(problem, h)
+        state.carried = _weight_gram(h)
         quad = np.vdot(xtx[: problem.rank], state.carried)
     gram = problem.z_norm_sq - 2.0 * _stacked_vdot(h, xtz) + quad
     if gram < GRAM_GUARD * problem.z_norm_sq:
-        if problem.coupling is not None:
-            h = np.concatenate((h, _swap(h)), axis=1)  # H = [W, ΠW]
+        h = np.concatenate((h, _swap(h)), axis=1)  # H = [W, ΠW]
         return frobenius_norm_sq(problem.z - state.x @ h)
     return float(gram)
 
@@ -245,26 +212,22 @@ def _flush(a: np.ndarray) -> None:
 def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
     """One multiplicative update of X then H (X skipped when fixed).
 
-    With a coupling hook the H update multiplies each row half of the
-    weights by the hook's tie of the update ratio; without one, by the
-    ratio itself. The objective appended to the history reflects the
-    updated iterate.
+    The H update multiplies each row half of the weights by the
+    ``coupling`` hook's tie of the update ratio. The objective appended
+    to the history reflects the updated iterate.
     """
     x, h = state.x, state.h
     carried, state.carried = state.carried, None
     if problem.fixed_x is None:
-        hht = _weight_gram(problem, h) if carried is None else carried
-        if problem.coupling is None:
-            zht, ratio = problem.z @ h.T, x @ hht
-        else:
-            # Z·Hᵀ = Z_L·Wᵀ + Z_R·(ΠW)ᵀ without forming H; the second
-            # product's buffer then takes X·H·Hᵀ, one fresh 2F×2K array
-            # fewer per step
-            cols = h.shape[1]
-            ratio = problem.z[:, cols:] @ _swap(h).T
-            zht = problem.z[:, :cols] @ h.T
-            zht += ratio
-            np.matmul(x, hht, out=ratio)
+        hht = _weight_gram(h) if carried is None else carried
+        # Z·Hᵀ = Z_L·Wᵀ + Z_R·(ΠW)ᵀ without forming H; the second
+        # product's buffer then takes X·H·Hᵀ, one fresh 2F×2K array
+        # fewer per step
+        cols = h.shape[1]
+        ratio = problem.z[:, cols:] @ _swap(h).T
+        zht = problem.z[:, :cols] @ h.T
+        zht += ratio
+        np.matmul(x, hht, out=ratio)
         np.maximum(ratio, EPSILON, out=ratio)
         np.divide(zht, ratio, out=ratio)
         del zht
@@ -277,15 +240,12 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
     ratio = xtx @ h if carried is None else carried
     np.maximum(ratio, EPSILON, out=ratio)
     np.divide(xtz, ratio, out=ratio)
-    if problem.coupling is None:
-        h *= ratio
-    else:
-        half = len(h) // 2
-        m_plus, m_minus = problem.coupling(ratio)
-        h[:half] *= m_plus
-        h[half:] *= m_minus
-        del m_plus, m_minus
-    del carried, ratio  # freed before the objective forms the next product
+    half = len(h) // 2
+    m_plus, m_minus = problem.coupling(ratio)
+    h[:half] *= m_plus
+    h[half:] *= m_minus
+    # freed before the objective forms the next product
+    del m_plus, m_minus, carried, ratio
     _flush(h)
     state.objective_history.append(objective(problem, state, xtz, xtx))
     return state

@@ -267,6 +267,38 @@ class TestCmfFactorize:
         with pytest.raises(ValueError, match="nonnegative"):
             cmf_factorize(z, 1, h_init=(-np.ones((1, 3)), np.ones((1, 3))))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_h_init_rejects_non_finite(self, bad, half):
+        z = random_complex(np.random.default_rng(5), (4, 3))
+        h_init = [np.ones((2, 3)), np.ones((2, 3))]
+        h_init[half][1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            cmf_factorize(z, 2, h_init=tuple(h_init))
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_h_init_of_the_drawn_start_reproduces_it(self, fixed):
+        rng = np.random.default_rng(6)
+        z = random_complex(rng, (6, 5))
+        kwargs = {"fixed_x": random_complex(rng, (6, 2))} if fixed else {}
+        captured = []
+        start = cmf_mod._start
+
+        def capturing(problem, seed, h_init=None):
+            state = start(problem, seed, h_init)
+            captured.append(state.h.copy())
+            return state
+
+        cfg = SepConfig(rank=2, iters=40, tol=0.0, seed=3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cmf_mod, "_start", capturing)
+            drawn = cmf_factorize(z, 2, cfg, checkpoint_every=10, **kwargs)
+        w = captured[0]
+        given = cmf_factorize(z, 2, cfg, checkpoint_every=10, h_init=(w[:2], w[2:]), **kwargs)
+        assert np.array_equal(given.x, drawn.x) and np.array_equal(given.h, drawn.h)
+        assert given.objective_history == drawn.objective_history
+        assert given.checkpoints == drawn.checkpoints
+
     def test_infinite_tol_runs_one_iteration(self):
         rng = np.random.default_rng(14)
         z = random_complex(rng, (8, 6))

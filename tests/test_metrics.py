@@ -11,7 +11,6 @@ from cmfsep.metrics import (
     correlation,
     evaluate,
     snr_db,
-    summarize,
     tir_esc,
     tir_loss,
 )
@@ -253,22 +252,3 @@ class TestEvalReport:
         rep = EvalReport(correlation=0.5, tir_loss=0.25, tir_esc=0.1875, snr_db=3.0)
         assert rep.to_csv_row() == "0.5,0.25,0.1875,3"
 
-
-class TestSummarize:
-    def test_mean_and_std_rows(self):
-        reports = [
-            EvalReport(correlation=1.0, tir_loss=0.0, tir_esc=0.0, snr_db=10.0),
-            EvalReport(correlation=0.0, tir_loss=1.0, tir_esc=1.0, snr_db=30.0),
-        ]
-        lines = summarize(reports).split("\n")
-        assert lines[0] == "stat,correlation,tir_loss,tir_esc,snr_db"
-        mean = lines[1].split(",")
-        assert mean[0] == "mean"
-        assert float(mean[1]) == 0.5 and float(mean[4]) == 20.0
-        std = lines[2].split(",")
-        assert std[0] == "std"
-        assert float(std[4]) == 10.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="no reports"):
-            summarize([])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfsep.cmf import _make_coupling, _tie_ratio
+from cmfsep.cmf import _start, _tie_ratio
 from cmfsep.linalg import frobenius_norm_sq
 from cmfsep.nmf import (
     EPSILON,
@@ -12,30 +12,37 @@ from cmfsep.nmf import (
     NmfProblem,
     NmfState,
     gram_terms,
-    nmf_init,
     nmf_step,
     objective,
 )
 
 
-def random_problem(seed, m=8, p=6, rank=3):
+def tied(z, rank, fixed_x=None):
+    return NmfProblem(z=z, rank=rank, coupling=_tie_ratio, fixed_x=fixed_x)
+
+
+def random_problem(seed, m=8, p=6, rank=4):
     rng = np.random.default_rng(seed)
-    return NmfProblem(z=rng.random((m, p)), rank=rank)
+    return tied(rng.random((m, p)), rank)
 
 
-def tied_init(problem, seed):
-    """A tied problem's start as ``cmf_factorize`` makes it: the drawn
-    block matrix, tied, then its left column block as W = [h+; h-]."""
-    state = nmf_init(problem, seed)
-    rank, cols = problem.rank // 2, problem.z.shape[1] // 2
-    state.h = _make_coupling(rank, cols)(state.h)[:, :cols].copy()
-    return state
+def assembled(w):
+    """H = [W, ΠW] = [[h+, h-], [h-, h+]] from W = [h+; h-]."""
+    half = len(w) // 2
+    return np.concatenate((w, np.concatenate((w[half:], w[:half]))), axis=1)
+
+
+def planted(rng, rows, rank, cols):
+    """Nonnegative bases (2·rows × 2·rank) and tied weights W that fit
+    their product exactly."""
+    x = rng.uniform(0.1, 1.0, (2 * rows, 2 * rank))
+    w = rng.uniform(0.1, 1.0, (2 * rank, cols))
+    return x, w, x @ assembled(w)
 
 
 def run_steps(problem, iters, seed=0):
-    """Seeded init, then a fixed number of steps."""
-    init = nmf_init if problem.coupling is None else tied_init
-    state = init(problem, seed)
+    """The seeded start, then a fixed number of steps."""
+    state = _start(problem, seed)
     for _ in range(iters):
         nmf_step(state, problem)
     return state
@@ -44,63 +51,85 @@ def run_steps(problem, iters, seed=0):
 class TestProblemValidation:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            NmfProblem(z=np.array([[1.0, -0.1]]), rank=1)
+            tied(np.array([[1.0, -0.1]]), 2)
 
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError, match="rank"):
-            NmfProblem(z=np.ones((2, 2)), rank=0)
+            tied(np.ones((2, 2)), 0)
 
     def test_rejects_fixed_x_shape(self):
         with pytest.raises(ValueError, match="fixed_x shape"):
-            NmfProblem(z=np.ones((2, 2)), rank=1, fixed_x=np.ones((3, 1)))
+            tied(np.ones((2, 2)), 2, fixed_x=np.ones((3, 2)))
 
     def test_rejects_negative_fixed_x(self):
         with pytest.raises(ValueError, match="fixed_x"):
-            NmfProblem(z=np.ones((2, 2)), rank=1, fixed_x=-np.ones((2, 1)))
+            tied(np.ones((2, 2)), 2, fixed_x=-np.ones((2, 2)))
+
+    def test_coupling_is_required(self):
+        with pytest.raises(TypeError, match="coupling"):
+            NmfProblem(z=np.ones((2, 2)), rank=2)
 
 
 class TestInit:
+    """The seeded start, ``cmf._start``: bases, then the tied weights."""
+
     def test_same_seed_bit_identical(self):
         problem = random_problem(0)
-        a = nmf_init(problem, 42)
-        b = nmf_init(problem, 42)
+        a = _start(problem, 42)
+        b = _start(problem, 42)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.h, b.h)
 
     def test_fixed_x_copied(self):
         x = np.ones((4, 2))
-        problem = NmfProblem(z=np.ones((4, 3)), rank=2, fixed_x=x)
-        state = nmf_init(problem, 0)
+        problem = tied(np.ones((4, 4)), 2, fixed_x=x)
+        state = _start(problem, 0)
         assert np.array_equal(state.x, x)
         assert state.x is not problem.fixed_x
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
     def test_entries_above_epsilon(self, seed):
         problem = random_problem(seed)
-        state = nmf_init(problem, seed)
+        state = _start(problem, seed)
         assert state.x.min() >= EPSILON
         assert state.h.min() >= EPSILON
+
+    def test_draw_order(self):
+        # one generator: the bases, then the 2K x 2T weight block matrix,
+        # tied by averaging, of which W is the left column block
+        problem = random_problem(3)
+        state = _start(problem, 5)
+        rng = np.random.default_rng(5)
+        x = np.maximum(rng.random((8, 4)), EPSILON)
+        hc = np.maximum(rng.random((4, 6)), EPSILON)
+        h_plus = 0.5 * (hc[:2, :3] + hc[2:, 3:])
+        h_minus = 0.5 * (hc[:2, 3:] + hc[2:, :3])
+        assert np.array_equal(state.x, x)
+        assert np.array_equal(state.h, np.concatenate((h_plus, h_minus)))
 
 
 class TestStep:
     def test_hand_evaluated_scalar_update(self):
-        # Z=[[2]], X=[[1]], H=[[1]]: X <- 1*(2*1)/(1*1*1) = 2,
-        # then H <- 1*(2*2)/(2*2*1) = 1; residual is zero.
-        problem = NmfProblem(z=np.array([[2.0]]), rank=1)
-        state = NmfState(x=np.array([[1.0]]), h=np.array([[1.0]]))
+        # one bin, one frame, rank one: Z = [[5, 3], [3, 1]], X = ones
+        # and W = [1; 1], so H = ones.
+        # X <- X * (Z Hᵀ) / (X H Hᵀ) = [[8, 8], [4, 4]] / 4 = [[2, 2], [1, 1]].
+        # XᵀZ = [[13, 7], [13, 7]] and XᵀX H = 10 everywhere, so the block
+        # ratios are R11 = R21 = 1.3 and R12 = R22 = 0.7; tied, h+ takes
+        # (R11 + R22)/2 = 1 and h- takes (R12 + R21)/2 = 1, so W stays
+        # [1; 1]. X H = [[4, 4], [2, 2]] leaves a residual of 4.
+        problem = tied(np.array([[5.0, 3.0], [3.0, 1.0]]), 2)
+        state = NmfState(x=np.ones((2, 2)), h=np.ones((2, 1)))
         nmf_step(state, problem)
-        assert state.x[0, 0] == pytest.approx(2.0)
-        assert state.h[0, 0] == pytest.approx(1.0)
-        assert state.objective_history == pytest.approx([0.0], abs=1e-15)
+        np.testing.assert_allclose(state.x, [[2.0, 2.0], [1.0, 1.0]], rtol=1e-15)
+        np.testing.assert_allclose(state.h, [[1.0], [1.0]], rtol=1e-15)
+        assert state.objective_history == pytest.approx([4.0], rel=1e-14)
 
     def test_exact_factorization_is_fixed_point(self):
-        rng = np.random.default_rng(10)
-        x = rng.uniform(0.5, 1.5, (6, 3))
-        h = rng.uniform(0.5, 1.5, (3, 5))
-        problem = NmfProblem(z=x @ h, rank=3)
-        state = NmfState(x=x.copy(), h=h.copy())
+        x, w, z = planted(np.random.default_rng(10), rows=3, rank=2, cols=5)
+        problem = tied(z, 4)
+        state = NmfState(x=x.copy(), h=w.copy())
         nmf_step(state, problem)
         np.testing.assert_allclose(state.x, x, rtol=1e-12)
-        np.testing.assert_allclose(state.h, h, rtol=1e-12)
+        np.testing.assert_allclose(state.h, w, rtol=1e-12)
 
     def test_history_nonincreasing(self):
         hist = run_steps(random_problem(11), 100).objective_history
@@ -108,15 +137,15 @@ class TestStep:
 
     def test_fixed_x_never_updated(self):
         rng = np.random.default_rng(12)
-        x = rng.uniform(0.1, 1.0, (5, 2))
-        state = run_steps(NmfProblem(z=rng.random((5, 4)), rank=2, fixed_x=x), 10)
+        x = rng.uniform(0.1, 1.0, (6, 2))
+        state = run_steps(tied(rng.random((6, 4)), 2, fixed_x=x), 10)
         assert np.array_equal(state.x, x)
 
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
     def test_nonnegativity_preserved(self, seed):
         problem = random_problem(seed)
-        state = nmf_init(problem, seed)
+        state = _start(problem, seed)
         for _ in range(20):
             nmf_step(state, problem)
             assert np.all(state.x >= 0) and np.all(state.h >= 0)
@@ -130,22 +159,24 @@ class TestStep:
 
 
 class TestSolve:
-    """Plain NMF driven to convergence by repeated ``nmf_step``."""
+    """Tied problems driven to convergence by repeated ``nmf_step``."""
 
     def test_full_rank_square_converges(self):
+        # from rank 2K = 2T on, an exact fit exists (h+ = I, h- = 0 and
+        # X holding the columns of Z); at 2K = 2T itself the tied update
+        # stalls at 1.02e-3 on seed 9 (the same after 5000 steps), so
+        # this runs at twice that rank
         rels = []
         for seed in range(10):
             rng = np.random.default_rng(seed)
             z = rng.random((4, 4))
-            state = run_steps(NmfProblem(z=z, rank=4), 2000, seed=seed)
+            state = run_steps(tied(z, 8), 2000, seed=seed)
             rels.append(state.objective_history[-1] / float(np.sum(z**2)))
         assert max(rels) <= 1e-3
 
     def test_fixed_x_recovers_planted_weights(self):
-        rng = np.random.default_rng(15)
-        x = rng.uniform(0.1, 1.0, (8, 3))
-        h = rng.uniform(0.1, 1.0, (3, 6))
-        state = run_steps(NmfProblem(z=x @ h, rank=3, fixed_x=x), 2000)
+        x, _, z = planted(np.random.default_rng(15), rows=4, rank=2, cols=6)
+        state = run_steps(tied(z, 4, fixed_x=x), 2000)
         assert state.objective_history[-1] <= 1e-6
 
     def test_coupling_hook_runs_every_iteration(self):
@@ -164,18 +195,18 @@ class TestSolve:
     def test_tied_problem_needs_even_rank_and_columns(self):
         z = np.ones((4, 6))
         with pytest.raises(ValueError, match="even"):
-            NmfProblem(z=z, rank=3, coupling=_tie_ratio)
+            tied(z, 3)
         with pytest.raises(ValueError, match="even"):
-            NmfProblem(z=z[:, :5], rank=2, coupling=_tie_ratio)
+            tied(z[:, :5], 2)
 
 
 def histories(problem, iters, seed=0):
     """Recorded objective and the direct residual after each of ``iters`` steps."""
-    state = nmf_init(problem, seed)
+    state = _start(problem, seed)
     direct = []
     for _ in range(iters):
         nmf_step(state, problem)
-        direct.append(frobenius_norm_sq(problem.z - state.x @ state.h))
+        direct.append(frobenius_norm_sq(problem.z - state.x @ assembled(state.h)))
     return np.array(state.objective_history), np.array(direct)
 
 
@@ -188,17 +219,15 @@ class TestGramObjective:
     def test_agrees_with_direct_residual_above_guard(self, seed, fixed):
         rng = np.random.default_rng(seed)
         z = rng.random((40, 30))
-        problem = NmfProblem(z=z, rank=6, fixed_x=rng.random((40, 6)) if fixed else None)
+        problem = tied(z, 6, fixed_x=rng.random((40, 6)) if fixed else None)
         recorded, direct = histories(problem, 300, seed)
         assert np.all(recorded >= GRAM_GUARD * problem.z_norm_sq)
         assert np.max(np.abs(recorded - direct) / direct) <= 1e-12
 
     @pytest.mark.parametrize("fixed", [False, True])
     def test_direct_residual_below_guard(self, fixed):
-        rng = np.random.default_rng(17)
-        x = rng.uniform(0.1, 1.0, (8, 3))
-        z = x @ rng.uniform(0.1, 1.0, (3, 6))
-        problem = NmfProblem(z=z, rank=3, fixed_x=x if fixed else None)
+        x, _, z = planted(np.random.default_rng(17), rows=4, rank=2, cols=3)
+        problem = tied(z, 4, fixed_x=x if fixed else None)
         recorded, direct = histories(problem, 2000)
         below = recorded < GRAM_GUARD * problem.z_norm_sq
         assert below.sum() > 100
@@ -219,16 +248,16 @@ def block_coupling(rank, cols):
 
 
 def reference_step(state, problem, couple):
-    """One step computed plainly: nothing carried from the last step, an
-    allocating H-update ratio, and the quadratic term as ⟨H, XᵀX H⟩."""
+    """One step on the 2K×2T block matrix H, computed plainly: XᵀZ and
+    XᵀX formed here, nothing carried from the last step, an allocating
+    H-update ratio, the tie applied to H, and the quadratic term as
+    ⟨H, XᵀX H⟩."""
     z, eps = problem.z, EPSILON
     x, h = state.x, state.h
     if problem.fixed_x is None:
         x *= (z @ h.T) / np.maximum(x @ (h @ h.T), eps)
         x[x < FLUSH_BELOW] = 0.0
-        xtz, xtx = x.T @ z, x.T @ x
-    else:
-        xtz, xtx = problem.xtz, problem.xtx
+    xtz, xtx = x.T @ z, x.T @ x
     h *= xtz / np.maximum(xtx @ h, eps)
     h = couple(h)
     h[h < FLUSH_BELOW] = 0.0
@@ -244,17 +273,11 @@ class TestCarriedProduct:
     on the state (XᵀX·H with fixed bases, H·Hᵀ with free ones)."""
 
     @pytest.mark.parametrize("fixed", [False, True])
-    @pytest.mark.parametrize("tied", [False, True])
-    def test_replacing_h_matches_a_fresh_state(self, fixed, tied):
+    def test_replacing_h_matches_a_fresh_state(self, fixed):
         rng = np.random.default_rng(20)
-        problem = NmfProblem(
-            z=rng.random((12, 10)),
-            rank=4,
-            fixed_x=rng.random((12, 4)) if fixed else None,
-            coupling=_tie_ratio if tied else None,
-        )
+        problem = tied(rng.random((12, 10)), 4, fixed_x=rng.random((12, 4)) if fixed else None)
         state = run_steps(problem, 5)
-        h = rng.random((4, 5 if tied else 10))
+        h = rng.random((4, 5))
         state.h = h.copy()
         fresh = NmfState(x=state.x.copy(), h=h)
         for _ in range(5):
@@ -277,20 +300,17 @@ class TestCarriedProduct:
             z = xc @ np.block([[hp, hm], [hm, hp]])
         else:
             z = rng.random((2 * rows, 2 * cols))
-        fixed_x = xc if fixed else None
-        problem = NmfProblem(z=z, rank=2 * rank, fixed_x=fixed_x, coupling=_tie_ratio)
-        # the oracle steps the untied problem and ties with block_coupling
-        plain = NmfProblem(z=z, rank=2 * rank, fixed_x=fixed_x)
-        # set up as cmf_factorize does: tie the drawn start, keep W, then
-        # an objective that seeds the carried product
-        state = nmf_init(problem, 3)
-        ref = NmfState(x=state.x.copy(), h=_make_coupling(rank, cols)(state.h))
-        state.h = ref.h[:, :cols].copy()
+        problem = tied(z, 2 * rank, fixed_x=xc if fixed else None)
+        # set up as cmf_factorize does: the seeded start, then an
+        # objective that seeds the carried product; the oracle steps the
+        # block matrix of the same start
+        state = _start(problem, 3)
+        ref = NmfState(x=state.x.copy(), h=assembled(state.h))
         objective(problem, state, *gram_terms(problem, state.x))
         couple = block_coupling(rank, cols)
         for _ in range(300):
             nmf_step(state, problem)
-            reference_step(ref, plain, couple)
+            reference_step(ref, problem, couple)
         assert state.h.shape == (2 * rank, cols)
         np.testing.assert_allclose(state.x, ref.x, rtol=1e-12)
         np.testing.assert_allclose(state.h, ref.h[:, :cols], rtol=1e-12)
