@@ -6,12 +6,13 @@ from .cmf import (
     SplitQuad,
     cmf_factorize,
     merge_quad,
+    nmf_step,
     split_complex,
     symmetrize_h,
 )
 from .config import SepConfig
 from .metrics import EvalReport, correlation, evaluate, snr_db, tir_esc, tir_loss
-from .nmf import NmfProblem, NmfState, nmf_step
+from .nmf import NmfProblem, NmfState
 from .separation import BasisSet, reconstruct, separate, train_bases
 from .stft import Signal, StftConfig, dft, istft, stft
 

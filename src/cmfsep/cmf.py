@@ -9,6 +9,28 @@ The solve stores the weights once, as W = [h⁺; h⁻], and at every
 multiplicative update averages the two block ratios that multiply h⁺,
 and the two that multiply h⁻, into one multiplier each; at termination
 the signed factors are reassembled from the blocks.
+
+The update step ``nmf_step`` is one Lee–Seung multiplicative update of
+the tied problem of ``nmf``, X then H. Denominators are floored at
+``EPSILON`` so updates are defined everywhere; the objective is recorded
+once per step, after the update, so ``objective_history`` always
+describes the actual iterate.
+
+Lee–Seung updates act on each column of H separately, so both column
+halves of H update from W: the numerator is the stacked [Y_L; ΠY_R] and
+the product [G; ΠGΠ]·W gives the denominators of both halves.
+``_tie_ratio`` ties the resulting four block ratios into the two
+multipliers of h⁺ and h⁻. With fixed bases that product is the one the
+last objective carried, and the update's ratio is formed in place in
+its buffer. The X update needs Z·Hᵀ = Z_L·Wᵀ + Z_R·(ΠW)ᵀ and
+H·Hᵀ = W·Wᵀ + Π·W·Wᵀ·Π, so H is never formed.
+
+After each step's X update, and after its H update, factor entries
+below ``FLUSH_BELOW`` (sqrt of the smallest normal float64, about
+1.5e-154) are set to 0. Multiplicative updates keep a zero at zero, and
+such entries only shrink further into subnormal floats, whose
+arithmetic is many times slower and which would make the late
+iterations of a long solve up to twice as slow as the early ones.
 """
 
 from dataclasses import dataclass, field
@@ -18,27 +40,23 @@ import numpy as np
 
 from .config import SepConfig
 from .linalg import as_complex_matrix, frobenius_norm_sq
-from .nmf import (
-    EPSILON,
-    NmfProblem,
-    NmfState,
-    gram_terms,
-    nmf_step,
-    objective,
-)
+from .nmf import NmfProblem, NmfState, _swap, _weight_gram, gram_terms, objective
 
 __all__ = [
+    "EPSILON",
     "SplitQuad",
     "BlockMatrix",
     "CmfResult",
     "split_complex",
     "merge_quad",
     "assemble_zc",
-    "assemble_hc",
-    "block_product_identity_check",
     "symmetrize_h",
+    "nmf_step",
     "cmf_factorize",
 ]
+
+EPSILON = 1e-12
+FLUSH_BELOW = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
 @dataclass(frozen=True)
@@ -85,34 +103,6 @@ def assemble_zc(q: SplitQuad) -> BlockMatrix:
     return BlockMatrix(b11=q.pr, b12=q.nr, b21=q.pi, b22=q.ni)
 
 
-def assemble_hc(h_plus: np.ndarray, h_minus: np.ndarray) -> BlockMatrix:
-    if h_plus.shape != h_minus.shape:
-        raise ValueError(
-            f"weight halves differ in shape: {h_plus.shape} vs {h_minus.shape}"
-        )
-    return BlockMatrix(b11=h_plus, b12=h_minus, b21=h_minus, b22=h_plus)
-
-
-def block_product_identity_check(
-    x_parts: SplitQuad, h_plus: np.ndarray, h_minus: np.ndarray
-):
-    """The four explicit part-products of the factorization.
-
-    Equal, block for block, to the assembled 2x2 product of the basis
-    and weight block matrices.
-    """
-    xpr, xnr, xpi, xni = x_parts
-    if xpr.shape[1] != h_plus.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: basis parts {xpr.shape} x weights {h_plus.shape}"
-        )
-    z1 = xpr @ h_plus + xnr @ h_minus
-    z2 = xpr @ h_minus + xnr @ h_plus
-    z3 = xpi @ h_plus + xni @ h_minus
-    z4 = xpi @ h_minus + xni @ h_plus
-    return z1, z2, z3, z4
-
-
 def symmetrize_h(h1, h2, h3, h4):
     """Tie the weight blocks pairwise by arithmetic averaging."""
     h_plus = h1 + h4
@@ -148,13 +138,59 @@ def _make_coupling(rank: int, cols: int):
 
 
 def _tie_ratio(ratio: np.ndarray):
-    """The tie as an ``nmf_step`` coupling hook. The stacked H-update
-    ratio's row blocks are R11, R21, R22 and R12, block (i, j) being the
-    ratio for block (i, j) of [[h⁺, h⁻], [h⁻, h⁺]]; averaging the pairs
+    """The tie of ``nmf_step``'s H update. The stacked H-update ratio's
+    row blocks are R11, R21, R22 and R12, block (i, j) being the ratio for
+    block (i, j) of [[h⁺, h⁻], [h⁻, h⁺]]; averaging the pairs
     that multiply the same half gives the multipliers of h⁺ and h⁻."""
     k = len(ratio) // 4
     r11, r21, r22, r12 = (ratio[i * k : (i + 1) * k] for i in range(4))
     return symmetrize_h(r11, r12, r21, r22)
+
+
+def _flush(a: np.ndarray) -> None:
+    a[a < FLUSH_BELOW] = 0.0
+
+
+def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
+    """One multiplicative update of X then H (X skipped when fixed).
+
+    The H update multiplies each row half of the weights by
+    ``_tie_ratio``'s tie of the update ratio. The objective appended to
+    the history reflects the updated iterate.
+    """
+    x, h = state.x, state.h
+    carried, state.carried = state.carried, None
+    if problem.fixed_x is None:
+        hht = _weight_gram(h) if carried is None else carried
+        # Z·Hᵀ = Z_L·Wᵀ + Z_R·(ΠW)ᵀ without forming H; the second
+        # product's buffer then takes X·H·Hᵀ, one fresh 2F×2K array
+        # fewer per step
+        cols = h.shape[1]
+        ratio = problem.z[:, cols:] @ _swap(h).T
+        zht = problem.z[:, :cols] @ h.T
+        zht += ratio
+        np.matmul(x, hht, out=ratio)
+        np.maximum(ratio, EPSILON, out=ratio)
+        np.divide(zht, ratio, out=ratio)
+        del zht
+        x *= ratio
+        _flush(x)
+        carried = None  # H·Hᵀ, of no use to the H update
+    xtz, xtx = gram_terms(problem, x)
+    # the H-update ratio is formed in place in XᵀX·H's buffer, the
+    # carried one when the bases are fixed
+    ratio = xtx @ h if carried is None else carried
+    np.maximum(ratio, EPSILON, out=ratio)
+    np.divide(xtz, ratio, out=ratio)
+    half = len(h) // 2
+    m_plus, m_minus = _tie_ratio(ratio)
+    h[:half] *= m_plus
+    h[half:] *= m_minus
+    # freed before the objective forms the next product
+    del m_plus, m_minus, carried, ratio
+    _flush(h)
+    state.objective_history.append(objective(problem, state, xtz, xtx))
+    return state
 
 
 def _start(problem: NmfProblem, seed: int, h_init=None) -> NmfState:
@@ -214,6 +250,11 @@ def cmf_factorize(
     replaces the drawn weights; the bases are the same as without it.
     Of ``cfg`` only ``iters``, ``tol`` and ``seed`` are read; the rank
     is the argument.
+
+    An all-zero ``z`` is checked like any other input, with ``fixed_x``
+    and ``h_init``, and then returns at once: no iterations, no
+    checkpoints, zero weights, ``final_error`` 0 and the given bases, or
+    zero bases when they are free.
     """
     z = as_complex_matrix(z)
     if z.size == 0:
@@ -224,14 +265,6 @@ def cmf_factorize(
         raise ValueError(f"rank must be >= 1, got {rank}")
     cfg = cfg or SepConfig(rank=rank)
     rows, cols = z.shape
-
-    if frobenius_norm_sq(z) == 0.0:
-        return CmfResult(
-            x=np.zeros((rows, rank), dtype=np.complex128),
-            h=np.zeros((rank, cols), dtype=np.float64),
-            objective_history=[],
-            final_error=0.0,
-        )
 
     zc = assemble_zc(split_complex(z)).assembled
     if fixed_x is not None:
@@ -247,13 +280,17 @@ def cmf_factorize(
     else:
         xc_fixed = None
 
-    problem = NmfProblem(
-        z=zc,
-        rank=2 * rank,
-        fixed_x=xc_fixed,
-        coupling=_tie_ratio,
-    )
+    problem = NmfProblem(z=zc, rank=2 * rank, fixed_x=xc_fixed)
     state = _start(problem, cfg.seed, h_init)
+
+    if problem.z_norm_sq == 0.0:
+        x = np.zeros((rows, rank), dtype=np.complex128)
+        return CmfResult(
+            x=x if fixed_x is None else fixed_x.copy(),
+            h=np.zeros((rank, cols), dtype=np.float64),
+            objective_history=[],
+            final_error=0.0,
+        )
 
     checkpoints = []
     # also leaves on the state the product the first update needs

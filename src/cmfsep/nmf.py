@@ -1,38 +1,29 @@
-"""Euclidean NMF with Lee-Seung multiplicative updates.
-
-The single update step of the complex-factorization reduction; the
-iterate-and-stop loop (``cmf.cmf_factorize``) and the seeded start live
-in ``cmf``. Denominators are floored at ``EPSILON`` so
-updates are defined everywhere; the objective is recorded once per
-step, after the update, so ``objective_history`` always describes the
-actual iterate.
+"""The tied nonnegative problem of the complex-factorization reduction
+and its algebra: the problem, the iterate, the stacked Gram terms and
+the objective. The update step (``cmf.nmf_step``), the iterate-and-stop
+loop and the seeded start live in ``cmf``.
 
 The problem is tied: Z has 2T columns and the weights are tied as
 H = [[h⁺, h⁻], [h⁻, h⁺]] = [W, ΠW], where W = [h⁺; h⁻] is stored alone
-and Π swaps its two row halves. Lee–Seung updates act on each column of
-H separately, so both column halves of H update from W. The numerator
-is the stacked [Y_L; ΠY_R] from the column halves of Y = XᵀZ, and one
-product [G; ΠGΠ]·W with G = XᵀX gives the denominators of both halves.
-The problem's ``coupling`` hook ties the resulting four block ratios
-into the two multipliers of h⁺ and h⁻.
+and Π swaps its two row halves. The Gram terms are stacked to match:
+[Y_L; ΠY_R] from the column halves of Y = XᵀZ, and [G; ΠGΠ] with
+G = XᵀX, so one product [G; ΠGΠ]·W covers both column halves of H.
 
-Each step needs Z only through these Gram terms and, for the X update,
-Z·Hᵀ = Z_L·Wᵀ + Z_R·(ΠW)ᵀ and H·Hᵀ = W·Wᵀ + Π·W·Wᵀ·Π, so H is never
-formed. ``NmfProblem`` computes ‖Z‖² once and, when the bases are fixed,
-the stacked XᵀZ and XᵀX once; a free step computes them from its new X
-and shares them between the H update and the objective. The objective
-is then the Gram form ``‖Z‖² − 2⟨H, XᵀZ⟩ + ⟨H, XᵀX H⟩``, which costs no
+``NmfProblem`` computes ‖Z‖² once and, when the bases are fixed, the
+stacked XᵀZ and XᵀX once; a free step computes them from its new X and
+shares them between the H update and the objective. The objective is
+then the Gram form ``‖Z‖² − 2⟨H, XᵀZ⟩ + ⟨H, XᵀX H⟩``, which costs no
 2F×2T residual; each inner product over H is the sum of two over W, one
 per row block of the stacked term.
 
 Its quadratic term is taken from the product the next update needs,
 so a step forms one quadratic product fewer. With fixed bases it is
 ⟨W, [G; ΠGΠ]·W⟩ summed over the two row blocks, and that product becomes
-the next H-update denominator, in whose buffer the update's ratio is
-then formed in place. With free bases it is ⟨XᵀX, H·Hᵀ⟩, and H·Hᵀ goes
-into the next X update. The product is kept as ``NmfState.carried``,
-which assigning ``NmfState.h`` drops; ``nmf_step`` updates the weights
-in place, and code outside a step replaces them by assignment.
+the next H-update denominator. With free bases it is ⟨XᵀX, H·Hᵀ⟩, and
+H·Hᵀ goes into the next X update. The product is kept as
+``NmfState.carried``, which assigning ``NmfState.h`` drops; the step
+updates the weights in place, and code outside a step replaces them by
+assignment.
 
 The Gram form subtracts terms of size ‖Z‖², so its absolute rounding
 error is about 1e-16·‖Z‖²; below ``GRAM_GUARD``·‖Z‖² the direct
@@ -41,49 +32,35 @@ guard sits at 1e-3, not lower, because a history entry must agree with
 the direct residual to about 1e-12 relative: at 1e-8 the
 planted-recovery histories drifted by up to 6e-8, and a ``tol=1e-14``
 stop rule fired on Gram rounding noise.
-
-After each step's X update, and after its H update, factor entries
-below ``FLUSH_BELOW`` (sqrt of the smallest normal float64, about
-1.5e-154) are set to 0. Multiplicative updates keep a zero at zero, and
-such entries only shrink further into subnormal floats, whose
-arithmetic is many times slower and which would make the late
-iterations of a long solve up to twice as slow as the early ones.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .linalg import frobenius_norm_sq
 
 __all__ = [
-    "EPSILON",
     "NmfProblem",
     "NmfState",
-    "nmf_step",
     "gram_terms",
     "objective",
 ]
 
-EPSILON = 1e-12
 GRAM_GUARD = 1e-3
-FLUSH_BELOW = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
 @dataclass
 class NmfProblem:
     """Nonnegative ``z ~ x @ h`` at ``rank`` with tied weights (see the
     module docstring); ``z`` has 2T columns and ``rank`` is 2K.
-    ``coupling`` ties the weights: it takes the stacked H-update ratio,
-    2·rank × T, and returns the multipliers of the weights' two row
-    halves. ``fixed_x`` holds the bases constant. ``z_norm_sq`` and,
+    ``fixed_x`` holds the bases constant. ``z_norm_sq`` and,
     with ``fixed_x``, ``xtz`` and ``xtx`` (the stacked numerator and
     Gram of ``gram_terms``) are derived once at construction."""
 
     z: np.ndarray
     rank: int
-    coupling: Callable[[np.ndarray], Sequence[np.ndarray]]
     fixed_x: Optional[np.ndarray] = None
     z_norm_sq: float = field(init=False, repr=False)
     xtz: Optional[np.ndarray] = field(init=False, repr=False, default=None)
@@ -123,7 +100,7 @@ class NmfState:
     from the current ``h`` for the next update: the stacked XᵀX·H when
     the bases are fixed, H·Hᵀ when they are free, and None when no
     objective has seen this ``h``. Assigning ``h`` drops it, so a
-    product never outlives the weights it came from; ``nmf_step``
+    product never outlives the weights it came from; ``cmf.nmf_step``
     itself updates the weights in place, and other code replaces them
     by assignment.
     """
@@ -203,49 +180,3 @@ def objective(problem: NmfProblem, state: NmfState, xtz, xtx) -> float:
         h = np.concatenate((h, _swap(h)), axis=1)  # H = [W, ΠW]
         return frobenius_norm_sq(problem.z - state.x @ h)
     return float(gram)
-
-
-def _flush(a: np.ndarray) -> None:
-    a[a < FLUSH_BELOW] = 0.0
-
-
-def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
-    """One multiplicative update of X then H (X skipped when fixed).
-
-    The H update multiplies each row half of the weights by the
-    ``coupling`` hook's tie of the update ratio. The objective appended
-    to the history reflects the updated iterate.
-    """
-    x, h = state.x, state.h
-    carried, state.carried = state.carried, None
-    if problem.fixed_x is None:
-        hht = _weight_gram(h) if carried is None else carried
-        # Z·Hᵀ = Z_L·Wᵀ + Z_R·(ΠW)ᵀ without forming H; the second
-        # product's buffer then takes X·H·Hᵀ, one fresh 2F×2K array
-        # fewer per step
-        cols = h.shape[1]
-        ratio = problem.z[:, cols:] @ _swap(h).T
-        zht = problem.z[:, :cols] @ h.T
-        zht += ratio
-        np.matmul(x, hht, out=ratio)
-        np.maximum(ratio, EPSILON, out=ratio)
-        np.divide(zht, ratio, out=ratio)
-        del zht
-        x *= ratio
-        _flush(x)
-        carried = None  # H·Hᵀ, of no use to the H update
-    xtz, xtx = gram_terms(problem, x)
-    # the H-update ratio is formed in place in XᵀX·H's buffer, the
-    # carried one when the bases are fixed
-    ratio = xtx @ h if carried is None else carried
-    np.maximum(ratio, EPSILON, out=ratio)
-    np.divide(xtz, ratio, out=ratio)
-    half = len(h) // 2
-    m_plus, m_minus = problem.coupling(ratio)
-    h[:half] *= m_plus
-    h[half:] *= m_minus
-    # freed before the objective forms the next product
-    del m_plus, m_minus, carried, ratio
-    _flush(h)
-    state.objective_history.append(objective(problem, state, xtz, xtx))
-    return state

@@ -17,10 +17,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .cmf import cmf_factorize
+from .cmf import EPSILON, cmf_factorize
 from .config import SepConfig
 from .linalg import as_complex_matrix
-from .nmf import EPSILON
 from .stft import Signal, StftConfig, overlap_add, stft, synthesis_frames
 
 # not called here: bench/spans.py times calls under these two names

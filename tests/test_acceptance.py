@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 import cmfsep.cmf as cmf_mod
+from blocks import assemble_hc, block_product_identity_check
 from cmfsep.cli import EXIT_OK, cli_main
 from cmfsep.cmf import (
-    assemble_hc,
     assemble_zc,
-    block_product_identity_check,
     cmf_factorize,
     merge_quad,
     split_complex,

@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 import cmfsep.cmf as cmf_mod
 import cmfsep.nmf as nmf_mod
+from blocks import assemble_hc, block_product_identity_check
 from cmfsep.cmf import (
     CmfResult,
     SplitQuad,
-    assemble_hc,
     assemble_zc,
-    block_product_identity_check,
     cmf_factorize,
     merge_quad,
     split_complex,
@@ -176,6 +175,27 @@ class TestCmfFactorize:
         assert np.all(res.x == 0) and np.all(res.h == 0)
         assert res.final_error == 0.0
         assert res.objective_history == []
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"fixed_x": np.ones((3, 5), dtype=complex)}, "fixed_x shape"),
+            ({"fixed_x": np.full((4, 2), np.nan, dtype=complex)}, "non-finite"),
+            ({"h_init": (np.full((2, 6), np.nan), np.ones((2, 6)))}, "non-finite"),
+            ({"h_init": (np.ones((9, 9)), np.ones((9, 9)))}, "rank x cols"),
+        ],
+    )
+    def test_zero_input_still_checks_bases_and_start(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            cmf_factorize(np.zeros((4, 6), dtype=complex), 2, **kwargs)
+
+    def test_zero_input_returns_fixed_bases(self):
+        x = random_complex(np.random.default_rng(29), (4, 2))
+        res = cmf_factorize(np.zeros((4, 6), dtype=complex), 2, fixed_x=x)
+        assert np.array_equal(res.x, x) and res.x is not x
+        assert np.all(res.h == 0) and res.h.shape == (2, 6)
+        assert res.final_error == 0.0
+        assert res.objective_history == [] and res.checkpoints == []
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):

@@ -3,22 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfsep.cmf import _start, _tie_ratio
+from cmfsep.cmf import EPSILON, FLUSH_BELOW, _start, nmf_step
 from cmfsep.linalg import frobenius_norm_sq
-from cmfsep.nmf import (
-    EPSILON,
-    FLUSH_BELOW,
-    GRAM_GUARD,
-    NmfProblem,
-    NmfState,
-    gram_terms,
-    nmf_step,
-    objective,
-)
+from cmfsep.nmf import GRAM_GUARD, NmfProblem, NmfState, gram_terms, objective
 
 
 def tied(z, rank, fixed_x=None):
-    return NmfProblem(z=z, rank=rank, coupling=_tie_ratio, fixed_x=fixed_x)
+    return NmfProblem(z=z, rank=rank, fixed_x=fixed_x)
 
 
 def random_problem(seed, m=8, p=6, rank=4):
@@ -64,10 +55,6 @@ class TestProblemValidation:
     def test_rejects_negative_fixed_x(self):
         with pytest.raises(ValueError, match="fixed_x"):
             tied(np.ones((2, 2)), 2, fixed_x=-np.ones((2, 2)))
-
-    def test_coupling_is_required(self):
-        with pytest.raises(TypeError, match="coupling"):
-            NmfProblem(z=np.ones((2, 2)), rank=2)
 
 
 class TestInit:
@@ -178,19 +165,6 @@ class TestSolve:
         x, _, z = planted(np.random.default_rng(15), rows=4, rank=2, cols=6)
         state = run_steps(tied(z, 4, fixed_x=x), 2000)
         assert state.objective_history[-1] <= 1e-6
-
-    def test_coupling_hook_runs_every_iteration(self):
-        calls = []
-
-        def hook(ratio):
-            calls.append(ratio.shape)
-            return _tie_ratio(ratio)
-
-        problem = NmfProblem(z=np.random.default_rng(16).random((4, 4)), rank=2, coupling=hook)
-        state = run_steps(problem, 7)
-        # the stacked ratio of a 2-column W, tied into its two row halves
-        assert calls == [(4, 2)] * 7
-        assert state.h.shape == (2, 2)
 
     def test_tied_problem_needs_even_rank_and_columns(self):
         z = np.ones((4, 6))
