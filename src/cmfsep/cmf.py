@@ -5,10 +5,15 @@ negative parts of the real and imaginary components). Stacking the
 parts into a 2x2 block matrix turns the complex factorization
 ``Z ~ X H`` (complex bases X, real weights H) into one nonnegative
 problem, with the weight blocks tied pairwise as [[h⁺, h⁻], [h⁻, h⁺]].
-The solve stores the weights once, as W = [h⁺; h⁻], and at every
-multiplicative update averages the two block ratios that multiply h⁺,
-and the two that multiply h⁻, into one multiplier each; at termination
-the signed factors are reassembled from the blocks.
+The split and its block matrices live in ``linalg``; this module
+imports them and keeps them among its names. The nonnegative problem,
+``nmf.NmfProblem``, is built from the complex data: with free bases it
+assembles the 2F×2T block matrix Zc, and with fixed bases it never
+does (see ``nmf``). The solve stores the weights once, as
+W = [h⁺; h⁻], and at every multiplicative update averages the two
+block ratios that multiply h⁺, and the two that multiply h⁻, into one
+multiplier each; at termination the signed factors are reassembled
+from the blocks.
 
 The update step ``nmf_step`` is one Lee–Seung multiplicative update of
 the tied problem of ``nmf``, X then H. Denominators are floored at
@@ -22,8 +27,12 @@ the product [G; ΠGΠ]·W gives the denominators of both halves.
 ``_tie_ratio`` ties the resulting four block ratios into the two
 multipliers of h⁺ and h⁻. With fixed bases that product is the one the
 last objective carried, and the update's ratio is formed in place in
-its buffer. The X update needs Z·Hᵀ = Z_L·Wᵀ + Z_R·(ΠW)ᵀ and
+its buffer. The X update needs Zc·Hᵀ = Zc_L·Wᵀ + Zc_R·(ΠW)ᵀ and
 H·Hᵀ = W·Wᵀ + Π·W·Wᵀ·Π, so H is never formed.
+
+The complex-domain error ‖Z − Xh‖² of a checkpoint is summed over the
+frame chunks of ``nmf.frame_chunks``, so no complex F×T residual is
+formed.
 
 After each step's X update, and after its H update, factor entries
 below ``FLUSH_BELOW`` (sqrt of the smallest normal float64, about
@@ -39,8 +48,24 @@ from typing import Optional
 import numpy as np
 
 from .config import SepConfig
-from .linalg import as_complex_matrix, frobenius_norm_sq
-from .nmf import NmfProblem, NmfState, _swap, _weight_gram, gram_terms, objective
+from .linalg import (
+    BlockMatrix,
+    SplitQuad,
+    as_real,
+    assemble_zc,
+    frobenius_norm_sq,
+    merge_quad,
+    split_complex,
+)
+from .nmf import (
+    NmfProblem,
+    NmfState,
+    _swap,
+    _weight_gram,
+    frame_chunks,
+    gram_terms,
+    objective,
+)
 
 __all__ = [
     "EPSILON",
@@ -57,50 +82,6 @@ __all__ = [
 
 EPSILON = 1e-12
 FLUSH_BELOW = float(np.sqrt(np.finfo(np.float64).tiny))
-
-
-@dataclass(frozen=True)
-class SplitQuad:
-    """Positive/negative real and imaginary parts, all nonnegative."""
-
-    pr: np.ndarray
-    nr: np.ndarray
-    pi: np.ndarray
-    ni: np.ndarray
-
-    def __iter__(self):
-        return iter((self.pr, self.nr, self.pi, self.ni))
-
-
-@dataclass(frozen=True)
-class BlockMatrix:
-    b11: np.ndarray
-    b12: np.ndarray
-    b21: np.ndarray
-    b22: np.ndarray
-
-    @property
-    def assembled(self) -> np.ndarray:
-        return np.block([[self.b11, self.b12], [self.b21, self.b22]])
-
-
-def split_complex(z) -> SplitQuad:
-    """Elementwise sign/real-imaginary split; merge_quad inverts it."""
-    z = as_complex_matrix(z)
-    return SplitQuad(
-        pr=np.maximum(0.0, z.real),
-        nr=-np.minimum(0.0, z.real),
-        pi=np.maximum(0.0, z.imag),
-        ni=-np.minimum(0.0, z.imag),
-    )
-
-
-def merge_quad(q: SplitQuad) -> np.ndarray:
-    return (q.pr - q.nr) + 1j * (q.pi - q.ni)
-
-
-def assemble_zc(q: SplitQuad) -> BlockMatrix:
-    return BlockMatrix(b11=q.pr, b12=q.nr, b21=q.pi, b22=q.ni)
 
 
 def symmetrize_h(h1, h2, h3, h4):
@@ -166,8 +147,8 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
         # product's buffer then takes X·H·Hᵀ, one fresh 2F×2K array
         # fewer per step
         cols = h.shape[1]
-        ratio = problem.z[:, cols:] @ _swap(h).T
-        zht = problem.z[:, :cols] @ h.T
+        ratio = problem.zc[:, cols:] @ _swap(h).T
+        zht = problem.zc[:, :cols] @ h.T
         zht += ratio
         np.matmul(x, hht, out=ratio)
         np.maximum(ratio, EPSILON, out=ratio)
@@ -195,20 +176,20 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
 
 def _start(problem: NmfProblem, seed: int, h_init=None) -> NmfState:
     """The seeded start of a solve of ``problem``, from one generator:
-    the bases first, a copy of ``fixed_x`` or uniform draws in
-    (EPSILON, 1]; then the 2K×2T weight block matrix, the next draws or
-    built from the halves ``h_init``. It is tied once, and its left
-    column block is kept as W = [h⁺; h⁻]."""
+    the bases first, a copy of the fixed block bases ``problem.xc`` or
+    uniform draws in (EPSILON, 1]; then the 2K×2T weight block matrix,
+    the next draws or built from the halves ``h_init``. It is tied once,
+    and its left column block is kept as W = [h⁺; h⁻]."""
     rng = np.random.default_rng(seed)
+    rank, (rows, cols) = problem.rank, problem.z.shape
     if problem.fixed_x is not None:
-        x = problem.fixed_x.copy()
+        x = problem.xc.copy()
     else:
-        x = np.maximum(rng.random((problem.z.shape[0], problem.rank)), EPSILON)
-    rank, cols = problem.rank // 2, problem.z.shape[1] // 2
+        x = np.maximum(rng.random((2 * rows, 2 * rank)), EPSILON)
     if h_init is None:
         hc = np.maximum(rng.random((2 * rank, 2 * cols)), EPSILON)
     else:
-        hp0, hm0 = (np.asarray(a, dtype=np.float64) for a in h_init)
+        hp0, hm0 = (as_real(a) for a in h_init)
         if hp0.shape != (rank, cols) or hm0.shape != (rank, cols):
             raise ValueError("h_init halves must each be rank x cols")
         if not (np.all(np.isfinite(hp0)) and np.all(np.isfinite(hm0))):
@@ -227,6 +208,18 @@ def _reassemble(xc: np.ndarray, w: np.ndarray, rows: int, rank: int):
     return x, h
 
 
+def _complex_error(z: np.ndarray, x: np.ndarray, h: np.ndarray) -> float:
+    """‖Z − X·h‖², summed over frame chunks: each chunk's residual is
+    formed in its product's buffer, one complex F×``FRAME_CHUNK``
+    temporary at a time."""
+    total = 0.0
+    for cols in frame_chunks(z.shape[1]):
+        resid = x @ h[:, cols]
+        np.subtract(z[:, cols], resid, out=resid)
+        total += frobenius_norm_sq(resid)
+    return total
+
+
 def cmf_factorize(
     z,
     rank: int,
@@ -238,7 +231,8 @@ def cmf_factorize(
     """Factor a complex matrix into complex bases and real weights.
 
     With ``fixed_x`` the bases are held constant (split once) and only
-    the weights are estimated; this is the separation mode.
+    the weights are estimated; this is the separation mode, which never
+    forms the 2F×2T block matrix of ``z`` (see ``nmf.NmfProblem``).
     ``objective_history`` holds the block-domain error driving the
     updates, one entry per iteration; the complex-domain error
     ``|Z - XH|^2`` is evaluated every ``checkpoint_every`` iterations
@@ -256,37 +250,15 @@ def cmf_factorize(
     checkpoints, zero weights, ``final_error`` 0 and the given bases, or
     zero bases when they are free.
     """
-    z = as_complex_matrix(z)
-    if z.size == 0:
-        raise ValueError("input matrix is empty")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("input matrix contains non-finite entries")
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    problem = NmfProblem(z=z, rank=rank, fixed_x=fixed_x)
     cfg = cfg or SepConfig(rank=rank)
-    rows, cols = z.shape
-
-    zc = assemble_zc(split_complex(z)).assembled
-    if fixed_x is not None:
-        fixed_x = as_complex_matrix(fixed_x)
-        if fixed_x.shape != (rows, rank):
-            raise ValueError(
-                f"fixed_x shape {fixed_x.shape} incompatible with "
-                f"z rows {rows} and rank {rank}"
-            )
-        if not np.all(np.isfinite(fixed_x)):
-            raise ValueError("fixed_x contains non-finite entries")
-        xc_fixed = assemble_zc(split_complex(fixed_x)).assembled
-    else:
-        xc_fixed = None
-
-    problem = NmfProblem(z=zc, rank=2 * rank, fixed_x=xc_fixed)
     state = _start(problem, cfg.seed, h_init)
+    rows, cols = problem.z.shape
 
     if problem.z_norm_sq == 0.0:
         x = np.zeros((rows, rank), dtype=np.complex128)
         return CmfResult(
-            x=x if fixed_x is None else fixed_x.copy(),
+            x=x if problem.fixed_x is None else problem.fixed_x.copy(),
             h=np.zeros((rank, cols), dtype=np.float64),
             objective_history=[],
             final_error=0.0,
@@ -305,11 +277,7 @@ def cmf_factorize(
             or (checkpoint_every > 0 and it % checkpoint_every == 0)
         ):
             x, h = _reassemble(state.x, state.h, rows, rank)
-            # formed in the product's buffer: one complex F×T temporary
-            resid = x @ h
-            np.subtract(z, resid, out=resid)
-            cerr = frobenius_norm_sq(resid)
-            checkpoints.append((it, cur, cerr))
+            checkpoints.append((it, cur, _complex_error(problem.z, x, h)))
         if stopping:
             break
         prev = cur

@@ -1,12 +1,25 @@
-"""Dense matrix helpers shared by the factorization modules.
+"""Dense matrix helpers shared by the factorization modules, and the
+split of a complex matrix into the nonnegative blocks of the reduction.
 
 Matrices are plain 2-D numpy arrays: float64 for real matrices,
 complex128 for complex ones, row-major.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-__all__ = ["as_complex_matrix", "frobenius_norm_sq", "complex_matmul_real"]
+__all__ = [
+    "as_complex_matrix",
+    "as_real",
+    "frobenius_norm_sq",
+    "complex_matmul_real",
+    "SplitQuad",
+    "BlockMatrix",
+    "split_complex",
+    "merge_quad",
+    "assemble_zc",
+]
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -15,6 +28,18 @@ def as_complex_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D complex matrix, got ndim={m.ndim}")
     return m
+
+
+def as_real(a) -> np.ndarray:
+    """``a`` as a float64 array. Complex input is accepted only when every
+    imaginary part is 0; otherwise ``ValueError``, where a plain float64
+    cast would drop the imaginary parts."""
+    m = np.asarray(a)
+    if np.iscomplexobj(m):
+        if np.any(m.imag != 0):
+            raise ValueError("expected real values, got a nonzero imaginary part")
+        m = m.real
+    return m.astype(np.float64, copy=False)
 
 
 def frobenius_norm_sq(a) -> float:
@@ -30,7 +55,7 @@ def complex_matmul_real(x, h) -> np.ndarray:
     ``x`` with ``h``, recombined.
     """
     x = as_complex_matrix(x)
-    h = np.asarray(h, dtype=np.float64)
+    h = as_real(h)
     if h.ndim != 2:
         raise ValueError(f"expected a 2-D real matrix, got ndim={h.ndim}")
     if h.shape[0] < 1 or h.shape[1] < 1:
@@ -40,3 +65,47 @@ def complex_matmul_real(x, h) -> np.ndarray:
             f"dimension mismatch in complex_matmul_real: {x.shape} x {h.shape}"
         )
     return x @ h
+
+
+@dataclass(frozen=True)
+class SplitQuad:
+    """Positive/negative real and imaginary parts, all nonnegative."""
+
+    pr: np.ndarray
+    nr: np.ndarray
+    pi: np.ndarray
+    ni: np.ndarray
+
+    def __iter__(self):
+        return iter((self.pr, self.nr, self.pi, self.ni))
+
+
+@dataclass(frozen=True)
+class BlockMatrix:
+    b11: np.ndarray
+    b12: np.ndarray
+    b21: np.ndarray
+    b22: np.ndarray
+
+    @property
+    def assembled(self) -> np.ndarray:
+        return np.block([[self.b11, self.b12], [self.b21, self.b22]])
+
+
+def split_complex(z) -> SplitQuad:
+    """Elementwise sign/real-imaginary split; merge_quad inverts it."""
+    z = as_complex_matrix(z)
+    return SplitQuad(
+        pr=np.maximum(0.0, z.real),
+        nr=-np.minimum(0.0, z.real),
+        pi=np.maximum(0.0, z.imag),
+        ni=-np.minimum(0.0, z.imag),
+    )
+
+
+def merge_quad(q: SplitQuad) -> np.ndarray:
+    return (q.pr - q.nr) + 1j * (q.pi - q.ni)
+
+
+def assemble_zc(q: SplitQuad) -> BlockMatrix:
+    return BlockMatrix(b11=q.pr, b12=q.nr, b21=q.pi, b22=q.ni)

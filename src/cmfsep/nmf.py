@@ -3,18 +3,26 @@ and its algebra: the problem, the iterate, the stacked Gram terms and
 the objective. The update step (``cmf.nmf_step``), the iterate-and-stop
 loop and the seeded start live in ``cmf``.
 
-The problem is tied: Z has 2T columns and the weights are tied as
+The problem is built from complex data Z (F×T) at complex rank K. Its
+nonnegative form Zc, the 2F×2T block matrix of Z's split, is factored
+as X·H with X 2F×2K and the weights tied as
 H = [[h⁺, h⁻], [h⁻, h⁺]] = [W, ΠW], where W = [h⁺; h⁻] is stored alone
 and Π swaps its two row halves. The Gram terms are stacked to match:
-[Y_L; ΠY_R] from the column halves of Y = XᵀZ, and [G; ΠGΠ] with
+[Y_L; ΠY_R] from the column halves of Y = XᵀZc, and [G; ΠGΠ] with
 G = XᵀX, so one product [G; ΠGΠ]·W covers both column halves of H.
 
-``NmfProblem`` computes ‖Z‖² once and, when the bases are fixed, the
-stacked XᵀZ and XᵀX once; a free step computes them from its new X and
-shares them between the H update and the objective. The objective is
-then the Gram form ``‖Z‖² − 2⟨H, XᵀZ⟩ + ⟨H, XᵀX H⟩``, which costs no
-2F×2T residual; each inner product over H is the sum of two over W, one
-per row block of the stacked term.
+``NmfProblem`` computes ‖Z‖² once, from the complex Z (‖Zc‖² = ‖Z‖²).
+When the bases are free it assembles Zc, which their update reads at
+every step; a free step computes the Gram terms from its new X and
+shares them between the H update and the objective. When the bases are
+fixed, Zc is never formed: the stacked XᵀZc is computed once, a chunk
+of at most ``FRAME_CHUNK`` frames at a time (frames t of a chunk are
+columns t and T + t of Zc), together with the stacked XᵀX. A fixed
+solve then holds Z, the 4K×T numerator and the weights, plus one
+chunk's split at a time. The objective is the Gram form
+``‖Z‖² − 2⟨H, XᵀZc⟩ + ⟨H, XᵀX H⟩``, which costs no 2F×2T residual;
+each inner product over H is the sum of two over W, one per row block
+of the stacked term.
 
 Its quadratic term is taken from the product the next update needs,
 so a step forms one quadratic product fewer. With fixed bases it is
@@ -27,11 +35,12 @@ assignment.
 
 The Gram form subtracts terms of size ‖Z‖², so its absolute rounding
 error is about 1e-16·‖Z‖²; below ``GRAM_GUARD``·‖Z‖² the direct
-residual ‖Z − XH‖² is computed instead, from the assembled H. The
-guard sits at 1e-3, not lower, because a history entry must agree with
-the direct residual to about 1e-12 relative: at 1e-8 the
-planted-recovery histories drifted by up to 6e-8, and a ``tol=1e-14``
-stop rule fired on Gram rounding noise.
+residual ‖Zc − XH‖² is computed instead, summed over the same frame
+chunks, each chunk's Zc and H columns formed from Z and W. The guard
+sits at 1e-3, not lower, because a history entry must agree with the
+direct residual to about 1e-12 relative: at 1e-8 the planted-recovery
+histories drifted by up to 6e-8, and a ``tol=1e-14`` stop rule fired
+on Gram rounding noise.
 """
 
 from dataclasses import dataclass, field
@@ -39,62 +48,93 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import frobenius_norm_sq
+from .linalg import as_complex_matrix, assemble_zc, frobenius_norm_sq, split_complex
 
 __all__ = [
+    "FRAME_CHUNK",
     "NmfProblem",
     "NmfState",
+    "frame_chunks",
     "gram_terms",
     "objective",
 ]
 
 GRAM_GUARD = 1e-3
+# frames per chunk of the sums over the columns of Z: the fixed-basis
+# numerator, the guard residual and the checkpoint error (4 MB of Zc
+# columns at 257 bins)
+FRAME_CHUNK = 512
+
+
+def frame_chunks(frames: int) -> list:
+    """Column slices of at most ``FRAME_CHUNK`` frames covering ``frames``."""
+    return [slice(a, a + FRAME_CHUNK) for a in range(0, frames, FRAME_CHUNK)]
+
+
+def _block_matrix(z) -> np.ndarray:
+    """The 2F×2T nonnegative block matrix of complex ``z``'s split. For
+    the frames ``cols`` of Z, ``_block_matrix(z[:, cols])`` holds the
+    columns ``cols`` and ``T + cols`` of Zc."""
+    return assemble_zc(split_complex(z)).assembled
 
 
 @dataclass
 class NmfProblem:
-    """Nonnegative ``z ~ x @ h`` at ``rank`` with tied weights (see the
-    module docstring); ``z`` has 2T columns and ``rank`` is 2K.
-    ``fixed_x`` holds the bases constant. ``z_norm_sq`` and,
-    with ``fixed_x``, ``xtz`` and ``xtx`` (the stacked numerator and
-    Gram of ``gram_terms``) are derived once at construction."""
+    """The tied problem of complex ``z`` (F×T) at complex rank ``rank``
+    (K); see the module docstring. ``fixed_x`` (complex F×K) holds the
+    bases constant. The problem takes the complex data, not their block
+    matrices, and the complex rank K, not the block rank 2K: it forms the
+    block matrices itself, so that fixed bases need no 2F×2T Zc.
+
+    The inputs are checked here: ``z`` nonempty and finite, ``rank`` at
+    least 1, ``fixed_x`` F×K and finite; ``z`` and ``fixed_x`` are kept
+    as complex128. Derived once at construction: ``z_norm_sq``; with
+    free bases ``zc``, the assembled 2F×2T Zc; with ``fixed_x`` its
+    2F×2K block matrix ``xc`` and ``xtz``, ``xtx`` (the stacked
+    numerator and Gram of ``gram_terms``), with ``zc`` left None.
+    """
 
     z: np.ndarray
     rank: int
     fixed_x: Optional[np.ndarray] = None
     z_norm_sq: float = field(init=False, repr=False)
+    zc: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    xc: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     xtz: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     xtx: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=np.float64)
-        if self.z.ndim != 2:
-            raise ValueError("z must be a 2-D matrix")
-        if np.any(self.z < 0):
-            raise ValueError("z must be entrywise nonnegative")
+        self.z = as_complex_matrix(self.z)
+        if self.z.size == 0:
+            raise ValueError("input matrix is empty")
+        if not np.all(np.isfinite(self.z)):
+            raise ValueError("input matrix contains non-finite entries")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.rank % 2 or self.z.shape[1] % 2:
-            raise ValueError(
-                f"tied weights need an even rank and column count, got rank "
-                f"{self.rank} and {self.z.shape[1]} columns"
-            )
-        if self.fixed_x is not None:
-            self.fixed_x = np.asarray(self.fixed_x, dtype=np.float64)
+        if self.fixed_x is None:
+            self.zc = _block_matrix(self.z)
+        else:
+            self.fixed_x = as_complex_matrix(self.fixed_x)
             if self.fixed_x.shape != (self.z.shape[0], self.rank):
                 raise ValueError(
                     f"fixed_x shape {self.fixed_x.shape} incompatible with "
                     f"z rows {self.z.shape[0]} and rank {self.rank}"
                 )
-            if np.any(self.fixed_x < 0):
-                raise ValueError("fixed_x must be entrywise nonnegative")
-            self.xtz, self.xtx = _gram_terms(self, self.fixed_x)
+            if not np.all(np.isfinite(self.fixed_x)):
+                raise ValueError("fixed_x contains non-finite entries")
+            self.xc = _block_matrix(self.fixed_x)
+            frames = self.z.shape[1]
+            self.xtz = np.empty((4 * self.rank, frames))
+            for cols in frame_chunks(frames):
+                self.xtz[:, cols] = _stacked_xtz(self.xc, _block_matrix(self.z[:, cols]))
+            self.xtx = _stacked_xtx(self.xc)
         self.z_norm_sq = frobenius_norm_sq(self.z)
 
 
 class NmfState:
-    """The iterate ``x``, ``h`` and its objective history; ``h`` holds
-    the stored-once weights W = [h⁺; h⁻].
+    """The iterate ``x``, ``h`` and its objective history; ``x`` holds
+    the 2F×2K block bases and ``h`` the stored-once weights
+    W = [h⁺; h⁻].
 
     ``carried`` is the quadratic product the last objective computed
     from the current ``h`` for the next update: the stacked XᵀX·H when
@@ -131,13 +171,19 @@ def _swap_both(a: np.ndarray) -> np.ndarray:
     return _swap(_swap(a).T).T
 
 
-def _gram_terms(problem: NmfProblem, x: np.ndarray):
-    xtz, xtx = x.T @ problem.z, x.T @ x
-    half, cols = problem.rank // 2, xtz.shape[1] // 2
+def _stacked_xtz(x: np.ndarray, zc: np.ndarray) -> np.ndarray:
+    """[Y_L; ΠY_R] of Y = xᵀ·zc, for block columns ``zc`` (2F×2c)."""
+    y = x.T @ zc
+    half, cols = x.shape[1] // 2, zc.shape[1] // 2
     # [Y_L; ΠY_R] from one product: two half products into its rows
     # measured slower per free step
-    xtz = np.concatenate((xtz[:, :cols], xtz[half:, cols:], xtz[:half, cols:]))
-    return xtz, np.concatenate((xtx, _swap_both(xtx)))
+    return np.concatenate((y[:, :cols], y[half:, cols:], y[:half, cols:]))
+
+
+def _stacked_xtx(x: np.ndarray) -> np.ndarray:
+    """[G; ΠGΠ] of G = xᵀx."""
+    xtx = x.T @ x
+    return np.concatenate((xtx, _swap_both(xtx)))
 
 
 def gram_terms(problem: NmfProblem, x: np.ndarray):
@@ -146,7 +192,7 @@ def gram_terms(problem: NmfProblem, x: np.ndarray):
     fixed."""
     if problem.fixed_x is not None:
         return problem.xtz, problem.xtx
-    return _gram_terms(problem, x)
+    return _stacked_xtz(x, problem.zc), _stacked_xtx(x)
 
 
 def _weight_gram(h: np.ndarray) -> np.ndarray:
@@ -162,8 +208,19 @@ def _stacked_vdot(h: np.ndarray, stacked: np.ndarray) -> float:
     return np.vdot(h, stacked[: len(h)]) + np.vdot(h, stacked[len(h) :])
 
 
+def _direct_residual(problem: NmfProblem, x: np.ndarray, w: np.ndarray) -> float:
+    """‖Zc − X·[W, ΠW]‖², summed over frame chunks: each chunk's Zc and
+    H columns are formed from Z and W, and freed before the next."""
+    total = 0.0
+    for cols in frame_chunks(problem.z.shape[1]):
+        wc = w[:, cols]
+        h = np.concatenate((wc, _swap(wc)), axis=1)  # H = [W, ΠW]
+        total += frobenius_norm_sq(_block_matrix(problem.z[:, cols]) - x @ h)
+    return total
+
+
 def objective(problem: NmfProblem, state: NmfState, xtz, xtx) -> float:
-    """‖Z − XH‖² of ``state`` from its Gram terms ``xtz``, ``xtx``; the
+    """‖Zc − XH‖² of ``state`` from its Gram terms ``xtz``, ``xtx``; the
     direct residual below ``GRAM_GUARD``·‖Z‖², where the Gram form
     cancels. The quadratic term is ⟨H, XᵀX·H⟩ with fixed bases and
     ⟨XᵀX, H·Hᵀ⟩ with free ones, from the product the next update needs,
@@ -174,9 +231,8 @@ def objective(problem: NmfProblem, state: NmfState, xtz, xtx) -> float:
         quad = _stacked_vdot(h, state.carried)
     else:
         state.carried = _weight_gram(h)
-        quad = np.vdot(xtx[: problem.rank], state.carried)
+        quad = np.vdot(xtx[: 2 * problem.rank], state.carried)
     gram = problem.z_norm_sq - 2.0 * _stacked_vdot(h, xtz) + quad
     if gram < GRAM_GUARD * problem.z_norm_sq:
-        h = np.concatenate((h, _swap(h)), axis=1)  # H = [W, ΠW]
-        return frobenius_norm_sq(problem.z - state.x @ h)
+        return _direct_residual(problem, state.x, h)
     return float(gram)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cmf import EPSILON, cmf_factorize
 from .config import SepConfig
-from .linalg import as_complex_matrix
+from .linalg import as_complex_matrix, as_real
 from .stft import Signal, StftConfig, overlap_add, stft, synthesis_frames
 
 # not called here: bench/spans.py times calls under these two names
@@ -105,6 +105,8 @@ def estimate_weights(
         for b in (bases_i, bases_j)
     ]
     hp0, hm0 = np.maximum(np.concatenate(draws, axis=1), EPSILON)
+    # the views keep all of the draws alive, four times what the solve uses
+    del draws
     result = cmf_factorize(mix_spec, rank, cfg, fixed_x=x_fixed, h_init=(hp0, hm0))
     return result.h
 
@@ -141,7 +143,7 @@ def reconstruct(x, h, cfg: SepConfig) -> Signal:
     windowed inverse transform of basis column k.
     """
     x = as_complex_matrix(x)
-    h = np.asarray(h, dtype=np.float64)
+    h = as_real(h)
     if h.ndim != 2 or x.shape[1] != h.shape[0]:
         raise ValueError(
             f"bases {x.shape} and weights {h.shape} do not match: expected "

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import as_real
+
 __all__ = [
     "StftConfig",
     "Signal",
@@ -53,7 +55,7 @@ class Signal:
     sample_rate: int
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64).ravel()
+        self.samples = as_real(self.samples).ravel()
         if self.samples.size == 0:
             raise ValueError("signal must be non-empty")
         if not np.all(np.isfinite(self.samples)):

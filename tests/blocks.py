@@ -1,10 +1,24 @@
-"""The weight block matrix and the four explicit part-products of the
-factorization, which the solver never forms; tests check the reduction's
-block algebra against them."""
+"""The weight block matrix, the four explicit part-products of the
+factorization and the assembled block matrix Zc with its stacked
+numerator, which the solver never forms (Zc not when its bases are
+fixed); tests check the reduction's block algebra against them."""
 
 import numpy as np
 
-from cmfsep.cmf import BlockMatrix, SplitQuad
+from cmfsep.cmf import BlockMatrix, SplitQuad, assemble_zc, split_complex
+
+
+def assembled_zc(z) -> np.ndarray:
+    """Zc, the 2F×2T block matrix of complex ``z``, assembled whole."""
+    return assemble_zc(split_complex(z)).assembled
+
+
+def stacked_numerator(xc: np.ndarray, zc: np.ndarray) -> np.ndarray:
+    """[Y_L; ΠY_R] of Y = xcᵀ·zc, from the whole of ``zc``: the left
+    column half of Y, then the right one with its row halves swapped."""
+    y = xc.T @ zc
+    half, cols = xc.shape[1] // 2, zc.shape[1] // 2
+    return np.concatenate((y[:, :cols], y[half:, cols:], y[:half, cols:]))
 
 
 def assemble_hc(h_plus: np.ndarray, h_minus: np.ndarray) -> BlockMatrix:

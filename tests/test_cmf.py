@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from cmfsep.cmf import (
 )
 from cmfsep.config import SepConfig
 from cmfsep.linalg import frobenius_norm_sq
+from cmfsep.nmf import FRAME_CHUNK
 
 
 def random_complex(rng, shape):
@@ -287,6 +290,15 @@ class TestCmfFactorize:
         with pytest.raises(ValueError, match="nonnegative"):
             cmf_factorize(z, 1, h_init=(-np.ones((1, 3)), np.ones((1, 3))))
 
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_h_init_rejects_complex(self, half):
+        # a float64 cast would run on the real parts alone
+        z = random_complex(np.random.default_rng(5), (4, 3))
+        h_init = [np.ones((2, 3)), np.ones((2, 3))]
+        h_init[half] = h_init[half] + 0.5j
+        with pytest.raises(ValueError, match="imaginary"):
+            cmf_factorize(z, 2, h_init=tuple(h_init))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("half", [0, 1])
     def test_h_init_rejects_non_finite(self, bad, half):
@@ -371,12 +383,39 @@ class TestCmfFactorize:
         assert shapes == [(4, 5)] * 3
         assert res.h.shape == (2, 5)
 
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_checkpoints_cover_every_frame_chunk(self, fixed):
+        # checkpoints sum the complex error chunk by chunk
+        rng = np.random.default_rng(31)
+        z = random_complex(rng, (4, 2 * FRAME_CHUNK + 3))
+        kwargs = {"fixed_x": random_complex(rng, (4, 2))} if fixed else {}
+        res = cmf_factorize(z, 2, SepConfig(rank=2, iters=6, tol=0.0), checkpoint_every=3, **kwargs)
+        assert [c[0] for c in res.checkpoints] == [3, 6]
+        assert res.final_error == pytest.approx(frobenius_norm_sq(z - res.x @ res.h), rel=1e-12)
+
     def test_final_checkpoint_always_present(self):
         rng = np.random.default_rng(28)
         z = random_complex(rng, (6, 5))
         res = cmf_factorize(z, 2, SepConfig(rank=2, iters=17, tol=0.0))
         assert res.checkpoints[-1][0] == 17
         assert res.checkpoints[-1][2] == res.final_error
+
+
+class TestFixedSolveMemory:
+    def test_holds_no_block_matrix(self):
+        # Zc alone is twice z.nbytes; a fixed solve forms only a frame
+        # chunk of it at a time, and no complex F×T residual
+        rng = np.random.default_rng(30)
+        z = random_complex(rng, (257, 4100))
+        x = random_complex(rng, (257, 4))
+        cfg = SepConfig(rank=4, iters=3, tol=0.0)
+        tracemalloc.start()
+        try:
+            cmf_factorize(z, 4, cfg, fixed_x=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < z.nbytes
 
 
 class TestTracedCallPath:

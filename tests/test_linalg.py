@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfsep.linalg import as_complex_matrix, complex_matmul_real, frobenius_norm_sq
+from cmfsep.linalg import as_complex_matrix, as_real, complex_matmul_real, frobenius_norm_sq
 
 
 class TestFrobeniusNormSq:
@@ -55,6 +55,10 @@ class TestComplexMatmulReal:
         with pytest.raises(ValueError, match="2-D"):
             complex_matmul_real(np.ones((2, 2), dtype=complex), [1.0, 2.0])
 
+    def test_rejects_complex_weights(self):
+        with pytest.raises(ValueError, match="imaginary"):
+            complex_matmul_real(np.ones((2, 2), dtype=complex), [[1.0, 2j], [0.0, 1.0]])
+
     def test_rejects_empty_weights(self):
         with pytest.raises(ValueError, match="at least 1x1"):
             complex_matmul_real(np.ones((2, 0), dtype=complex), np.zeros((0, 3)))
@@ -64,3 +68,22 @@ class TestConversions:
     def test_as_complex_rejects_3d(self):
         with pytest.raises(ValueError, match="2-D"):
             as_complex_matrix(np.zeros((2, 2, 2)))
+
+
+class TestAsReal:
+    def test_casts_real_input(self):
+        got = as_real([[1, 2], [3, 4]])
+        assert got.dtype == np.float64 and np.array_equal(got, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_float64_input_is_not_copied(self):
+        a = np.ones((2, 3))
+        assert as_real(a) is a
+
+    def test_accepts_zero_imaginary_parts(self):
+        got = as_real(np.array([1 + 0j, -2 + 0j]))
+        assert got.dtype == np.float64 and np.array_equal(got, [1.0, -2.0])
+
+    @pytest.mark.parametrize("bad", [2j, -1e-300j, complex(0, np.nan)])
+    def test_rejects_nonzero_imaginary_part(self, bad):
+        with pytest.raises(ValueError, match="imaginary"):
+            as_real(np.array([1.0, 3.0 + bad]))

@@ -206,6 +206,12 @@ class TestReconstruct:
         with pytest.raises(ValueError, match=re.escape("(257, 3)") + ".*" + re.escape("(3,)")):
             reconstruct(x, np.ones(3), SepConfig())
 
+    def test_rejects_complex_weights(self):
+        h = np.ones((2, 5), dtype=complex)
+        h[1, 3] = 1 + 1e-3j
+        with pytest.raises(ValueError, match="imaginary"):
+            reconstruct(np.ones((257, 2), dtype=complex), h, SepConfig())
+
     def test_rejects_wrong_row_count(self):
         with pytest.raises(ValueError, match="expected 257"):
             reconstruct(np.ones((100, 2), dtype=complex), np.ones((2, 5)), SepConfig())

@@ -100,6 +100,16 @@ class TestSignal:
         with pytest.raises(ValueError, match="non-finite"):
             Signal(np.array([0.0, bad, 0.5]), 16000)
 
+    def test_rejects_complex_samples(self):
+        # a float64 cast would keep [1, 3] and drop the imaginary part
+        with pytest.raises(ValueError, match="imaginary"):
+            Signal(np.array([1 + 2j, 3]), 16000)
+
+    def test_accepts_complex_samples_with_zero_imaginary_part(self):
+        s = Signal(np.array([1 + 0j, 3]), 16000)
+        assert s.samples.dtype == np.float64
+        assert np.array_equal(s.samples, [1.0, 3.0])
+
     @pytest.mark.parametrize("rate", [0, -3])
     def test_rejects_sample_rate_below_one(self, rate):
         with pytest.raises(ValueError, match="sample rate"):
