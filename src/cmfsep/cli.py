@@ -127,9 +127,14 @@ def _cmd_train(args) -> int:
 def _cmd_separate(args) -> int:
     bases_a = load_bases(args.bases_a)
     bases_b = load_bases(args.bases_b)
-    mix = _load_signal(args.mix, bases_a.stft_cfg.sample_rate)
-    cfg = SepConfig(iters=args.iters, seed=args.seed)
-    est_a, est_b = separate(mix, bases_a, bases_b, cfg)
+    # the mixture is not bound here, so separate() frees it once its
+    # STFT is taken, before the solve
+    est_a, est_b = separate(
+        _load_signal(args.mix, bases_a.stft_cfg.sample_rate),
+        bases_a,
+        bases_b,
+        SepConfig(iters=args.iters, seed=args.seed),
+    )
     os.makedirs(args.out_dir, exist_ok=True)
     for name, est in (("est_a.wav", est_a), ("est_b.wav", est_b)):
         out = os.path.join(args.out_dir, name)

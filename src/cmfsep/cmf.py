@@ -31,7 +31,7 @@ its buffer. The X update needs Zc·Hᵀ = Zc_L·Wᵀ + Zc_R·(ΠW)ᵀ and
 H·Hᵀ = W·Wᵀ + Π·W·Wᵀ·Π, so H is never formed.
 
 The complex-domain error ‖Z − Xh‖² of a checkpoint is summed over the
-frame chunks of ``nmf.frame_chunks``, so no complex F×T residual is
+frame chunks of ``linalg.frame_chunks``, so no complex F×T residual is
 formed.
 
 After each step's X update, and after its H update, factor entries
@@ -53,6 +53,7 @@ from .linalg import (
     SplitQuad,
     as_real,
     assemble_zc,
+    frame_chunks,
     frobenius_norm_sq,
     merge_quad,
     split_complex,
@@ -62,7 +63,6 @@ from .nmf import (
     NmfState,
     _swap,
     _weight_gram,
-    frame_chunks,
     gram_terms,
     objective,
 )
@@ -177,9 +177,11 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
 def _start(problem: NmfProblem, seed: int, h_init=None) -> NmfState:
     """The seeded start of a solve of ``problem``, from one generator:
     the bases first, a copy of the fixed block bases ``problem.xc`` or
-    uniform draws in (EPSILON, 1]; then the 2K×2T weight block matrix,
-    the next draws or built from the halves ``h_init``. It is tied once,
-    and its left column block is kept as W = [h⁺; h⁻]."""
+    uniform draws in (EPSILON, 1]; then the weights W = [h⁺; h⁻]. Drawn
+    weights fill a 2K×2T block matrix, which is tied once and whose left
+    column block is kept. Given halves ``h_init`` are stacked as they
+    are: tying [[h⁺, h⁻], [h⁻, h⁺]] gives them back exactly, so it is
+    skipped."""
     rng = np.random.default_rng(seed)
     rank, (rows, cols) = problem.rank, problem.z.shape
     if problem.fixed_x is not None:
@@ -188,6 +190,7 @@ def _start(problem: NmfProblem, seed: int, h_init=None) -> NmfState:
         x = np.maximum(rng.random((2 * rows, 2 * rank)), EPSILON)
     if h_init is None:
         hc = np.maximum(rng.random((2 * rank, 2 * cols)), EPSILON)
+        w = _make_coupling(rank, cols)(hc)[:, :cols].copy()
     else:
         hp0, hm0 = (as_real(a) for a in h_init)
         if hp0.shape != (rank, cols) or hm0.shape != (rank, cols):
@@ -196,8 +199,8 @@ def _start(problem: NmfProblem, seed: int, h_init=None) -> NmfState:
             raise ValueError("h_init contains non-finite entries")
         if np.any(hp0 < 0) or np.any(hm0 < 0):
             raise ValueError("h_init must be nonnegative")
-        hc = np.block([[hp0, hm0], [hm0, hp0]])
-    return NmfState(x=x, h=_make_coupling(rank, cols)(hc)[:, :cols].copy())
+        w = np.concatenate((hp0, hm0))
+    return NmfState(x=x, h=w)
 
 
 def _reassemble(xc: np.ndarray, w: np.ndarray, rows: int, rank: int):

@@ -30,7 +30,8 @@ def read_wav(path) -> WavFile:
         )
     if data.dtype == np.int16:
         bit_depth = "pcm16"
-        samples = data.astype(np.float64) / _PCM16_SCALE
+        samples = data.astype(np.float64)
+        samples /= _PCM16_SCALE
     elif data.dtype == np.float32:
         bit_depth = "float32"
         samples = data.astype(np.float64)
@@ -58,8 +59,11 @@ def write_wav(path, signal: Signal, bit_depth: str = "pcm16") -> None:
         log.warning("%s: clipped %d samples to [-1, 1]", path, clipped)
         x = np.clip(x, -1.0, 1.0)
     if bit_depth == "pcm16":
-        pcm = np.clip(np.round(x * _PCM16_SCALE), -32768, 32767).astype(np.int16)
-        wavfile.write(path, signal.sample_rate, pcm)
+        # one scaled buffer, rounded and clipped in place
+        scaled = x * _PCM16_SCALE
+        np.round(scaled, out=scaled)
+        np.clip(scaled, -32768, 32767, out=scaled)
+        wavfile.write(path, signal.sample_rate, scaled.astype(np.int16))
     elif bit_depth == "float32":
         wavfile.write(path, signal.sample_rate, x.astype(np.float32))
     else:

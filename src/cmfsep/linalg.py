@@ -1,4 +1,5 @@
-"""Dense matrix helpers shared by the factorization modules, and the
+"""Dense matrix helpers shared by the factorization modules, the frame
+chunks that bound every pass over the columns of a spectrogram, and the
 split of a complex matrix into the nonnegative blocks of the reduction.
 
 Matrices are plain 2-D numpy arrays: float64 for real matrices,
@@ -10,6 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "FRAME_CHUNK",
+    "frame_chunks",
     "as_complex_matrix",
     "as_real",
     "frobenius_norm_sq",
@@ -20,6 +23,20 @@ __all__ = [
     "merge_quad",
     "assemble_zc",
 ]
+
+# frames per chunk of every pass over the columns of a spectrogram: the
+# STFT and its inverse, synthesis, and the solver's sums over Z (the
+# fixed-basis numerator, the guard residual and the checkpoint error);
+# 4 MB of Zc columns at 257 bins. A constant, not a setting.
+FRAME_CHUNK = 512
+
+
+def frame_chunks(frames: int) -> list:
+    """Column slices of at most ``FRAME_CHUNK`` frames covering ``frames``,
+    in order; the last one stops at ``frames``."""
+    return [
+        slice(a, min(a + FRAME_CHUNK, frames)) for a in range(0, frames, FRAME_CHUNK)
+    ]
 
 
 def as_complex_matrix(a) -> np.ndarray:

@@ -48,7 +48,14 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import as_complex_matrix, assemble_zc, frobenius_norm_sq, split_complex
+from .linalg import (
+    FRAME_CHUNK,
+    as_complex_matrix,
+    assemble_zc,
+    frame_chunks,
+    frobenius_norm_sq,
+    split_complex,
+)
 
 __all__ = [
     "FRAME_CHUNK",
@@ -60,15 +67,6 @@ __all__ = [
 ]
 
 GRAM_GUARD = 1e-3
-# frames per chunk of the sums over the columns of Z: the fixed-basis
-# numerator, the guard residual and the checkpoint error (4 MB of Zc
-# columns at 257 bins)
-FRAME_CHUNK = 512
-
-
-def frame_chunks(frames: int) -> list:
-    """Column slices of at most ``FRAME_CHUNK`` frames covering ``frames``."""
-    return [slice(a, a + FRAME_CHUNK) for a in range(0, frames, FRAME_CHUNK)]
 
 
 def _block_matrix(z) -> np.ndarray:

@@ -7,13 +7,21 @@ interior. Neither is a setting: the window is fixed, and the hop is
 derived as frame_len/2. Spectrograms are one-sided: frame_len/2 + 1
 frequency rows, one column per frame. Only complete frames are
 analyzed; signals are never zero-padded.
+
+Analysis and synthesis walk the frames in chunks of
+``linalg.FRAME_CHUNK`` (512), the chunks the solver sums over. ``stft``
+writes each chunk's spectrum into its columns of the output, and the
+inverse transform overlap-adds each chunk's frames into the output
+signal, so besides its input and its output each holds one chunk of
+frames and spectra (about 2 MB each at 512 samples per frame), never a
+full-length temporary.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_real
+from .linalg import as_real, frame_chunks
 
 __all__ = [
     "StftConfig",
@@ -23,6 +31,7 @@ __all__ = [
     "istft",
     "synthesis_frames",
     "overlap_add",
+    "overlap_add_chunks",
     "sqrt_hann_window",
 ]
 
@@ -87,7 +96,9 @@ def dft(frame, inverse: bool = False) -> np.ndarray:
 
 
 def stft(signal: Signal, cfg: StftConfig) -> np.ndarray:
-    """One-sided spectrogram: freq_bins x frame_count, complex128."""
+    """One-sided spectrogram: freq_bins x frame_count, complex128,
+    C-contiguous. Each chunk of frames is windowed and transformed on
+    its own, and its spectrum is copied into its columns of the output."""
     x = signal.samples
     n = cfg.frame_len
     if x.size < n:
@@ -95,7 +106,21 @@ def stft(signal: Signal, cfg: StftConfig) -> np.ndarray:
             f"signal of {x.size} samples is shorter than one frame ({n})"
         )
     frames = np.lib.stride_tricks.sliding_window_view(x, n)[:: cfg.hop]
-    return np.ascontiguousarray(np.fft.rfft(frames * sqrt_hann_window(n)).T)
+    window = sqrt_hann_window(n)
+    spec = np.empty((cfg.freq_bins, len(frames)), dtype=np.complex128)
+    for cols in frame_chunks(len(frames)):
+        spec[:, cols] = np.fft.rfft(frames[cols] * window).T
+    return spec
+
+
+def _checked_spectrogram(spec, cfg: StftConfig) -> np.ndarray:
+    spec = np.asarray(spec, dtype=np.complex128)
+    if spec.ndim != 2 or spec.shape[0] != cfg.freq_bins:
+        raise ValueError(
+            f"spectrogram has {spec.shape[0] if spec.ndim == 2 else '?'} rows, "
+            f"expected {cfg.freq_bins} for frame_len {cfg.frame_len}"
+        )
+    return spec
 
 
 def synthesis_frames(spec, cfg: StftConfig) -> np.ndarray:
@@ -105,36 +130,51 @@ def synthesis_frames(spec, cfg: StftConfig) -> np.ndarray:
     FFT of that one-sided spectrum (imaginary parts of the DC and
     Nyquist rows are dropped) times the synthesis window.
     """
-    spec = np.asarray(spec, dtype=np.complex128)
-    if spec.ndim != 2 or spec.shape[0] != cfg.freq_bins:
-        raise ValueError(
-            f"spectrogram has {spec.shape[0] if spec.ndim == 2 else '?'} rows, "
-            f"expected {cfg.freq_bins} for frame_len {cfg.frame_len}"
-        )
-    frames = np.fft.irfft(spec.T, cfg.frame_len)
+    spec = _checked_spectrogram(spec, cfg)
+    # the inverse transform of contiguous rows is about a third faster
+    # than that of the strided view (10 vs 14 ms over 7,500 frames), and
+    # when ``istft`` calls, the copy is one frame chunk
+    frames = np.fft.irfft(np.ascontiguousarray(spec.T), cfg.frame_len)
     frames *= sqrt_hann_window(cfg.frame_len)
     return frames
+
+
+def overlap_add_chunks(frame_count: int, chunk_frames, cfg: StftConfig) -> Signal:
+    """Sum ``frame_count`` frames placed hop samples apart into one
+    signal, taking them a frame chunk at a time.
+
+    ``chunk_frames(cols)`` returns the rows of the frames in the slice
+    ``cols`` of ``linalg.frame_chunks``, in any memory layout; only one
+    chunk's rows need exist at a time. Since hop = frame_len/2, frame t's
+    first half lands on hop block t and its second half on block t + 1;
+    the halves are added into a (frame_count + 1) x hop view of the output.
+    """
+    hop = cfg.hop
+    out = np.zeros((frame_count + 1, hop))
+    for cols in frame_chunks(frame_count):
+        frames = chunk_frames(cols)
+        out[cols] += frames[:, :hop]
+        out[cols.start + 1 : cols.stop + 1] += frames[:, hop:]
+    return Signal(out.reshape(-1), cfg.sample_rate)
 
 
 def overlap_add(frames: np.ndarray, cfg: StftConfig) -> Signal:
     """Sum frames placed hop samples apart into one signal.
 
-    ``frames`` has one row per frame, in any memory layout. Since
-    hop = frame_len/2, frame t's first half lands on hop block t and its
-    second half on block t + 1; the halves are added into a
-    (frames + 1) x hop view of the output.
+    ``frames`` has one row per frame, in any memory layout (see
+    :func:`overlap_add_chunks`).
     """
-    hop = cfg.hop
-    out = np.zeros((frames.shape[0] + 1, hop))
-    out[:-1] += frames[:, :hop]
-    out[1:] += frames[:, hop:]
-    return Signal(out.reshape(-1), cfg.sample_rate)
+    return overlap_add_chunks(frames.shape[0], lambda cols: frames[cols], cfg)
 
 
 def istft(spec: np.ndarray, cfg: StftConfig) -> Signal:
-    """Windowed overlap-add synthesis inverting :func:`stft`.
+    """Windowed overlap-add synthesis inverting :func:`stft`, one frame
+    chunk of inverse transforms at a time.
 
     With the sqrt-Hann window at 50% overlap the squared windows sum to
     one, so interior samples are reconstructed exactly.
     """
-    return overlap_add(synthesis_frames(spec, cfg), cfg)
+    spec = _checked_spectrogram(spec, cfg)
+    return overlap_add_chunks(
+        spec.shape[1], lambda cols: synthesis_frames(spec[:, cols], cfg), cfg
+    )

@@ -417,6 +417,24 @@ class TestFixedSolveMemory:
             tracemalloc.stop()
         assert peak < z.nbytes
 
+    def test_given_start_holds_no_block_matrix(self):
+        # given halves are stacked into W = [h+; h-] directly, not through
+        # the 2K x 2T block matrix that a drawn start ties
+        rng = np.random.default_rng(32)
+        rank, cols = 80, 4100
+        problem = nmf_mod.NmfProblem(
+            z=random_complex(rng, (257, cols)), rank=rank, fixed_x=random_complex(rng, (257, rank))
+        )
+        h_init = (rng.random((rank, cols)), rng.random((rank, cols)))
+        tracemalloc.start()
+        try:
+            state = cmf_mod._start(problem, 0, h_init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(state.h, np.concatenate(h_init))
+        assert peak < 2 * state.h.nbytes
+
 
 class TestTracedCallPath:
     """The benchmark's per-layer trace wraps these module-level names, so
@@ -446,8 +464,10 @@ class TestTracedCallPath:
         if mode == "fixed_h_init":
             kwargs["h_init"] = (rng.random((2, 5)), rng.random((2, 5)))
         cmf_factorize(z, 2, SepConfig(rank=2, iters=7, tol=0.0), **kwargs)
-        # the initial tie, then one per iteration
-        assert counts["symmetrize_h"] == 8
+        # a drawn start is tied once, then every iteration ties its
+        # update ratio; given halves are stacked untied, since tying
+        # them would give them back unchanged
+        assert counts["symmetrize_h"] == (7 if mode == "fixed_h_init" else 8)
         assert counts["nmf_step"] == 7
         assert counts["frobenius_norm_sq"] >= 1
 

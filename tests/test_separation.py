@@ -1,11 +1,12 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cmfsep.config import SepConfig
-from cmfsep.linalg import complex_matmul_real
+from cmfsep.linalg import FRAME_CHUNK, complex_matmul_real
 from cmfsep.separation import (
     BasisSet,
     estimate_weights,
@@ -195,6 +196,33 @@ class TestReconstruct:
         assert got.sample_rate == cfg.stft_cfg.sample_rate
         assert got.samples.shape == want.shape
         assert np.max(np.abs(got.samples - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "frames", [1, FRAME_CHUNK - 1, FRAME_CHUNK, FRAME_CHUNK + 1, 2 * FRAME_CHUNK + 1]
+    )
+    def test_chunk_edges_match_spectrogram_path(self, frames):
+        rng = np.random.default_rng(frames)
+        cfg = SepConfig(rank=6)
+        x = rng.standard_normal((257, 6)) + 1j * rng.standard_normal((257, 6))
+        h = rng.random((6, frames))
+        want = spectrogram_path(x, h, cfg)
+        got = reconstruct(x, h, cfg).samples
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_peak_memory_is_bounded_by_the_output(self):
+        # one chunk of frames at a time, not the frame_len x frames product
+        rng = np.random.default_rng(3)
+        cfg = SepConfig(rank=40)
+        x = rng.standard_normal((257, 40)) + 1j * rng.standard_normal((257, 40))
+        h = rng.random((40, 4100))
+        tracemalloc.start()
+        try:
+            out = reconstruct(x, h, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.samples.nbytes
 
     def test_shape_mismatch_names_both_shapes(self):
         x = np.ones((257, 3), dtype=complex)

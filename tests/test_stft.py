@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmfsep.linalg import FRAME_CHUNK
 from cmfsep.stft import Signal, StftConfig, dft, istft, sqrt_hann_window, stft
+
+CHUNK_EDGES = [1, FRAME_CHUNK - 1, FRAME_CHUNK, FRAME_CHUNK + 1, 2 * FRAME_CHUNK + 1]
 
 
 def naive_dft(x, inverse=False):
@@ -34,6 +39,38 @@ def loop_istft(spec, cfg):
         full = np.concatenate([spec[:, t], np.conj(spec[-2:0:-1, t])])
         out[t * hop : t * hop + n] += naive_dft(full, inverse=True).real * win
     return out
+
+
+def unchunked_stft(x, cfg):
+    """Every frame windowed and transformed in one call."""
+    n = cfg.frame_len
+    frames = np.lib.stride_tricks.sliding_window_view(x, n)[:: cfg.hop]
+    return np.ascontiguousarray(np.fft.rfft(frames * sqrt_hann_window(n)).T)
+
+
+def unchunked_istft(spec, cfg):
+    """Every frame inverted in one call, then both halves added at once."""
+    frames = np.fft.irfft(spec.T, cfg.frame_len)
+    frames *= sqrt_hann_window(cfg.frame_len)
+    out = np.zeros((spec.shape[1] + 1, cfg.hop))
+    out[:-1] += frames[:, : cfg.hop]
+    out[1:] += frames[:, cfg.hop :]
+    return out.reshape(-1)
+
+
+def signal_of_frames(rng, frames, cfg):
+    # a partial hop at the tail, which analysis drops
+    return rng.standard_normal((frames - 1) * cfg.hop + cfg.frame_len + cfg.hop // 2)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 class TestDft:
@@ -192,6 +229,50 @@ class TestIstft:
     def test_rejects_wrong_row_count(self):
         with pytest.raises(ValueError, match="expected 257"):
             istft(np.zeros((100, 4), dtype=complex), StftConfig())
+
+
+class TestFrameChunks:
+    """Analysis and synthesis run a frame chunk at a time; a chunk edge
+    must not change a bit of the result."""
+
+    @pytest.mark.parametrize("frames", CHUNK_EDGES)
+    def test_stft_matches_unchunked(self, frames):
+        cfg = StftConfig()
+        x = signal_of_frames(np.random.default_rng(frames), frames, cfg)
+        got = stft(Signal(x, 16000), cfg)
+        assert got.shape == (cfg.freq_bins, frames)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, unchunked_stft(x, cfg))
+
+    @pytest.mark.parametrize("frames", CHUNK_EDGES)
+    def test_istft_matches_unchunked(self, frames):
+        rng = np.random.default_rng(frames)
+        cfg = StftConfig()
+        spec = rng.standard_normal((cfg.freq_bins, frames)) + 1j * rng.standard_normal(
+            (cfg.freq_bins, frames)
+        )
+        assert np.array_equal(istft(spec, cfg).samples, unchunked_istft(spec, cfg))
+
+
+class TestBoundedMemory:
+    """Besides its input and output, a transform holds one frame chunk's
+    temporaries, not full-length ones (traced peak at ~4100 frames)."""
+
+    FRAMES = 4100
+
+    def test_stft_peak(self):
+        cfg = StftConfig()
+        signal = Signal(signal_of_frames(np.random.default_rng(0), self.FRAMES, cfg), 16000)
+        spec, peak = traced_peak(stft, signal, cfg)
+        assert peak < 1.5 * spec.nbytes
+
+    def test_istft_peak(self):
+        rng = np.random.default_rng(1)
+        cfg = StftConfig()
+        shape = (cfg.freq_bins, self.FRAMES)
+        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out, peak = traced_peak(istft, spec, cfg)
+        assert peak < 2 * out.samples.nbytes
 
 
 class TestWindowProperties:

@@ -56,6 +56,29 @@ class TestWav:
         back = read_wav(p)
         assert np.max(np.abs(back.samples.samples - x)) <= 1 / 32768
 
+    @pytest.mark.parametrize("bit_depth", ["pcm16", "float32"])
+    def test_bytes_match_the_plain_formula(self, tmp_path, bit_depth):
+        # scaling, rounding and clipping in place must not change a byte:
+        # samples past full scale, and pcm16 ties half a step apart
+        rng = np.random.default_rng(2)
+        ties = np.array([-32768.5, -32767.5, -2.5, -0.5, 0.5, 1.5, 32766.5, 32767.5]) / 32768
+        edges = np.array([-1.0, 1.0, 0.0, 32767 / 32768, -1.5, 1.5])
+        x = np.concatenate([rng.uniform(-1.2, 1.2, 4000), ties, edges])
+        got, want = tmp_path / "got.wav", tmp_path / "want.wav"
+        write_wav(got, Signal(x, 16000), bit_depth)
+        clipped = np.clip(x, -1.0, 1.0)
+        if bit_depth == "pcm16":
+            data = np.clip(np.round(clipped * 32768.0), -32768, 32767).astype(np.int16)
+            samples = data.astype(np.float64) / 32768.0
+        else:
+            data = clipped.astype(np.float32)
+            samples = data.astype(np.float64)
+        wavfile.write(want, 16000, data)
+        assert got.read_bytes() == want.read_bytes()
+        back = read_wav(got)
+        assert back.bit_depth == bit_depth
+        assert np.array_equal(back.samples.samples, samples)
+
     def test_rejects_multichannel(self, tmp_path):
         p = tmp_path / "st.wav"
         wavfile.write(p, 16000, np.zeros((100, 2), dtype=np.int16))
