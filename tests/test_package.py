@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +19,46 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+def _run_fresh(code: str, cwd) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this cmfsep."""
+    src = str(Path(cmfsep.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestRuntimeFootprint:
+    """scipy is a test dependency only: no cmfsep module imports it."""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        code = (
+            "import sys, cmfsep, cmfsep.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        r = _run_fresh(code, tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
+
+    def test_cli_round_trip_without_scipy(self, tmp_path):
+        # a None entry makes every `import scipy...` raise ImportError
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from cmfsep.cli import cli_main\n"
+            "from cmfsep.io_wav import write_wav\n"
+            "from cmfsep.stft import Signal\n"
+            "t = np.arange(8000) / 16000\n"
+            "write_wav('x.wav', Signal(0.5 * np.sin(2 * np.pi * 440 * t), 16000))\n"
+            "assert cli_main(['factorize', '--in', 'x.wav', '--rank', '2',"
+            " '--iters', '5', '--seed', '0']) == 0\n"
+            "assert cli_main(['eval', '--ref', 'x.wav', '--est', 'x.wav']) == 0\n"
+        )
+        r = _run_fresh(code, tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert '"snr_db"' in r.stdout

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from cmfsep.bases_file import BasesFileError, load_bases, save_bases
+from cmfsep.cli import EXIT_DATA, cli_main
 from cmfsep.io_wav import read_wav, write_wav
 from cmfsep.separation import BasisSet
 from cmfsep.stft import Signal, StftConfig
@@ -131,6 +132,206 @@ class TestWav:
     def test_rejects_unknown_bit_depth(self, tmp_path):
         with pytest.raises(ValueError, match="bit depth"):
             write_wav(tmp_path / "x.wav", Signal(np.ones(10), 16000), "pcm24")
+
+
+def _chunk(tag: bytes, body: bytes) -> bytes:
+    return struct.pack("<4sI", tag, len(body)) + body + b"\x00" * (len(body) & 1)
+
+
+def _fmt(tag=1, channels=1, rate=16000, block_align=2, bits=16, byte_rate=None):
+    if byte_rate is None:
+        byte_rate = rate * block_align
+    return _chunk(
+        b"fmt ", struct.pack("<HHIIHH", tag, channels, rate, byte_rate, block_align, bits)
+    )
+
+
+def _extensible_fmt(sub_tag, bits, guid_tail=b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"):
+    align = bits // 8
+    body = struct.pack("<HHIIHHHHI", 0xFFFE, 1, 16000, 16000 * align, align, bits, 22, bits, 4)
+    return _chunk(b"fmt ", body + struct.pack("<I", sub_tag) + guid_tail)
+
+
+def _riff(*chunks: bytes) -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+_PCM16_RAMP = np.arange(-500, 500, dtype="<i2") * 60
+
+
+class TestWavHandBuilt:
+    """Files that ``write_wav`` never makes, with scipy's reader as oracle."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            _riff(_extensible_fmt(1, 16), _chunk(b"data", _PCM16_RAMP.tobytes())),
+            _riff(
+                _extensible_fmt(3, 32),
+                _chunk(b"fact", struct.pack("<I", 5)),
+                _chunk(b"data", np.linspace(-1, 1, 5, dtype="<f4").tobytes()),
+            ),
+            # odd-sized chunks before and after fmt, each with its pad byte
+            _riff(
+                _chunk(b"LIST", b"INFOabc"),
+                _fmt(),
+                _chunk(b"JUNK", b"x"),
+                _chunk(b"data", _PCM16_RAMP.tobytes()),
+            ),
+            # a chunk after the data is never read
+            _riff(_fmt(), _chunk(b"data", _PCM16_RAMP.tobytes()), _chunk(b"LIST", b"INFO")),
+        ],
+        ids=["extensible_pcm16", "extensible_float32", "odd_chunks", "trailing_chunk"],
+    )
+    def test_matches_scipy(self, tmp_path, raw):
+        p = tmp_path / "h.wav"
+        p.write_bytes(raw)
+        rate, data = wavfile.read(p)
+        wav = read_wav(p)
+        scale = 32768.0 if data.dtype == np.int16 else 1.0
+        assert wav.bit_depth == {np.int16: "pcm16", np.float32: "float32"}[data.dtype.type]
+        assert wav.samples.sample_rate == rate
+        assert np.array_equal(wav.samples.samples, data.astype(np.float64) / scale)
+
+
+class TestWavMalformed:
+    """Each malformed header or body raises ValueError, which the CLI
+    reports with exit code 2."""
+
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            (_riff(_fmt(), _chunk(b"data", _PCM16_RAMP.tobytes()))[:-501],
+             "header claims 2000 bytes, file holds 1499"),
+            (_riff(_fmt())[:30], "truncated b'fmt ' chunk: header claims 16 bytes, file holds 10"),
+            (_riff(_chunk(b"fmt ", b"\x01\x00" * 5), _chunk(b"data", b"\x00" * 8)),
+             "fmt chunk of 10 bytes"),
+            (_riff(_fmt(rate=0, block_align=0), _chunk(b"data", b"\x00" * 8)), "inconsistent"),
+            (_riff(_fmt(byte_rate=1), _chunk(b"data", b"\x00" * 8)), "inconsistent"),
+            (_riff(_fmt(), _chunk(b"data", b"\x00" * 7)), "whole number"),
+            (_riff(_chunk(b"data", b"\x00" * 8), _fmt()), "before fmt"),
+            (_riff(_fmt()), "no data chunk"),
+            (_riff(_fmt(), _chunk(b"LIST", b"INFO")), "no data chunk"),
+            (b"RIFX" + _riff(_fmt(), _chunk(b"data", b"\x00" * 8))[4:], "RIFF/WAVE"),
+            (b"RIFF\x00\x00", "RIFF/WAVE"),
+            (_riff(_fmt(tag=6, bits=8, block_align=1), _chunk(b"data", b"\x00")),
+             "unsupported sample format"),
+            (_riff(_fmt(tag=3, bits=16), _chunk(b"data", b"\x00" * 8)),
+             "unsupported sample format"),
+            (_riff(_extensible_fmt(1, 16, guid_tail=b"\x00" * 12), _chunk(b"data", b"\x00" * 8)),
+             "unsupported sample format"),
+            (_riff(_fmt(tag=0xFFFE), _chunk(b"data", b"\x00" * 8)), "extensible fmt chunk"),
+            (_riff(_fmt(channels=2, block_align=4), _chunk(b"data", b"\x00" * 8)), "mono"),
+            # a chunk size past the end of the file is rejected before any read
+            (_riff(struct.pack("<4sI", b"LIST", 0xFFFFFFF0)), "truncated b'LIST' chunk"),
+            (_riff(_fmt(), struct.pack("<4sI", b"data", 0xFFFFFFFF)), "truncated b'data' chunk"),
+        ],
+        ids=[
+            "truncated_data", "truncated_fmt", "short_fmt", "zero_rate_and_align", "byte_rate",
+            "partial_frame", "data_before_fmt", "no_data", "no_data_after_list",
+            "big_endian", "short_riff", "alaw", "float16", "extensible_guid",
+            "short_extensible", "stereo", "oversized_chunk", "streamed_data_size",
+        ],
+    )
+    def test_rejected(self, tmp_path, raw, match):
+        p = tmp_path / "bad.wav"
+        p.write_bytes(raw)
+        with pytest.raises(ValueError, match=match):
+            read_wav(p)
+
+    def test_truncated_data_is_a_cli_data_error(self, tmp_path, capsys):
+        ref = tmp_path / "ref.wav"
+        write_wav(ref, Signal(np.linspace(-0.5, 0.5, 1000), 16000))
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(ref.read_bytes()[:-501])
+        assert cli_main(["eval", "--ref", str(ref), "--est", str(cut)]) == EXIT_DATA
+        assert "header claims 2000 bytes, file holds 1499" in capsys.readouterr().err
+
+
+class _Untouched(np.ndarray):
+    """Samples whose values must not be computed on."""
+
+    def __array_ufunc__(self, *args, **kwargs):
+        raise AssertionError("the samples were computed on")
+
+
+class TestWavWriteLimits:
+    @pytest.mark.parametrize("bit_depth, count", [("pcm16", 2**31), ("float32", 2**30)])
+    def test_riff_size_limit(self, tmp_path, bit_depth, count):
+        # a zero-stride view, rejected on its size before any pass over it
+        sig = Signal(np.zeros(1), 16000)
+        sig.samples = np.broadcast_to(0.0, (count,)).view(_Untouched)
+        p = tmp_path / "big.wav"
+        with pytest.raises(ValueError, match="RIFF size limit"):
+            write_wav(p, sig, bit_depth)
+        assert not p.exists()
+
+    def test_rate_too_large_for_the_header(self, tmp_path):
+        sig = Signal(np.zeros(10), 2**31)
+        p = tmp_path / "r.wav"
+        with pytest.raises(ValueError, match="too large"):
+            write_wav(p, sig, "pcm16")
+        assert not p.exists()
+
+
+def _valid_wav_bytes(tmp_path, bit_depth):
+    p = tmp_path / f"valid-{bit_depth}.wav"
+    write_wav(p, Signal(np.linspace(-0.5, 0.5, 64), 16000), bit_depth)
+    return p.read_bytes()
+
+
+class TestWavFuzz:
+    """Any input either loads or raises ValueError."""
+
+    @staticmethod
+    def _load_or_reject(path, data):
+        path.write_bytes(data)
+        try:
+            read_wav(path)
+        except ValueError:
+            pass
+
+    @given(bit_depth=st.sampled_from(["pcm16", "float32"]), cut=st.integers(0, 10_000))
+    @settings(
+        max_examples=50, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_truncated(self, tmp_path, bit_depth, cut):
+        raw = _valid_wav_bytes(tmp_path, bit_depth)
+        (tmp_path / "t.wav").write_bytes(raw[: cut % len(raw)])
+        with pytest.raises(ValueError):
+            read_wav(tmp_path / "t.wav")
+
+    @given(data=st.binary(max_size=200))
+    @settings(
+        max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_random_bytes(self, tmp_path, data):
+        self._load_or_reject(tmp_path / "r.wav", data)
+        self._load_or_reject(tmp_path / "r.wav", _riff(data))
+        self._load_or_reject(tmp_path / "r.wav", _riff(_fmt(), data))
+
+    @given(
+        bit_depth=st.sampled_from(["pcm16", "float32"]),
+        edits=st.lists(
+            st.tuples(st.integers(0, 57), st.integers(0, 255)), min_size=1, max_size=6
+        ),
+    )
+    # fmt fields start at byte 20: zero rate and block align; a data size
+    # of 2**32 - 1 in the pcm16 file
+    @example(bit_depth="pcm16", edits=[(24, 0), (25, 0), (32, 0)])
+    @example(bit_depth="pcm16", edits=[(40, 255), (41, 255), (42, 255), (43, 255)])
+    @settings(
+        max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_header_mutations(self, tmp_path, bit_depth, edits):
+        raw = bytearray(_valid_wav_bytes(tmp_path, bit_depth))
+        for pos, value in edits:
+            raw[pos] = value
+        self._load_or_reject(tmp_path / "m.wav", bytes(raw))
 
 
 class TestBasesFile:
