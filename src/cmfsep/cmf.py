@@ -34,6 +34,13 @@ The complex-domain error ‖Z − Xh‖² of a checkpoint is summed over the
 frame chunks of ``linalg.frame_chunks``, so no complex F×T residual is
 formed.
 
+With fixed bases the H update of a frame reads only that frame's
+numerator column, so ``cmf_factorize`` runs the whole iteration loop on
+one frame chunk (``nmf.NmfProblem.segment``) before it starts the next,
+and writes each chunk's weights into the output. The start is still taken
+once over all frames and sliced. Each chunk stops on its own
+objective; the histories and checkpoints are summed over chunks.
+
 After each step's X update, and after its H update, factor entries
 below ``FLUSH_BELOW`` (sqrt of the smallest normal float64, about
 1.5e-154) are set to 0. Multiplicative updates keep a zero at zero, and
@@ -174,6 +181,19 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
     return state
 
 
+def _checked_halves(h_init, rank: int, cols: int):
+    """The given start (h⁺, h⁻) as float64 arrays, each checked to be
+    rank × cols, finite and nonnegative."""
+    hp0, hm0 = (as_real(a) for a in h_init)
+    if hp0.shape != (rank, cols) or hm0.shape != (rank, cols):
+        raise ValueError("h_init halves must each be rank x cols")
+    if not (np.all(np.isfinite(hp0)) and np.all(np.isfinite(hm0))):
+        raise ValueError("h_init contains non-finite entries")
+    if np.any(hp0 < 0) or np.any(hm0 < 0):
+        raise ValueError("h_init must be nonnegative")
+    return hp0, hm0
+
+
 def _start(problem: NmfProblem, seed: int, h_init=None) -> NmfState:
     """The seeded start of a solve of ``problem``, from one generator:
     the bases first, a copy of the fixed block bases ``problem.xc`` or
@@ -192,14 +212,7 @@ def _start(problem: NmfProblem, seed: int, h_init=None) -> NmfState:
         hc = np.maximum(rng.random((2 * rank, 2 * cols)), EPSILON)
         w = _make_coupling(rank, cols)(hc)[:, :cols].copy()
     else:
-        hp0, hm0 = (as_real(a) for a in h_init)
-        if hp0.shape != (rank, cols) or hm0.shape != (rank, cols):
-            raise ValueError("h_init halves must each be rank x cols")
-        if not (np.all(np.isfinite(hp0)) and np.all(np.isfinite(hm0))):
-            raise ValueError("h_init contains non-finite entries")
-        if np.any(hp0 < 0) or np.any(hm0 < 0):
-            raise ValueError("h_init must be nonnegative")
-        w = np.concatenate((hp0, hm0))
+        w = np.concatenate(_checked_halves(h_init, rank, cols))
     return NmfState(x=x, h=w)
 
 
@@ -223,6 +236,60 @@ def _complex_error(z: np.ndarray, x: np.ndarray, h: np.ndarray) -> float:
     return total
 
 
+def _iterate(problem: NmfProblem, state: NmfState, cfg: SepConfig, checkpoint_every: int):
+    """Step ``state`` until the stop rule fires or ``cfg.iters`` steps
+    are taken; return the checkpoints (iteration, block objective,
+    complex error) of every ``checkpoint_every``-th step and of the
+    last, and the signed factors x, h of the last."""
+    rows, rank = problem.z.shape[0], problem.rank
+    checkpoints = []
+    # also leaves on the state the product the first update needs
+    prev = objective(problem, state, *gram_terms(problem, state.x))
+    for it in range(1, cfg.iters + 1):
+        nmf_step(state, problem)
+        cur = state.objective_history[-1]
+        stopping = abs(prev - cur) < cfg.tol * max(prev, EPSILON)
+        if (
+            stopping
+            or it == cfg.iters
+            or (checkpoint_every > 0 and it % checkpoint_every == 0)
+        ):
+            x, h = _reassemble(state.x, state.h, rows, rank)
+            checkpoints.append((it, cur, _complex_error(problem.z, x, h)))
+        if stopping:
+            break
+        prev = cur
+    return checkpoints, x, h
+
+
+def _parts(problem: NmfProblem, cfg: SepConfig, h_init):
+    """The (frames, problem, start) of each part solved on its own, all
+    of it checked before the first is solved: the whole problem when
+    the bases are free, since the X update couples all frames. With
+    fixed bases, one part per frame chunk of ``linalg.frame_chunks``:
+    the start is taken over all frames, and each part's problem and
+    weights are formed from it only when that part is reached. The
+    start's halves are those of ``_start``'s drawn W, or the given
+    halves as they are, checked but never stacked into a whole W."""
+    if problem.fixed_x is None:
+        return [(slice(None), problem, _start(problem, cfg.seed, h_init))]
+    if h_init is None:
+        hp, hm = np.split(_start(problem, cfg.seed).h, 2)
+    else:
+        hp, hm = _checked_halves(h_init, problem.rank, problem.z.shape[1])
+    # a part's problem, and with it its numerator, is formed before its
+    # weights; the bases are shared, since a fixed-basis step never
+    # writes them
+    return (
+        (
+            cols,
+            problem.segment(cols),
+            NmfState(x=problem.xc, h=np.concatenate((hp[:, cols], hm[:, cols]))),
+        )
+        for cols in frame_chunks(problem.z.shape[1])
+    )
+
+
 def cmf_factorize(
     z,
     rank: int,
@@ -242,20 +309,32 @@ def cmf_factorize(
     (0 = never before termination) and at the final iteration, which is
     always a checkpoint and whose value is returned as ``final_error``.
 
-    The start is drawn from ``cfg.seed``: bases first, then weights.
-    ``h_init`` = (h⁺, h⁻), two nonnegative finite rank × cols arrays,
-    replaces the drawn weights; the bases are the same as without it.
-    Of ``cfg`` only ``iters``, ``tol`` and ``seed`` are read; the rank
-    is the argument.
+    With fixed bases each frame's weights update on their own, so the
+    solve runs one frame chunk (``linalg.FRAME_CHUNK`` = 512 frames) at
+    a time: it holds ``z``, the start and the output weights, plus one
+    chunk's numerator, weights and products. Each chunk stops on its own
+    objective. An entry of ``objective_history``, and a checkpoint's
+    objective and complex error, is the sum over chunks of each chunk's
+    value at that iteration, or at its last iteration if it stopped
+    before; the history is as long as the slowest chunk's. With
+    ``tol=0`` every chunk runs ``cfg.iters`` iterations, and the result
+    equals that of one solve over all frames to rounding.
+
+    The start is drawn from ``cfg.seed``, over all frames: bases first,
+    then weights. ``h_init`` = (h⁺, h⁻), two nonnegative finite rank ×
+    cols arrays, replaces the drawn weights; the bases are the same as
+    without it. Of ``cfg`` only ``iters``, ``tol`` and ``seed`` are
+    read; the rank is the argument.
 
     An all-zero ``z`` is checked like any other input, with ``fixed_x``
     and ``h_init``, and then returns at once: no iterations, no
     checkpoints, zero weights, ``final_error`` 0 and the given bases, or
-    zero bases when they are free.
+    zero bases when they are free. A silent chunk of a nonzero ``z`` is
+    solved like any other.
     """
     problem = NmfProblem(z=z, rank=rank, fixed_x=fixed_x)
     cfg = cfg or SepConfig(rank=rank)
-    state = _start(problem, cfg.seed, h_init)
+    parts = _parts(problem, cfg, h_init)
     rows, cols = problem.z.shape
 
     if problem.z_norm_sq == 0.0:
@@ -267,28 +346,35 @@ def cmf_factorize(
             final_error=0.0,
         )
 
-    checkpoints = []
-    # also leaves on the state the product the first update needs
-    prev = objective(problem, state, *gram_terms(problem, state.x))
-    for it in range(1, cfg.iters + 1):
-        nmf_step(state, problem)
-        cur = state.objective_history[-1]
-        stopping = abs(prev - cur) < cfg.tol * max(prev, EPSILON)
-        if (
-            stopping
-            or it == cfg.iters
-            or (checkpoint_every > 0 and it % checkpoint_every == 0)
-        ):
-            x, h = _reassemble(state.x, state.h, rows, rank)
-            checkpoints.append((it, cur, _complex_error(problem.z, x, h)))
-        if stopping:
-            break
-        prev = cur
+    # a whole solve's weights are the output; segments are written into it
+    h = None if problem.fixed_x is None else np.empty((rank, cols))
+    histories, errors = [], []
+    for frames, part, state in parts:
+        checkpoints, x, part_h = _iterate(part, state, cfg, checkpoint_every)
+        if h is None:
+            h = part_h
+        else:
+            h[:, frames] = part_h
+        histories.append(state.objective_history)
+        errors.append({it: err for it, _, err in checkpoints})
+        del part, state, part_h  # before the next part is formed
 
+    # a part that stopped at iteration s contributes its value at s to
+    # every later iteration
+    iters = max(map(len, histories))
+    history = [
+        sum(hist[min(it, len(hist)) - 1] for hist in histories)
+        for it in range(1, iters + 1)
+    ]
+    checkpoints = [
+        (it, history[it - 1], sum(e[min(it, len(p))] for e, p in zip(errors, histories)))
+        for it in range(1, iters + 1)
+        if it == iters or (checkpoint_every > 0 and it % checkpoint_every == 0)
+    ]
     return CmfResult(
         x=x,
         h=h,
-        objective_history=list(state.objective_history),
+        objective_history=history,
         final_error=checkpoints[-1][2],
         checkpoints=checkpoints,
     )

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import sample_chunks
 from .stft import Signal
 
 __all__ = ["WavFile", "read_wav", "write_wav"]
@@ -156,18 +157,23 @@ def write_wav(path, signal: Signal, bit_depth: str = "pcm16") -> None:
         raise ValueError(f"unsupported bit depth {bit_depth!r}")
     tag, dtype = _BIT_DEPTHS[bit_depth]
     header = _header(tag, dtype.itemsize, signal.sample_rate, x.size)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("refusing to write non-finite samples")
-    clipped = int(np.sum((x < -1.0) | (x > 1.0)))
+    # checked, clipped, scaled, rounded and cast one chunk at a time into
+    # the output buffer: no full-length float64 copy of the samples
+    data = np.empty(x.size, dtype)
+    clipped = 0
+    for s in sample_chunks(x.size):
+        chunk = x[s]
+        if not np.all(np.isfinite(chunk)):
+            raise ValueError("refusing to write non-finite samples")
+        clipped += int(np.count_nonzero((chunk < -1.0) | (chunk > 1.0)))
+        chunk = np.clip(chunk, -1.0, 1.0)
+        if tag == _PCM:
+            chunk *= _PCM16_SCALE
+            np.round(chunk, out=chunk)
+            np.clip(chunk, -32768, 32767, out=chunk)
+        data[s] = chunk
     if clipped:
         log.warning("%s: clipped %d samples to [-1, 1]", path, clipped)
-        x = np.clip(x, -1.0, 1.0)
-    if tag == _PCM:
-        # one scaled buffer, rounded and clipped in place
-        x = x * _PCM16_SCALE
-        np.round(x, out=x)
-        np.clip(x, -32768, 32767, out=x)
-    data = x.astype(dtype)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(data)

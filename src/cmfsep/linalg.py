@@ -12,7 +12,9 @@ import numpy as np
 
 __all__ = [
     "FRAME_CHUNK",
+    "SAMPLE_CHUNK",
     "frame_chunks",
+    "sample_chunks",
     "as_complex_matrix",
     "as_real",
     "frobenius_norm_sq",
@@ -25,18 +27,29 @@ __all__ = [
 ]
 
 # frames per chunk of every pass over the columns of a spectrogram: the
-# STFT and its inverse, synthesis, and the solver's sums over Z (the
-# fixed-basis numerator, the guard residual and the checkpoint error);
-# 4 MB of Zc columns at 257 bins. A constant, not a setting.
+# STFT and its inverse, synthesis, the segments of a fixed-basis solve
+# and the solver's sums over Z (the guard residual and the checkpoint
+# error); 4 MB of Zc columns at 257 bins. A constant, not a setting.
 FRAME_CHUNK = 512
+# samples per chunk of every elementwise pass over a whole signal: the
+# metrics' sums and WAV output; 512 kB of float64. A constant as well.
+SAMPLE_CHUNK = 1 << 16
+
+
+def _chunks(size: int, width: int) -> list:
+    return [slice(a, min(a + width, size)) for a in range(0, size, width)]
 
 
 def frame_chunks(frames: int) -> list:
     """Column slices of at most ``FRAME_CHUNK`` frames covering ``frames``,
     in order; the last one stops at ``frames``."""
-    return [
-        slice(a, min(a + FRAME_CHUNK, frames)) for a in range(0, frames, FRAME_CHUNK)
-    ]
+    return _chunks(frames, FRAME_CHUNK)
+
+
+def sample_chunks(samples: int) -> list:
+    """Slices of at most ``SAMPLE_CHUNK`` samples covering ``samples``, in
+    order."""
+    return _chunks(samples, SAMPLE_CHUNK)
 
 
 def as_complex_matrix(a) -> np.ndarray:

@@ -6,6 +6,11 @@ per-frame SNR in dB between the reference and the reconstruction error,
 and full credit at R = 35 dB. It is labeled a surrogate in all
 serialized output. ``tir_esc`` couples it with the squared correlation
 shortfall.
+
+Each metric walks the signals in chunks (``linalg.SAMPLE_CHUNK`` samples,
+or ``linalg.FRAME_CHUNK`` analysis frames), so besides its inputs it
+holds one chunk of centred samples or of errors, never a full-length
+temporary.
 """
 
 import json
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import frame_chunks, sample_chunks
 from .stft import Signal, StftConfig
 
 __all__ = [
@@ -54,27 +60,42 @@ class EvalReport:
         )
 
 
-def _aligned(ref: Signal, est: Signal) -> tuple[np.ndarray, np.ndarray]:
-    """Truncate or zero-pad est at the tail to the reference length."""
-    r = ref.samples
-    e = est.samples
-    if e.size >= r.size:
-        e = e[: r.size]
-    else:
-        e = np.concatenate([e, np.zeros(r.size - e.size)])
-    return r, e
+def _tail(e: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Samples ``lo:hi`` of ``e``, zero past its end."""
+    part = e[lo:hi]
+    if part.size == hi - lo:
+        return part
+    out = np.zeros(hi - lo)
+    out[: part.size] = part
+    return out
+
+
+def _aligned_chunks(ref: Signal, est: Signal):
+    """(reference, estimate) samples, one ``linalg.SAMPLE_CHUNK`` at a
+    time over the reference's length: the estimate is truncated, or
+    zero-padded at its tail, to that length."""
+    r, e = ref.samples, est.samples
+    for s in sample_chunks(r.size):
+        yield r[s], _tail(e, s.start, s.stop)
 
 
 def correlation(ref: Signal, est: Signal) -> float:
-    """Pearson correlation coefficient of the sample sequences."""
-    r, e = _aligned(ref, est)
-    rc = r - r.mean()
-    ec = e - e.mean()
-    rn = np.linalg.norm(rc)
-    en = np.linalg.norm(ec)
-    if rn == 0.0 or en == 0.0:
+    """Pearson correlation coefficient of the sample sequences. Its
+    centred sums are taken chunk by chunk."""
+    r, e = ref.samples, est.samples
+    r_mean = r.mean()
+    # the estimate's zero padding adds nothing to its sum
+    e_mean = e[: r.size].sum() / r.size
+    srr = see = sre = 0.0
+    for rc, ec in _aligned_chunks(ref, est):
+        rc = rc - r_mean
+        ec = ec - e_mean
+        srr += np.dot(rc, rc)
+        see += np.dot(ec, ec)
+        sre += np.dot(rc, ec)
+    if srr == 0.0 or see == 0.0:
         raise ValueError("correlation undefined for zero-variance input")
-    return float(np.clip(np.dot(rc, ec) / (rn * en), -1.0, 1.0))
+    return float(np.clip(sre / (math.sqrt(srr) * math.sqrt(see)), -1.0, 1.0))
 
 
 def _frame_energies(x: np.ndarray, n: int, hop: int) -> np.ndarray:
@@ -84,13 +105,18 @@ def _frame_energies(x: np.ndarray, n: int, hop: int) -> np.ndarray:
 
 
 def _frame_losses(ref: Signal, est: Signal, cfg: StftConfig) -> np.ndarray:
-    r, e = _aligned(ref, est)
+    r, e = ref.samples, est.samples
     n, hop = cfg.frame_len, cfg.hop
     if r.size < n:
         # short signals degenerate to a single frame
         n = hop = r.size
-    ref_energy = _frame_energies(r, n, hop)
-    err_energy = _frame_energies(e - r, n, hop)
+    count = (r.size - n) // hop + 1
+    ref_energy, err_energy = np.empty(count), np.empty(count)
+    # the error is formed over the samples of one frame chunk at a time
+    for cols in frame_chunks(count):
+        lo, hi = cols.start * hop, (cols.stop - 1) * hop + n
+        ref_energy[cols] = _frame_energies(r[lo:hi], n, hop)
+        err_energy[cols] = _frame_energies(_tail(e, lo, hi) - r[lo:hi], n, hop)
     # a silent reference frame carries no target information
     voiced = ref_energy > _SILENCE
     if not voiced.any():
@@ -114,12 +140,16 @@ def tir_esc(ref: Signal, est: Signal, cfg: StftConfig) -> float:
 
 
 def snr_db(ref: Signal, est: Signal) -> float:
-    """Energy-ratio SNR in dB, capped at 120 for exact matches."""
-    r, e = _aligned(ref, est)
-    ref_energy = float(np.sum(r**2))
+    """Energy-ratio SNR in dB, capped at 120 for exact matches. The
+    error energy is summed chunk by chunk."""
+    r = ref.samples
+    ref_energy = float(np.dot(r, r))
     if ref_energy == 0.0:
         raise ValueError("snr undefined for a zero reference")
-    err_energy = float(np.sum((e - r) ** 2))
+    err_energy = 0.0
+    for rc, ec in _aligned_chunks(ref, est):
+        d = ec - rc
+        err_energy += float(np.dot(d, d))
     if err_energy == 0.0:
         return SNR_CAP_DB
     return min(SNR_CAP_DB, 10.0 * math.log10(ref_energy / err_energy))

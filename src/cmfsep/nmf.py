@@ -15,11 +15,14 @@ G = XᵀX, so one product [G; ΠGΠ]·W covers both column halves of H.
 When the bases are free it assembles Zc, which their update reads at
 every step; a free step computes the Gram terms from its new X and
 shares them between the H update and the objective. When the bases are
-fixed, Zc is never formed: the stacked XᵀZc is computed once, a chunk
-of at most ``FRAME_CHUNK`` frames at a time (frames t of a chunk are
-columns t and T + t of Zc), together with the stacked XᵀX. A fixed
-solve then holds Z, the 4K×T numerator and the weights, plus one
-chunk's split at a time. The objective is the Gram form
+fixed, Zc is never formed: the stacked XᵀX and XᵀZc are computed once,
+at their first use, XᵀZc a chunk of at most ``FRAME_CHUNK`` frames at
+a time (frames t of a chunk are columns t and T + t of Zc). With fixed
+bases each frame's weights update on their own, so
+``NmfProblem.segment`` gives the problem of a run of frames, sharing
+the checked bases and XᵀX; ``cmf.cmf_factorize`` solves one frame chunk
+at a time this way and never asks for the whole numerator. The
+objective is the Gram form
 ``‖Z‖² − 2⟨H, XᵀZc⟩ + ⟨H, XᵀX H⟩``, which costs no 2F×2T residual;
 each inner product over H is the sum of two over W, one per row block
 of the stacked term.
@@ -43,6 +46,7 @@ histories drifted by up to 6e-8, and a ``tol=1e-14`` stop rule fired
 on Gram rounding noise.
 """
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -88,8 +92,9 @@ class NmfProblem:
     least 1, ``fixed_x`` F×K and finite; ``z`` and ``fixed_x`` are kept
     as complex128. Derived once at construction: ``z_norm_sq``; with
     free bases ``zc``, the assembled 2F×2T Zc; with ``fixed_x`` its
-    2F×2K block matrix ``xc`` and ``xtz``, ``xtx`` (the stacked
-    numerator and Gram of ``gram_terms``), with ``zc`` left None.
+    2F×2K block matrix ``xc``, with ``zc`` left None. The stacked
+    numerator ``xtz`` and Gram ``xtx`` of ``gram_terms`` are derived at
+    their first use.
     """
 
     z: np.ndarray
@@ -98,8 +103,8 @@ class NmfProblem:
     z_norm_sq: float = field(init=False, repr=False)
     zc: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     xc: Optional[np.ndarray] = field(init=False, repr=False, default=None)
-    xtz: Optional[np.ndarray] = field(init=False, repr=False, default=None)
-    xtx: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    _xtz: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    _xtx: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.z = as_complex_matrix(self.z)
@@ -121,12 +126,48 @@ class NmfProblem:
             if not np.all(np.isfinite(self.fixed_x)):
                 raise ValueError("fixed_x contains non-finite entries")
             self.xc = _block_matrix(self.fixed_x)
-            frames = self.z.shape[1]
-            self.xtz = np.empty((4 * self.rank, frames))
-            for cols in frame_chunks(frames):
-                self.xtz[:, cols] = _stacked_xtz(self.xc, _block_matrix(self.z[:, cols]))
-            self.xtx = _stacked_xtx(self.xc)
         self.z_norm_sq = frobenius_norm_sq(self.z)
+
+    @property
+    def xtz(self) -> Optional[np.ndarray]:
+        """The stacked numerator [Y_L; ΠY_R] of all of the problem's
+        frames with fixed bases, None with free ones. It is built at the
+        first use, one frame chunk of Zc at a time, and kept."""
+        if self.fixed_x is not None and self._xtz is None:
+            self._xtz = self._numerator()
+        return self._xtz
+
+    @property
+    def xtx(self) -> Optional[np.ndarray]:
+        """The stacked Gram [G; ΠGΠ] of the fixed bases, None with free
+        ones; built at the first use and kept."""
+        if self.fixed_x is not None and self._xtx is None:
+            self._xtx = _stacked_xtx(self.xc)
+        return self._xtx
+
+    def _numerator(self) -> np.ndarray:
+        frames = self.z.shape[1]
+        xtz = np.empty((4 * self.rank, frames))
+        for cols in frame_chunks(frames):
+            xtz[:, cols] = _stacked_xtz(self.xc, _block_matrix(self.z[:, cols]))
+        return xtz
+
+    def segment(self, cols: slice) -> "NmfProblem":
+        """The problem of the frames ``cols`` of ``z``, with the same
+        fixed bases. It shares this problem's checked bases and its
+        ``xc`` and ``xtx`` rather than checking and deriving them again;
+        its ‖Z‖² and numerator, built here, are those of its own
+        frames."""
+        if self.fixed_x is None:
+            raise ValueError("only a problem with fixed bases splits into frame segments")
+        part = copy.copy(self)
+        part.z = self.z[:, cols]
+        part.z_norm_sq = frobenius_norm_sq(part.z)
+        part._xtz = part._numerator()
+        # taken after the numerator, whose chunk split is freed by then,
+        # so a one-segment solve peaks no higher than a whole one
+        part._xtx = self.xtx
+        return part
 
 
 class NmfState:

@@ -107,15 +107,18 @@ def estimate_weights(
     cols = mix_spec.shape[1]
     # each speaker's stream fills a (2*rank x 2*cols) block, as it always
     # has, so seeded runs keep their initial weights; h_plus takes the
-    # left half of its first rank rows and h_minus that of the rest
-    draws = [
-        _speaker_stream(cfg.seed, b.speaker_id).random((2, b.rank, 2, cols))[:, :, 0]
-        for b in (bases_i, bases_j)
-    ]
-    hp0, hm0 = np.maximum(np.concatenate(draws, axis=1), EPSILON)
-    # the views keep all of the draws alive, four times what the solve uses
-    del draws
-    result = cmf_factorize(mix_spec, rank, cfg, fixed_x=x_fixed, h_init=(hp0, hm0))
+    # left half of its first rank rows and h_minus that of the rest. The
+    # used quarter of each draw is copied into one buffer, and the draw
+    # freed before the next is made.
+    start = np.empty((2, rank, cols))
+    rows = 0
+    for b in (bases_i, bases_j):
+        draw = _speaker_stream(cfg.seed, b.speaker_id).random((2, b.rank, 2, cols))
+        start[:, rows : rows + b.rank] = draw[:, :, 0]
+        rows += b.rank
+        del draw
+    np.maximum(start, EPSILON, out=start)
+    result = cmf_factorize(mix_spec, rank, cfg, fixed_x=x_fixed, h_init=tuple(start))
     return result.h
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "stft",
     "istft",
     "synthesis_frames",
-    "overlap_add",
     "overlap_add_chunks",
     "sqrt_hann_window",
 ]
@@ -156,15 +155,6 @@ def overlap_add_chunks(frame_count: int, chunk_frames, cfg: StftConfig) -> Signa
         out[cols] += frames[:, :hop]
         out[cols.start + 1 : cols.stop + 1] += frames[:, hop:]
     return Signal(out.reshape(-1), cfg.sample_rate)
-
-
-def overlap_add(frames: np.ndarray, cfg: StftConfig) -> Signal:
-    """Sum frames placed hop samples apart into one signal.
-
-    ``frames`` has one row per frame, in any memory layout (see
-    :func:`overlap_add_chunks`).
-    """
-    return overlap_add_chunks(frames.shape[0], lambda cols: frames[cols], cfg)
 
 
 def istft(spec: np.ndarray, cfg: StftConfig) -> Signal:

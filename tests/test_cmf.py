@@ -18,7 +18,7 @@ from cmfsep.cmf import (
     symmetrize_h,
 )
 from cmfsep.config import SepConfig
-from cmfsep.linalg import frobenius_norm_sq
+from cmfsep.linalg import frame_chunks, frobenius_norm_sq
 from cmfsep.nmf import FRAME_CHUNK
 
 
@@ -401,6 +401,88 @@ class TestCmfFactorize:
         assert res.checkpoints[-1][2] == res.final_error
 
 
+def whole_fixed_solve(z, x, cfg, h_init=None):
+    """The parent arithmetic of a fixed-basis solve: every frame stepped
+    at once on the whole problem, no stop rule. Returns h, the history
+    and the final complex error."""
+    rank = x.shape[1]
+    problem = nmf_mod.NmfProblem(z=z, rank=rank, fixed_x=x)
+    state = cmf_mod._start(problem, cfg.seed, h_init)
+    for _ in range(cfg.iters):
+        cmf_mod.nmf_step(state, problem)
+    h = state.h[:rank] - state.h[rank:]
+    return h, state.objective_history, frobenius_norm_sq(z - x @ h)
+
+
+class TestSegmentedFixedSolve:
+    """With fixed bases the solve runs one frame chunk at a time; with
+    ``tol=0`` it equals one solve over all frames to rounding."""
+
+    @pytest.mark.parametrize("given", [False, True])
+    @pytest.mark.parametrize(
+        "frames", [1, FRAME_CHUNK - 1, FRAME_CHUNK, FRAME_CHUNK + 1, 2 * FRAME_CHUNK + 1]
+    )
+    def test_matches_the_whole_solve(self, frames, given):
+        rng = np.random.default_rng(frames)
+        z, x = random_complex(rng, (6, frames)), random_complex(rng, (6, 3))
+        h_init = tuple(rng.random((2, 3, frames))) if given else None
+        cfg = SepConfig(rank=3, iters=25, tol=0.0, seed=4)
+        res = cmf_factorize(z, 3, cfg, fixed_x=x, checkpoint_every=10, h_init=h_init)
+        h, history, error = whole_fixed_solve(z, x, cfg, h_init)
+        assert np.max(np.abs(res.h - h)) <= 1e-12 * np.max(np.abs(h))
+        np.testing.assert_allclose(res.objective_history, history, rtol=1e-12, atol=0)
+        assert res.final_error == pytest.approx(error, rel=1e-12)
+        assert [c[0] for c in res.checkpoints] == [10, 20, 25]
+        assert res.checkpoints[-1][1:] == (res.objective_history[-1], res.final_error)
+
+    def test_silent_segment_inside_a_nonzero_mixture(self):
+        rng = np.random.default_rng(33)
+        frames = 2 * FRAME_CHUNK + 40
+        z, x = random_complex(rng, (6, frames)), random_complex(rng, (6, 3))
+        silent = slice(FRAME_CHUNK, 2 * FRAME_CHUNK)
+        z[:, silent] = 0.0
+        cfg = SepConfig(rank=3, iters=20, tol=0.0, seed=5)
+        res = cmf_factorize(z, 3, cfg, fixed_x=x)
+        h, history, error = whole_fixed_solve(z, x, cfg)
+        assert np.all(res.h[:, silent] == 0.0)
+        assert np.max(np.abs(res.h - h)) <= 1e-12 * np.max(np.abs(h))
+        np.testing.assert_allclose(res.objective_history, history, rtol=1e-12, atol=0)
+        assert res.final_error == pytest.approx(error, rel=1e-12)
+
+    def test_each_segment_stops_on_its_own_objective(self):
+        rng = np.random.default_rng(34)
+        frames = 3 * FRAME_CHUNK - 100
+        x = random_complex(rng, (6, 3))
+        # the planted first segment stops first; the random ones take longer
+        z = random_complex(rng, (6, frames))
+        z[:, :FRAME_CHUNK] = x @ rng.uniform(0.3, 1.0, (3, FRAME_CHUNK))
+        z[:, 2 * FRAME_CHUNK :] *= 1e3
+        h_init = tuple(rng.random((2, 3, frames)))
+        cfg = SepConfig(rank=3, iters=400, tol=1e-6, seed=6)
+        res = cmf_factorize(z, 3, cfg, fixed_x=x, checkpoint_every=50, h_init=h_init)
+        parts = [
+            cmf_factorize(
+                z[:, cols], 3, cfg, fixed_x=x, checkpoint_every=50,
+                h_init=(h_init[0][:, cols], h_init[1][:, cols]),
+            )
+            for cols in frame_chunks(frames)
+        ]
+        lengths = [len(p.objective_history) for p in parts]
+        assert len(set(lengths)) > 1 and max(lengths) < cfg.iters
+        assert len(res.objective_history) == max(lengths)
+        for cols, part in zip(frame_chunks(frames), parts):
+            np.testing.assert_allclose(res.h[:, cols], part.h, rtol=1e-12, atol=0)
+        # a stopped segment adds its last value to every later iteration
+        for it in range(1, max(lengths) + 1):
+            want = sum(p.objective_history[min(it, n) - 1] for p, n in zip(parts, lengths))
+            assert res.objective_history[it - 1] == pytest.approx(want, rel=1e-12)
+        want = sum(p.final_error for p in parts)
+        assert res.final_error == pytest.approx(want, rel=1e-12)
+        assert [c[0] for c in res.checkpoints] == [
+            *range(50, max(lengths), 50), max(lengths)
+        ]
+
+
 class TestFixedSolveMemory:
     def test_holds_no_block_matrix(self):
         # Zc alone is twice z.nbytes; a fixed solve forms only a frame
@@ -434,6 +516,25 @@ class TestFixedSolveMemory:
             tracemalloc.stop()
         assert np.array_equal(state.h, np.concatenate(h_init))
         assert peak < 2 * state.h.nbytes
+
+    def test_segmented_peak_does_not_grow_with_frames(self):
+        # one frame chunk's numerator, weights and products at a time:
+        # beyond the inputs and the output weights, the peak stays level
+        rng = np.random.default_rng(35)
+        rank, extra = 80, []
+        for frames in (2048, 8192):
+            z = random_complex(rng, (257, frames))
+            x = random_complex(rng, (257, rank))
+            h_init = tuple(rng.random((2, rank, frames)))
+            cfg = SepConfig(rank=rank, iters=2, tol=0.0)
+            tracemalloc.start()
+            try:
+                res = cmf_factorize(z, rank, cfg, fixed_x=x, h_init=h_init)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - res.h.nbytes)
+        assert extra[1] <= 1.05 * extra[0]
 
 
 class TestTracedCallPath:

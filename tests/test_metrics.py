@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,3 +253,20 @@ class TestEvalReport:
         rep = EvalReport(correlation=0.5, tir_loss=0.25, tir_esc=0.1875, snr_db=3.0)
         assert rep.to_csv_row() == "0.5,0.25,0.1875,3"
 
+
+
+class TestMemory:
+    def test_evaluate_forms_no_full_length_temporary(self):
+        # centred samples and errors are formed one chunk at a time; a
+        # single full-length float64 temporary would exceed the bound
+        n = 1 << 21
+        ref = sig(noise(42, n))
+        est = sig(ref.samples[: n - 1000] + 0.3 * noise(43, n - 1000))
+        tracemalloc.start()
+        try:
+            report = evaluate(ref, est, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ref.samples.nbytes / 4
+        assert report == evaluate(ref, est, CFG)

@@ -99,6 +99,25 @@ class TestChunkedFixedTerms:
         np.testing.assert_allclose(problem.xtz, want, rtol=1e-14, atol=0)
 
 
+class TestSegment:
+    """``NmfProblem.segment``: the problem of a run of frames."""
+
+    def test_matches_the_problem_of_those_frames(self):
+        rng = np.random.default_rng(8)
+        z, x = random_complex(rng, (5, 40)), random_complex(rng, (5, 2))
+        whole = tied(z, 2, fixed_x=x)
+        part = whole.segment(slice(10, 25))
+        alone = tied(z[:, 10:25], 2, fixed_x=x)
+        assert part.xc is whole.xc and part.xtx is whole.xtx
+        assert part.z_norm_sq == alone.z_norm_sq
+        assert np.array_equal(part.xtz, alone.xtz)
+        np.testing.assert_allclose(part.xtz, whole.xtz[:, 10:25], rtol=1e-14, atol=0)
+
+    def test_free_bases_do_not_split(self):
+        with pytest.raises(ValueError, match="fixed bases"):
+            random_problem(9).segment(slice(0, 1))
+
+
 class TestInit:
     """The seeded start, ``cmf._start``: bases, then the tied weights."""
 

@@ -1,6 +1,7 @@
 import importlib
 import os
 import pkgutil
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -62,3 +63,30 @@ class TestRuntimeFootprint:
         r = _run_fresh(code, tmp_path)
         assert r.returncode == 0, r.stderr
         assert '"snr_db"' in r.stdout
+
+
+class TestHarness:
+    """The project's pytest settings report every test of a run."""
+
+    def test_a_failing_property_test_does_not_stop_the_run(self, tmp_path):
+        # when a property test fails, Hypothesis imports libcst to write
+        # its patch file, and libcst's mypy_extensions deprecation warning
+        # must not become an error that ends the run there
+        shutil.copy(Path(__file__).resolve().parents[1] / "pyproject.toml", tmp_path)
+        (tmp_path / "test_probe.py").write_text(
+            "from hypothesis import given, strategies as st\n"
+            "\n"
+            "@given(st.integers())\n"
+            "def test_fails(n):\n"
+            "    assert n < 0\n"
+            "\n"
+            "def test_passes():\n"
+            "    pass\n"
+        )
+        r = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_probe.py"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert "INTERNALERROR" not in r.stdout + r.stderr
+        assert "FAILED test_probe.py::test_fails" in r.stdout
+        assert "1 failed, 1 passed" in r.stdout

@@ -1,5 +1,6 @@
 import logging
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,21 @@ class _Untouched(np.ndarray):
 
     def __array_ufunc__(self, *args, **kwargs):
         raise AssertionError("the samples were computed on")
+
+
+class TestWavWriteMemory:
+    def test_pcm16_write_holds_the_output_and_one_chunk(self, tmp_path):
+        # scaled, rounded and clipped chunk by chunk into the int16
+        # buffer: no full-length float64 copy of the samples
+        x = np.random.default_rng(3).uniform(-1.2, 1.2, 1 << 21)
+        sig = Signal(x, 16000)
+        tracemalloc.start()
+        try:
+            write_wav(tmp_path / "big.wav", sig, "pcm16")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 4 + (2 << 20)
 
 
 class TestWavWriteLimits:
