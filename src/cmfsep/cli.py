@@ -59,25 +59,6 @@ def _atomic_write(path, writer) -> None:
         raise
 
 
-def _stft_cfg(args) -> StftConfig:
-    return StftConfig(frame_len=args.frame, sample_rate=args.sr)
-
-
-def _add_stft_flags(p):
-    p.add_argument("--frame", type=int, default=512)
-    p.add_argument("--sr", type=int, default=16000)
-
-
-def _load_signal(path, expected_rate):
-    wav = read_wav(path)
-    if wav.samples.sample_rate != expected_rate:
-        raise ValueError(
-            f"{path}: sample rate {wav.samples.sample_rate} does not match "
-            f"configured {expected_rate} (resampling is out of scope)"
-        )
-    return wav.samples
-
-
 def _write_log(path, result) -> None:
     """One ``iteration<TAB>block_objective`` line per iteration; checkpoint
     lines add the complex-domain error as a third field."""
@@ -89,8 +70,8 @@ def _write_log(path, result) -> None:
 
 
 def _cmd_factorize(args) -> int:
-    cfg_stft = _stft_cfg(args)
-    signal = _load_signal(args.infile, cfg_stft.sample_rate)
+    signal = read_wav(args.infile).samples
+    cfg_stft = StftConfig(frame_len=args.frame, sample_rate=signal.sample_rate)
     cfg = SepConfig(
         rank=args.rank, iters=args.iters, seed=args.seed, stft_cfg=cfg_stft
     )
@@ -105,16 +86,14 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg_stft = _stft_cfg(args)
     names = sorted(
         f for f in os.listdir(args.speaker_dir) if f.lower().endswith(".wav")
     )
     if not names:
         raise ValueError(f"no .wav files in {args.speaker_dir}")
-    signals = [
-        _load_signal(os.path.join(args.speaker_dir, f), cfg_stft.sample_rate)
-        for f in names
-    ]
+    signals = [read_wav(os.path.join(args.speaker_dir, f)).samples for f in names]
+    # the first file sets the rate; train_bases rejects any other
+    cfg_stft = StftConfig(frame_len=args.frame, sample_rate=signals[0].sample_rate)
     cfg = SepConfig(
         rank=args.rank, iters=args.iters, seed=args.seed, stft_cfg=cfg_stft
     )
@@ -130,7 +109,7 @@ def _cmd_separate(args) -> int:
     # the mixture is not bound here, so separate() frees it once its
     # STFT is taken, before the solve
     est_a, est_b = separate(
-        _load_signal(args.mix, bases_a.stft_cfg.sample_rate),
+        read_wav(args.mix).samples,
         bases_a,
         bases_b,
         SepConfig(iters=args.iters, seed=args.seed),
@@ -167,7 +146,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--log", default=None, help="tab-separated iteration log")
-    _add_stft_flags(p)
+    p.add_argument("--frame", type=int, default=512)
     p.set_defaults(func=_cmd_factorize)
 
     p = sub.add_parser("train", help="train per-speaker bases")
@@ -177,7 +156,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    _add_stft_flags(p)
+    p.add_argument("--frame", type=int, default=512)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("separate", help="separate a two-speaker mixture")

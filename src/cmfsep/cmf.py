@@ -311,8 +311,11 @@ def cmf_factorize(
 
     With fixed bases each frame's weights update on their own, so the
     solve runs one frame chunk (``linalg.FRAME_CHUNK`` = 512 frames) at
-    a time: it holds ``z``, the start and the output weights, plus one
-    chunk's numerator, weights and products. Each chunk stops on its own
+    a time: it holds ``z``, the given ``h_init`` and the output weights,
+    plus one chunk's numerator, weights and products, so with ``h_init``
+    (as ``separate`` passes) its memory does not otherwise grow with
+    length. A drawn start also holds the 2K×T drawn weights, and while
+    they are drawn the 2K×2T block draw. Each chunk stops on its own
     objective. An entry of ``objective_history``, and a checkpoint's
     objective and complex error, is the sum over chunks of each chunk's
     value at that iteration, or at its last iteration if it stopped

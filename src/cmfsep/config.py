@@ -14,7 +14,10 @@ class SepConfig:
     ``train_bases`` reads all five fields. ``separate`` and
     ``cmf_factorize`` read only ``iters``, ``tol`` and ``seed``:
     ``separate`` takes the rank and STFT settings from its basis sets,
-    and ``cmf_factorize`` takes the rank from its argument.
+    and passes the bases' ``StftConfig`` to ``reconstruct``, which takes
+    no ``SepConfig``; ``cmf_factorize`` takes the rank from its argument.
+    The command line builds ``stft_cfg`` from ``--frame`` and the sample
+    rate of its input WAV files.
     """
 
     rank: int = 40

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import sample_chunks
+from .linalg import SAMPLE_CHUNK, sample_chunks
 from .stft import Signal
 
 __all__ = ["WavFile", "read_wav", "write_wav"]
@@ -109,11 +109,18 @@ def read_wav(path) -> WavFile:
                 f"{path}: data chunk of {n} bytes is not a whole number of "
                 f"{dtype.itemsize}-byte frames"
             )
-        data = np.empty(n // dtype.itemsize, dtype)
-        got = fh.readinto(data)
+        # read one chunk at a time through a buffer of the file's dtype
+        # into the float64 result: no full-length copy of the file's data
+        count = n // dtype.itemsize
+        samples = np.empty(count)
+        buf = np.empty(min(count, SAMPLE_CHUNK), dtype)
+        got = 0
+        for s in sample_chunks(count):
+            part = buf[: s.stop - s.start]
+            got += fh.readinto(part)
+            samples[s] = part
         if got != n:
             raise ValueError(f"{path}: truncated data chunk: read {got} of {n} bytes")
-    samples = data.astype(np.float64)
     if bit_depth == "pcm16":
         samples /= _PCM16_SCALE
     return WavFile(samples=Signal(samples, rate), bit_depth=bit_depth)

@@ -15,14 +15,14 @@ G = XᵀX, so one product [G; ΠGΠ]·W covers both column halves of H.
 When the bases are free it assembles Zc, which their update reads at
 every step; a free step computes the Gram terms from its new X and
 shares them between the H update and the objective. When the bases are
-fixed, Zc is never formed: the stacked XᵀX and XᵀZc are computed once,
-at their first use, XᵀZc a chunk of at most ``FRAME_CHUNK`` frames at
-a time (frames t of a chunk are columns t and T + t of Zc). With fixed
-bases each frame's weights update on their own, so
-``NmfProblem.segment`` gives the problem of a run of frames, sharing
-the checked bases and XᵀX; ``cmf.cmf_factorize`` solves one frame chunk
-at a time this way and never asks for the whole numerator. The
-objective is the Gram form
+fixed, the stacked XᵀX is built with their block matrix, at
+construction. With fixed bases each frame's weights update on their
+own, so ``NmfProblem.segment`` gives the problem of a run of frames,
+sharing the checked bases and XᵀX and forming the numerator XᵀZc of its
+own frames alone (frames t of a run are columns t and T + t of Zc).
+``cmf.cmf_factorize`` solves one run of at most ``FRAME_CHUNK`` frames
+at a time this way, so it forms one run's Zc at a time, never the whole
+Zc or the whole numerator. The objective is the Gram form
 ``‖Z‖² − 2⟨H, XᵀZc⟩ + ⟨H, XᵀX H⟩``, which costs no 2F×2T residual;
 each inner product over H is the sum of two over W, one per row block
 of the stacked term.
@@ -38,8 +38,9 @@ assignment.
 
 The Gram form subtracts terms of size ‖Z‖², so its absolute rounding
 error is about 1e-16·‖Z‖²; below ``GRAM_GUARD``·‖Z‖² the direct
-residual ‖Zc − XH‖² is computed instead, summed over the same frame
-chunks, each chunk's Zc and H columns formed from Z and W. The guard
+residual ‖Zc − XH‖² is computed instead, summed over chunks of at most
+``FRAME_CHUNK`` frames, each chunk's Zc and H columns formed from Z and
+W. The guard
 sits at 1e-3, not lower, because a history entry must agree with the
 direct residual to about 1e-12 relative: at 1e-8 the planted-recovery
 histories drifted by up to 6e-8, and a ``tol=1e-14`` stop rule fired
@@ -92,9 +93,9 @@ class NmfProblem:
     least 1, ``fixed_x`` F×K and finite; ``z`` and ``fixed_x`` are kept
     as complex128. Derived once at construction: ``z_norm_sq``; with
     free bases ``zc``, the assembled 2F×2T Zc; with ``fixed_x`` its
-    2F×2K block matrix ``xc``, with ``zc`` left None. The stacked
-    numerator ``xtz`` and Gram ``xtx`` of ``gram_terms`` are derived at
-    their first use.
+    2F×2K block matrix ``xc`` and the stacked Gram ``xtx`` of
+    ``gram_terms``, with ``zc`` left None. The stacked numerator ``xtz``
+    is set by ``segment``, or built at its first use in a whole problem.
     """
 
     z: np.ndarray
@@ -103,8 +104,8 @@ class NmfProblem:
     z_norm_sq: float = field(init=False, repr=False)
     zc: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     xc: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    xtx: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     _xtz: Optional[np.ndarray] = field(init=False, repr=False, default=None)
-    _xtx: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.z = as_complex_matrix(self.z)
@@ -126,47 +127,29 @@ class NmfProblem:
             if not np.all(np.isfinite(self.fixed_x)):
                 raise ValueError("fixed_x contains non-finite entries")
             self.xc = _block_matrix(self.fixed_x)
+            self.xtx = _stacked_xtx(self.xc)
         self.z_norm_sq = frobenius_norm_sq(self.z)
 
     @property
     def xtz(self) -> Optional[np.ndarray]:
-        """The stacked numerator [Y_L; ΠY_R] of all of the problem's
-        frames with fixed bases, None with free ones. It is built at the
-        first use, one frame chunk of Zc at a time, and kept."""
+        """The stacked numerator [Y_L; ΠY_R] of the problem's frames with
+        fixed bases, None with free ones; built at the first use, from the
+        Zc of all of those frames, and kept."""
         if self.fixed_x is not None and self._xtz is None:
-            self._xtz = self._numerator()
+            self._xtz = _stacked_xtz(self.xc, _block_matrix(self.z))
         return self._xtz
-
-    @property
-    def xtx(self) -> Optional[np.ndarray]:
-        """The stacked Gram [G; ΠGΠ] of the fixed bases, None with free
-        ones; built at the first use and kept."""
-        if self.fixed_x is not None and self._xtx is None:
-            self._xtx = _stacked_xtx(self.xc)
-        return self._xtx
-
-    def _numerator(self) -> np.ndarray:
-        frames = self.z.shape[1]
-        xtz = np.empty((4 * self.rank, frames))
-        for cols in frame_chunks(frames):
-            xtz[:, cols] = _stacked_xtz(self.xc, _block_matrix(self.z[:, cols]))
-        return xtz
 
     def segment(self, cols: slice) -> "NmfProblem":
         """The problem of the frames ``cols`` of ``z``, with the same
-        fixed bases. It shares this problem's checked bases and its
-        ``xc`` and ``xtx`` rather than checking and deriving them again;
-        its ‖Z‖² and numerator, built here, are those of its own
-        frames."""
+        fixed bases. It shares this problem's checked bases, ``xc`` and
+        ``xtx`` rather than checking and deriving them again; its ‖Z‖²
+        and numerator, built here, are those of its own frames."""
         if self.fixed_x is None:
             raise ValueError("only a problem with fixed bases splits into frame segments")
         part = copy.copy(self)
         part.z = self.z[:, cols]
         part.z_norm_sq = frobenius_norm_sq(part.z)
-        part._xtz = part._numerator()
-        # taken after the numerator, whose chunk split is freed by then,
-        # so a one-segment solve peaks no higher than a whole one
-        part._xtx = self.xtx
+        part._xtz = _stacked_xtz(self.xc, _block_matrix(part.z))
         return part
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_real, frame_chunks
+from .linalg import as_real, frame_chunks, sample_chunks
 
 __all__ = [
     "StftConfig",
@@ -66,7 +66,9 @@ class Signal:
         self.samples = as_real(self.samples).ravel()
         if self.samples.size == 0:
             raise ValueError("signal must be non-empty")
-        if not np.all(np.isfinite(self.samples)):
+        # one chunk's mask at a time, not a full-length one
+        x = self.samples
+        if not all(np.all(np.isfinite(x[c])) for c in sample_chunks(x.size)):
             raise ValueError("signal contains non-finite samples")
         if self.sample_rate < 1:
             raise ValueError(f"sample rate must be >= 1, got {self.sample_rate}")

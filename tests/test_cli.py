@@ -7,6 +7,7 @@ import pytest
 from scipy.io import wavfile
 
 import cmfsep.cli as cli_mod
+from cmfsep.bases_file import load_bases
 from cmfsep.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_main
 from cmfsep.io_wav import write_wav
 from cmfsep.stft import Signal
@@ -17,18 +18,24 @@ def write_tone(path, freq, seconds=1.0, rate=16000):
     write_wav(path, Signal(0.5 * np.sin(2 * np.pi * freq * t), rate), "float32")
 
 
-@pytest.fixture()
-def corpus(tmp_path):
-    a_dir = tmp_path / "spk_a"
-    b_dir = tmp_path / "spk_b"
+def make_corpus(root, rate=16000):
+    """One second of a 440 Hz tone for speaker A, of 1870 Hz for B, and
+    their mixture, all at ``rate``."""
+    a_dir = root / "spk_a"
+    b_dir = root / "spk_b"
     a_dir.mkdir()
     b_dir.mkdir()
-    write_tone(a_dir / "u1.wav", 440)
-    write_tone(b_dir / "u1.wav", 1870)
-    t = np.arange(16000) / 16000
+    write_tone(a_dir / "u1.wav", 440, rate=rate)
+    write_tone(b_dir / "u1.wav", 1870, rate=rate)
+    t = np.arange(rate) / rate
     mix = 0.5 * np.sin(2 * np.pi * 440 * t) + 0.5 * np.sin(2 * np.pi * 1870 * t)
-    write_wav(tmp_path / "mix.wav", Signal(mix, 16000), "float32")
-    return tmp_path
+    write_wav(root / "mix.wav", Signal(mix, rate), "float32")
+    return root
+
+
+@pytest.fixture()
+def corpus(tmp_path):
+    return make_corpus(tmp_path)
 
 
 def run_pipeline(root, out_name="out", seed=0, iters=300):
@@ -108,10 +115,82 @@ class TestExitCodes:
         out = tmp_path / "a.cmfb"
         code = cli_main(
             ["train", "--speaker-dir", str(d), "--speaker-id", "A", "--rank", "2",
-             "--iters", "5", "--sr", "0", "--out", str(out)]
+             "--iters", "5", "--out", str(out)]
         )
         assert code == EXIT_DATA
         assert not out.exists()
+
+
+class TestRateFromInput:
+    """``factorize`` and ``train`` take the sample rate from their WAV
+    files; no flag restates it."""
+
+    @pytest.fixture()
+    def corpus_8k(self, tmp_path):
+        return make_corpus(tmp_path, rate=8000)
+
+    def test_train_writes_the_files_rate(self, corpus_8k):
+        out = corpus_8k / "a.cmfb"
+        code = cli_main(
+            ["train", "--speaker-dir", str(corpus_8k / "spk_a"), "--speaker-id", "A",
+             "--rank", "2", "--iters", "5", "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        assert load_bases(out).stft_cfg.sample_rate == 8000
+
+    def test_factorize_takes_the_files_rate(self, corpus_8k, capsys):
+        code = cli_main(
+            ["factorize", "--in", str(corpus_8k / "mix.wav"), "--rank", "2", "--iters", "5"]
+        )
+        assert code == EXIT_OK
+        assert "relative complex-domain error" in capsys.readouterr().out
+
+    def test_mixed_rate_corpus_is_data_error(self, corpus, capsys):
+        write_tone(corpus / "spk_a" / "u2.wav", 440, rate=8000)
+        out = corpus / "a.cmfb"
+        code = cli_main(
+            ["train", "--speaker-dir", str(corpus / "spk_a"), "--speaker-id", "A",
+             "--rank", "2", "--iters", "5", "--out", str(out)]
+        )
+        assert code == EXIT_DATA
+        assert "training signal 1: sample rate 8000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mixture_rate_must_match_the_bases(self, corpus, tmp_path, capsys):
+        run_pipeline(corpus, iters=5)
+        mix_8k = tmp_path / "mix_8k.wav"
+        write_tone(mix_8k, 440, rate=8000)
+        out_dir = tmp_path / "out_8k"
+        code = cli_main(
+            ["separate", "--mix", str(mix_8k), "--bases-a", str(corpus / "a.cmfb"),
+             "--bases-b", str(corpus / "b.cmfb"), "--out-dir", str(out_dir),
+             "--iters", "5"]
+        )
+        assert code == EXIT_DATA
+        assert "mixture sample rate 8000" in capsys.readouterr().err
+        assert not list(out_dir.glob("est_*.wav"))
+
+    @pytest.mark.parametrize("command", ["factorize", "train"])
+    def test_sr_flag_is_usage_error(self, corpus, command):
+        args = {
+            "factorize": ["--in", str(corpus / "mix.wav")],
+            "train": ["--speaker-dir", str(corpus / "spk_a"), "--speaker-id", "A",
+                      "--out", str(corpus / "a.cmfb")],
+        }[command]
+        code = cli_main([command, *args, "--rank", "2", "--iters", "5", "--sr", "16000"])
+        assert code == EXIT_USAGE
+        assert not (corpus / "a.cmfb").exists()
+
+    def test_8k_corpus_end_to_end(self, corpus_8k, capsys):
+        run_pipeline(corpus_8k, iters=50)
+        for est, ref_dir in (("est_a.wav", "spk_a"), ("est_b.wav", "spk_b")):
+            code = cli_main(
+                ["eval", "--ref", str(corpus_8k / ref_dir / "u1.wav"),
+                 "--est", str(corpus_8k / "out" / est)]
+            )
+            assert code == EXIT_OK
+            payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert payload["correlation"] >= 0.9
 
 
 class TestNonFiniteInput:

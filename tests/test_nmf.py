@@ -84,8 +84,10 @@ class TestProblemValidation:
 
 
 class TestChunkedFixedTerms:
-    """With fixed bases the stacked numerator is built a frame chunk at a
-    time; it must equal the one formed from the whole Zc."""
+    """With fixed bases the stacked numerator is one product over the
+    problem's own frames, built at its first use in a whole problem; at
+    frame counts on both sides of the chunk width it must equal the one
+    formed from the whole assembled Zc."""
 
     @pytest.mark.parametrize(
         "frames", [1, FRAME_CHUNK - 1, FRAME_CHUNK, FRAME_CHUNK + 1, 2 * FRAME_CHUNK + 1]

@@ -1,6 +1,5 @@
 import re
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,7 +176,7 @@ class TestSeparate:
 
 def spectrogram_path(x, h, cfg):
     """Reference synthesis: form the complex spectrogram, then invert it."""
-    return istft(complex_matmul_real(x, h), cfg.stft_cfg).samples
+    return istft(complex_matmul_real(x, h), cfg).samples
 
 
 class TestReconstruct:
@@ -186,14 +185,14 @@ class TestReconstruct:
     def test_matches_spectrogram_path(self, rank, frames):
         # DC and Nyquist rows carry imaginary parts; both paths drop them
         rng = np.random.default_rng(rank * 1000 + frames)
-        cfg = SepConfig(rank=rank)
-        bins = cfg.stft_cfg.freq_bins
+        cfg = StftConfig()
+        bins = cfg.freq_bins
         x = rng.standard_normal((bins, rank)) + 1j * rng.standard_normal((bins, rank))
         assert np.all(x[[0, -1]].imag != 0)
         h = rng.standard_normal((rank, frames))
         want = spectrogram_path(x, h, cfg)
         got = reconstruct(x, h, cfg)
-        assert got.sample_rate == cfg.stft_cfg.sample_rate
+        assert got.sample_rate == cfg.sample_rate
         assert got.samples.shape == want.shape
         assert np.max(np.abs(got.samples - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -202,7 +201,7 @@ class TestReconstruct:
     )
     def test_chunk_edges_match_spectrogram_path(self, frames):
         rng = np.random.default_rng(frames)
-        cfg = SepConfig(rank=6)
+        cfg = StftConfig()
         x = rng.standard_normal((257, 6)) + 1j * rng.standard_normal((257, 6))
         h = rng.random((6, frames))
         want = spectrogram_path(x, h, cfg)
@@ -213,7 +212,7 @@ class TestReconstruct:
     def test_peak_memory_is_bounded_by_the_output(self):
         # one chunk of frames at a time, not the frame_len x frames product
         rng = np.random.default_rng(3)
-        cfg = SepConfig(rank=40)
+        cfg = StftConfig()
         x = rng.standard_normal((257, 40)) + 1j * rng.standard_normal((257, 40))
         h = rng.random((40, 4100))
         tracemalloc.start()
@@ -227,30 +226,29 @@ class TestReconstruct:
     def test_shape_mismatch_names_both_shapes(self):
         x = np.ones((257, 3), dtype=complex)
         with pytest.raises(ValueError, match=re.escape("(257, 3)") + ".*" + re.escape("(4, 10)")):
-            reconstruct(x, np.ones((4, 10)), SepConfig())
+            reconstruct(x, np.ones((4, 10)), StftConfig())
 
     def test_vector_weights_name_both_shapes(self):
         x = np.ones((257, 3), dtype=complex)
         with pytest.raises(ValueError, match=re.escape("(257, 3)") + ".*" + re.escape("(3,)")):
-            reconstruct(x, np.ones(3), SepConfig())
+            reconstruct(x, np.ones(3), StftConfig())
 
     def test_rejects_complex_weights(self):
         h = np.ones((2, 5), dtype=complex)
         h[1, 3] = 1 + 1e-3j
         with pytest.raises(ValueError, match="imaginary"):
-            reconstruct(np.ones((257, 2), dtype=complex), h, SepConfig())
+            reconstruct(np.ones((257, 2), dtype=complex), h, StftConfig())
 
     def test_rejects_wrong_row_count(self):
         with pytest.raises(ValueError, match="expected 257"):
-            reconstruct(np.ones((100, 2), dtype=complex), np.ones((2, 5)), SepConfig())
+            reconstruct(np.ones((100, 2), dtype=complex), np.ones((2, 5)), StftConfig())
 
     def test_separate_matches_spectrogram_path(self, tone_bases):
         ba, bb = tone_bases
         cfg = SepConfig(rank=4, iters=100)
         mix = Signal(tone(440).samples + tone(1870).samples, 16000)
         est_a, est_b = separate(mix, ba, bb, cfg)
-        run_cfg = replace(cfg, stft_cfg=ba.stft_cfg)
-        h = estimate_weights(stft(mix, run_cfg.stft_cfg), ba, bb, run_cfg)
+        h = estimate_weights(stft(mix, ba.stft_cfg), ba, bb, cfg)
         for est, x, rows in ((est_a, ba.x_train, h[: ba.rank]), (est_b, bb.x_train, h[ba.rank :])):
-            want = spectrogram_path(x, rows, run_cfg)
+            want = spectrogram_path(x, rows, ba.stft_cfg)
             assert np.max(np.abs(est.samples - want)) <= 1e-12 * np.max(np.abs(want))

@@ -272,6 +272,27 @@ class TestWavWriteMemory:
         assert peak < x.nbytes / 4 + (2 << 20)
 
 
+class TestWavReadMemory:
+    @pytest.mark.parametrize("bit_depth", ["pcm16", "float32"])
+    def test_read_holds_the_result_and_one_chunk(self, tmp_path, bit_depth):
+        # read through one chunk-sized buffer of the file's dtype, and the
+        # finiteness check masks one chunk at a time
+        p = tmp_path / "big.wav"
+        x = np.random.default_rng(4).uniform(-1.0, 1.0, 1 << 21)
+        write_wav(p, Signal(x, 16000), bit_depth)
+        tracemalloc.start()
+        try:
+            wav = read_wav(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        got = wav.samples.samples
+        assert peak <= got.nbytes + (1 << 20)
+        _, raw = wavfile.read(p)
+        want = raw / 32768.0 if bit_depth == "pcm16" else raw.astype(np.float64)
+        assert np.array_equal(got, want)
+
+
 class TestWavWriteLimits:
     @pytest.mark.parametrize("bit_depth, count", [("pcm16", 2**31), ("float32", 2**30)])
     def test_riff_size_limit(self, tmp_path, bit_depth, count):
