@@ -30,16 +30,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("CMF_SEP_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise _UsageError(f"CMF_SEP_SEED must be an integer, got {env!r}") from exc
-    return 0
-
-
 def _atomic_write(path, writer) -> None:
     """Write via a sibling temp file and rename, so failures leave no
     partial output. The file gets the mode a plain ``open`` would give
@@ -69,13 +59,16 @@ def _write_log(path, result) -> None:
             fh.write(f"{it}\t{obj:.17g}{tail}\n")
 
 
+def _sep_config(args, sample_rate: int) -> SepConfig:
+    """The config of a solve from the flags and the input's sample rate."""
+    cfg_stft = StftConfig(frame_len=args.frame, sample_rate=sample_rate)
+    return SepConfig(rank=args.rank, iters=args.iters, seed=args.seed, stft_cfg=cfg_stft)
+
+
 def _cmd_factorize(args) -> int:
     signal = read_wav(args.infile).samples
-    cfg_stft = StftConfig(frame_len=args.frame, sample_rate=signal.sample_rate)
-    cfg = SepConfig(
-        rank=args.rank, iters=args.iters, seed=args.seed, stft_cfg=cfg_stft
-    )
-    z = stft(signal, cfg_stft)
+    cfg = _sep_config(args, signal.sample_rate)
+    z = stft(signal, cfg.stft_cfg)
     result = cmf_factorize(z, args.rank, cfg, checkpoint_every=10 if args.log else 0)
     if args.log:
         _atomic_write(args.log, lambda tmp: _write_log(tmp, result))
@@ -93,10 +86,7 @@ def _cmd_train(args) -> int:
         raise ValueError(f"no .wav files in {args.speaker_dir}")
     signals = [read_wav(os.path.join(args.speaker_dir, f)).samples for f in names]
     # the first file sets the rate; train_bases rejects any other
-    cfg_stft = StftConfig(frame_len=args.frame, sample_rate=signals[0].sample_rate)
-    cfg = SepConfig(
-        rank=args.rank, iters=args.iters, seed=args.seed, stft_cfg=cfg_stft
-    )
+    cfg = _sep_config(args, signals[0].sample_rate)
     bases = train_bases(signals, args.speaker_id, cfg)
     _atomic_write(args.out, lambda tmp: save_bases(tmp, bases))
     print(f"trained {bases.rank} bases for {args.speaker_id!r} -> {args.out}")
@@ -139,41 +129,37 @@ def _cmd_eval(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cmfsep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    solve = argparse.ArgumentParser(add_help=False)
+    solve.add_argument("--iters", type=int, default=500)
+    solve.add_argument("--seed", type=int, default=0)
+    frame = argparse.ArgumentParser(add_help=False)
+    frame.add_argument("--frame", type=int, default=512)
 
-    p = sub.add_parser("factorize", help="factorize one spectrogram")
+    p = sub.add_parser("factorize", parents=[solve, frame], help="factorize one spectrogram")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--log", default=None, help="tab-separated iteration log")
-    p.add_argument("--frame", type=int, default=512)
     p.set_defaults(func=_cmd_factorize)
 
-    p = sub.add_parser("train", help="train per-speaker bases")
+    p = sub.add_parser("train", parents=[solve, frame], help="train per-speaker bases")
     p.add_argument("--speaker-dir", required=True)
     p.add_argument("--speaker-id", required=True)
     p.add_argument("--rank", type=int, default=40)
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--frame", type=int, default=512)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("separate", help="separate a two-speaker mixture")
+    p = sub.add_parser("separate", parents=[solve], help="separate a two-speaker mixture")
     p.add_argument("--mix", required=True)
     p.add_argument("--bases-a", required=True)
     p.add_argument("--bases-b", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bit-depth", choices=["pcm16", "float32"], default="pcm16")
     p.set_defaults(func=_cmd_separate)
 
-    p = sub.add_parser("eval", help="evaluate a reconstruction")
+    p = sub.add_parser("eval", parents=[frame], help="evaluate a reconstruction")
     p.add_argument("--ref", required=True)
     p.add_argument("--est", required=True)
     p.add_argument("--csv", action="store_true", help="one CSV row, not JSON")
-    p.add_argument("--frame", type=int, default=512)
     p.set_defaults(func=_cmd_eval)
 
     return parser
@@ -183,8 +169,6 @@ def cli_main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-            args.seed = _default_seed()
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -34,12 +34,15 @@ The complex-domain error ‖Z − Xh‖² of a checkpoint is summed over the
 frame chunks of ``linalg.frame_chunks``, so no complex F×T residual is
 formed.
 
-With fixed bases the H update of a frame reads only that frame's
-numerator column, so ``cmf_factorize`` runs the whole iteration loop on
-one frame chunk (``nmf.NmfProblem.segment``) before it starts the next,
-and writes each chunk's weights into the output. The start is still taken
-once over all frames and sliced. Each chunk stops on its own
-objective; the histories and checkpoints are summed over chunks.
+``cmf_factorize`` solves in parts and writes each part's weights into
+that part's frames of one rank × T output; a free solve is one part
+over all frames, since the X update couples them. With fixed bases the
+H update of a frame reads only that frame's numerator column, so each
+frame chunk (``nmf.NmfProblem.segment``) is a part, whose whole
+iteration loop runs before the next part starts. The start is still
+taken once over all frames and sliced. Each chunk stops on its own
+objective; the histories, and the complex errors that each part's loop
+returns as {iteration: error}, are summed over chunks.
 
 After each step's X update, and after its H update, factor entries
 below ``FLUSH_BELOW`` (sqrt of the smallest normal float64, about
@@ -238,11 +241,12 @@ def _complex_error(z: np.ndarray, x: np.ndarray, h: np.ndarray) -> float:
 
 def _iterate(problem: NmfProblem, state: NmfState, cfg: SepConfig, checkpoint_every: int):
     """Step ``state`` until the stop rule fires or ``cfg.iters`` steps
-    are taken; return the checkpoints (iteration, block objective,
-    complex error) of every ``checkpoint_every``-th step and of the
-    last, and the signed factors x, h of the last."""
+    are taken; return the complex errors of every
+    ``checkpoint_every``-th step and of the last, as
+    {iteration: complex error}, and the signed factors x, h of the last.
+    The block objectives are ``state.objective_history``."""
     rows, rank = problem.z.shape[0], problem.rank
-    checkpoints = []
+    errors = {}
     # also leaves on the state the product the first update needs
     prev = objective(problem, state, *gram_terms(problem, state.x))
     for it in range(1, cfg.iters + 1):
@@ -255,11 +259,11 @@ def _iterate(problem: NmfProblem, state: NmfState, cfg: SepConfig, checkpoint_ev
             or (checkpoint_every > 0 and it % checkpoint_every == 0)
         ):
             x, h = _reassemble(state.x, state.h, rows, rank)
-            checkpoints.append((it, cur, _complex_error(problem.z, x, h)))
+            errors[it] = _complex_error(problem.z, x, h)
         if stopping:
             break
         prev = cur
-    return checkpoints, x, h
+    return errors, x, h
 
 
 def _parts(problem: NmfProblem, cfg: SepConfig, h_init):
@@ -309,12 +313,14 @@ def cmf_factorize(
     (0 = never before termination) and at the final iteration, which is
     always a checkpoint and whose value is returned as ``final_error``.
 
-    With fixed bases each frame's weights update on their own, so the
-    solve runs one frame chunk (``linalg.FRAME_CHUNK`` = 512 frames) at
-    a time: it holds ``z``, the given ``h_init`` and the output weights,
-    plus one chunk's numerator, weights and products, so with ``h_init``
-    (as ``separate`` passes) its memory does not otherwise grow with
-    length. A drawn start also holds the 2K×T drawn weights, and while
+    The output weights are allocated once, rank × cols, and each part of
+    the solve writes its weights into its own frames; with free bases
+    the whole problem is one part. With fixed bases each frame's weights
+    update on their own, so the solve runs one frame chunk
+    (``linalg.FRAME_CHUNK`` = 512 frames) at a time: it holds ``z``, the
+    given ``h_init`` and the output weights, plus one chunk's numerator,
+    weights and products, so with ``h_init`` (as ``separate`` passes) its
+    memory does not otherwise grow with length. A drawn start also holds the 2K×T drawn weights, and while
     they are drawn the 2K×2T block draw. Each chunk stops on its own
     objective. An entry of ``objective_history``, and a checkpoint's
     objective and complex error, is the sum over chunks of each chunk's
@@ -349,18 +355,14 @@ def cmf_factorize(
             final_error=0.0,
         )
 
-    # a whole solve's weights are the output; segments are written into it
-    h = None if problem.fixed_x is None else np.empty((rank, cols))
+    # each part's weights are written into its frames of the output
+    h = np.empty((rank, cols))
     histories, errors = [], []
     for frames, part, state in parts:
-        checkpoints, x, part_h = _iterate(part, state, cfg, checkpoint_every)
-        if h is None:
-            h = part_h
-        else:
-            h[:, frames] = part_h
+        part_errors, x, h[:, frames] = _iterate(part, state, cfg, checkpoint_every)
         histories.append(state.objective_history)
-        errors.append({it: err for it, _, err in checkpoints})
-        del part, state, part_h  # before the next part is formed
+        errors.append(part_errors)
+        del part, state  # before the next part is formed
 
     # a part that stopped at iteration s contributes its value at s to
     # every later iteration

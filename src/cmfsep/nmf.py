@@ -20,7 +20,7 @@ construction. With fixed bases each frame's weights update on their
 own, so ``NmfProblem.segment`` gives the problem of a run of frames,
 sharing the checked bases and XᵀX and forming the numerator XᵀZc of its
 own frames alone (frames t of a run are columns t and T + t of Zc).
-``cmf.cmf_factorize`` solves one run of at most ``FRAME_CHUNK`` frames
+``cmf.cmf_factorize`` solves one run of at most ``linalg.FRAME_CHUNK`` frames
 at a time this way, so it forms one run's Zc at a time, never the whole
 Zc or the whole numerator. The objective is the Gram form
 ``‖Z‖² − 2⟨H, XᵀZc⟩ + ⟨H, XᵀX H⟩``, which costs no 2F×2T residual;
@@ -39,7 +39,7 @@ assignment.
 The Gram form subtracts terms of size ‖Z‖², so its absolute rounding
 error is about 1e-16·‖Z‖²; below ``GRAM_GUARD``·‖Z‖² the direct
 residual ‖Zc − XH‖² is computed instead, summed over chunks of at most
-``FRAME_CHUNK`` frames, each chunk's Zc and H columns formed from Z and
+``linalg.FRAME_CHUNK`` frames, each chunk's Zc and H columns formed from Z and
 W. The guard
 sits at 1e-3, not lower, because a history entry must agree with the
 direct residual to about 1e-12 relative: at 1e-8 the planted-recovery
@@ -54,7 +54,6 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
-    FRAME_CHUNK,
     as_complex_matrix,
     assemble_zc,
     frame_chunks,
@@ -63,10 +62,8 @@ from .linalg import (
 )
 
 __all__ = [
-    "FRAME_CHUNK",
     "NmfProblem",
     "NmfState",
-    "frame_chunks",
     "gram_terms",
     "objective",
 ]

@@ -108,7 +108,7 @@ def estimate_weights(
     # each speaker's stream fills a (2*rank x 2*cols) block, as it always
     # has, so seeded runs keep their initial weights; h_plus takes the
     # left half of its first rank rows and h_minus that of the rest. The
-    # used quarter of each draw is copied into one buffer, and the draw
+    # used half of each draw is copied into one buffer, and the draw
     # freed before the next is made.
     start = np.empty((2, rank, cols))
     rows = 0

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import stat
@@ -321,6 +322,58 @@ class TestEval:
         assert len(row.split(",")) == 4
 
 
+class TestSeedSource:
+    """The seed of a run comes from ``--seed`` alone and defaults to 0."""
+
+    def _outputs(self, root, name, seed_args):
+        """Train A and B and separate their mixture into ``root / name``;
+        the bytes of the four files written."""
+        solve = ["--iters", "20"] + seed_args
+        for spk in ("a", "b"):
+            code = cli_main(
+                ["train", "--speaker-dir", str(root / f"spk_{spk}"), "--speaker-id", spk,
+                 "--rank", "2", "--out", str(root / f"{name}_{spk}.cmfb")] + solve
+            )
+            assert code == EXIT_OK
+        code = cli_main(
+            ["separate", "--mix", str(root / "mix.wav"),
+             "--bases-a", str(root / f"{name}_a.cmfb"),
+             "--bases-b", str(root / f"{name}_b.cmfb"),
+             "--out-dir", str(root / name)] + solve
+        )
+        assert code == EXIT_OK
+        paths = [root / f"{name}_a.cmfb", root / f"{name}_b.cmfb",
+                 root / name / "est_a.wav", root / name / "est_b.wav"]
+        return [p.read_bytes() for p in paths]
+
+    def test_default_seed_is_zero(self, corpus):
+        assert self._outputs(corpus, "default", []) == self._outputs(
+            corpus, "flag", ["--seed", "0"]
+        )
+
+    def test_environment_sets_no_seed(self, corpus, monkeypatch):
+        flagged = self._outputs(corpus, "flag", ["--seed", "0"])
+        monkeypatch.setenv("CMF_SEP_SEED", "5")
+        assert self._outputs(corpus, "env", []) == flagged
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("factorize", {"--in", "--rank", "--iters", "--seed", "--log", "--frame"}),
+            ("train", {"--speaker-dir", "--speaker-id", "--rank", "--iters", "--seed",
+                       "--out", "--frame"}),
+            ("separate", {"--mix", "--bases-a", "--bases-b", "--out-dir", "--iters",
+                          "--seed", "--bit-depth"}),
+            ("eval", {"--ref", "--est", "--csv", "--frame"}),
+        ],
+    )
+    def test_each_command_takes_its_options(self, command, options):
+        parser = cli_mod._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        taken = {o for a in sub.choices[command]._actions for o in a.option_strings}
+        assert taken == options | {"-h", "--help"}
+
+
 class TestPipeline:
     def test_end_to_end_quality(self, corpus, capsys):
         run_pipeline(corpus)
@@ -343,28 +396,6 @@ class TestPipeline:
             assert (corpus / "out1" / name).read_bytes() == (
                 corpus / "out2" / name
             ).read_bytes()
-
-    def test_env_seed_fallback(self, corpus, monkeypatch):
-        monkeypatch.setenv("CMF_SEP_SEED", "5")
-        cli_main(
-            ["train", "--speaker-dir", str(corpus / "spk_a"), "--speaker-id", "A",
-             "--rank", "2", "--iters", "20", "--out", str(corpus / "env.cmfb")]
-        )
-        monkeypatch.delenv("CMF_SEP_SEED")
-        cli_main(
-            ["train", "--speaker-dir", str(corpus / "spk_a"), "--speaker-id", "A",
-             "--rank", "2", "--iters", "20", "--seed", "5",
-             "--out", str(corpus / "flag.cmfb")]
-        )
-        assert (corpus / "env.cmfb").read_bytes() == (corpus / "flag.cmfb").read_bytes()
-
-    def test_bad_env_seed_is_usage_error(self, corpus, monkeypatch, capsys):
-        monkeypatch.setenv("CMF_SEP_SEED", "not-a-number")
-        code = cli_main(
-            ["train", "--speaker-dir", str(corpus / "spk_a"), "--speaker-id", "A",
-             "--rank", "2", "--iters", "5", "--out", str(corpus / "x.cmfb")]
-        )
-        assert code == EXIT_USAGE
 
     def test_outputs_get_the_umask_mode(self, corpus):
         # a plain open() under umask 022 gives 0644; the temp-then-rename

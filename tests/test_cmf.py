@@ -18,8 +18,7 @@ from cmfsep.cmf import (
     symmetrize_h,
 )
 from cmfsep.config import SepConfig
-from cmfsep.linalg import frame_chunks, frobenius_norm_sq
-from cmfsep.nmf import FRAME_CHUNK
+from cmfsep.linalg import FRAME_CHUNK, frame_chunks, frobenius_norm_sq
 
 
 def random_complex(rng, shape):
@@ -634,6 +633,17 @@ class TestComplexErrorBound:
         # states the constant 2: the cross terms <R11, R12> and <R21, R22>
         # can be negative, so the block objective alone does not bound it
         assert worst > 1.0
+
+    def test_factor_two_is_attained(self):
+        # on this input the solve stalls at 0.45 relative complex error
+        # while X~s fits Z~ almost exactly, so the slack 2 * block -
+        # complex error vanishes and the bound's constant 2 is reached
+        rng = np.random.default_rng(3)
+        z = random_complex(rng, (2, 2))
+        res = cmf_factorize(z, 2, SepConfig(rank=2, iters=5000, tol=0, seed=3))
+        _, block_obj, complex_err = res.checkpoints[-1]
+        assert complex_err / block_obj > 1.9999999
+        assert (2 * block_obj - complex_err) / frobenius_norm_sq(z) < 1e-9
 
 
 def tied_identity_sides(rng, rows, rank, cols, tied=True):

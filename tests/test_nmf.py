@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from blocks import assembled_zc, stacked_numerator
 from cmfsep.cmf import EPSILON, FLUSH_BELOW, _start, nmf_step
-from cmfsep.linalg import frobenius_norm_sq
-from cmfsep.nmf import FRAME_CHUNK, GRAM_GUARD, NmfProblem, NmfState, gram_terms, objective
+from cmfsep.linalg import FRAME_CHUNK, frobenius_norm_sq
+from cmfsep.nmf import GRAM_GUARD, NmfProblem, NmfState, gram_terms, objective
 
 
 def tied(z, rank, fixed_x=None):

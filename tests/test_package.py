@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -63,6 +64,23 @@ class TestRuntimeFootprint:
         r = _run_fresh(code, tmp_path)
         assert r.returncode == 0, r.stderr
         assert '"snr_db"' in r.stdout
+
+
+class TestNoEnvironmentInput:
+    """A run is set by its arguments alone: no cmfsep module reads the
+    environment."""
+
+    def test_no_module_reads_the_environment(self):
+        names = {"environ", "environb", "getenv", "getenvb"}
+        reads = []
+        for path in sorted(Path(cmfsep.__file__).resolve().parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute) and node.attr in names:
+                    reads.append(f"{path.name}:{node.lineno}")
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    if any(alias.name in names for alias in node.names):
+                        reads.append(f"{path.name}:{node.lineno}")
+        assert reads == []
 
 
 class TestHarness:
