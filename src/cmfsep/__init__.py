@@ -1,18 +1,14 @@
 """Phase-aware single-channel source separation via complex matrix
-factorization reduced to NMF."""
+factorization reduced to NMF.
 
-from .cmf import (
-    CmfResult,
-    SplitQuad,
-    cmf_factorize,
-    merge_quad,
-    nmf_step,
-    split_complex,
-    symmetrize_h,
-)
+The package root exports the library: configs, signals, the transform,
+factorization, separation and metrics. Solver internals (the split and
+merge of a complex matrix, the NMF problem, state and step) live in
+their modules, ``cmfsep.cmf``, ``cmfsep.nmf`` and ``cmfsep.linalg``."""
+
+from .cmf import CmfResult, cmf_factorize
 from .config import SepConfig
 from .metrics import EvalReport, correlation, evaluate, snr_db, tir_esc, tir_loss
-from .nmf import NmfProblem, NmfState
 from .separation import BasisSet, reconstruct, separate, train_bases
 from .stft import Signal, StftConfig, dft, istft, stft
 
@@ -20,25 +16,18 @@ __all__ = [
     "BasisSet",
     "CmfResult",
     "EvalReport",
-    "NmfProblem",
-    "NmfState",
     "SepConfig",
     "Signal",
-    "SplitQuad",
     "StftConfig",
     "cmf_factorize",
     "correlation",
     "dft",
     "evaluate",
     "istft",
-    "merge_quad",
-    "nmf_step",
     "reconstruct",
     "separate",
     "snr_db",
-    "split_complex",
     "stft",
-    "symmetrize_h",
     "tir_esc",
     "tir_loss",
     "train_bases",

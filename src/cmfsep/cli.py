@@ -3,7 +3,6 @@
 import argparse
 import os
 import sys
-import tempfile
 
 from .bases_file import BasesFileError, load_bases, save_bases
 from .cmf import cmf_factorize
@@ -32,15 +31,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _atomic_write(path, writer) -> None:
     """Write via a sibling temp file and rename, so failures leave no
-    partial output. The file gets the mode a plain ``open`` would give
-    (0o666 less the umask), not mkstemp's 0o600."""
+    partial output. The temp name is reserved with an exclusive plain
+    ``open``, so the file gets the usual mode (0o666 less the umask)."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-cmfsep-")
-    os.close(fd)
-    umask = os.umask(0)
-    os.umask(umask)
+    tmp = os.path.join(directory, f".tmp-cmfsep-{os.urandom(8).hex()}")
+    open(tmp, "xb").close()
     try:
-        os.chmod(tmp, 0o666 & ~umask)
         writer(tmp)
         os.replace(tmp, path)
     except BaseException:
@@ -115,8 +111,6 @@ def _cmd_separate(args) -> int:
 def _cmd_eval(args) -> int:
     ref_wav = read_wav(args.ref)
     est_wav = read_wav(args.est)
-    if ref_wav.samples.sample_rate != est_wav.samples.sample_rate:
-        raise ValueError("sample rate mismatch between ref and est")
     cfg = StftConfig(frame_len=args.frame, sample_rate=ref_wav.samples.sample_rate)
     report = evaluate(ref_wav.samples, est_wav.samples, cfg)
     if args.csv:

@@ -156,6 +156,11 @@ def snr_db(ref: Signal, est: Signal) -> float:
 
 
 def evaluate(ref: Signal, est: Signal, cfg: StftConfig) -> EvalReport:
+    """All four metrics of ``est`` against ``ref``. The two signals must
+    share one sample rate; ``ValueError`` otherwise. ``cfg`` sets the
+    analysis frames of ``tir_loss``."""
+    if ref.sample_rate != est.sample_rate:
+        raise ValueError("sample rate mismatch between ref and est")
     r = correlation(ref, est)
     loss = tir_loss(ref, est, cfg)
     return EvalReport(

@@ -17,6 +17,7 @@ frames and spectra (about 2 MB each at 512 samples per frame), never a
 full-length temporary.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,13 @@ __all__ = [
 ]
 
 
+def _check_rate(rate) -> None:
+    """A sample rate is a whole number of samples per second (a numpy
+    integer too), at least 1: the WAV and bases headers store it as one."""
+    if not isinstance(rate, numbers.Integral) or rate < 1:
+        raise ValueError(f"sample rate must be an integer >= 1, got {rate!r}")
+
+
 @dataclass(frozen=True)
 class StftConfig:
     frame_len: int = 512
@@ -44,8 +52,7 @@ class StftConfig:
         n = self.frame_len
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"frame_len must be a power of two, got {n}")
-        if self.sample_rate < 1:
-            raise ValueError(f"sample rate must be >= 1, got {self.sample_rate}")
+        _check_rate(self.sample_rate)
 
     @property
     def hop(self) -> int:
@@ -70,8 +77,7 @@ class Signal:
         x = self.samples
         if not all(np.all(np.isfinite(x[c])) for c in sample_chunks(x.size)):
             raise ValueError("signal contains non-finite samples")
-        if self.sample_rate < 1:
-            raise ValueError(f"sample rate must be >= 1, got {self.sample_rate}")
+        _check_rate(self.sample_rate)
 
     def __len__(self) -> int:
         return self.samples.size

@@ -321,6 +321,15 @@ class TestEval:
         row = capsys.readouterr().out.strip()
         assert len(row.split(",")) == 4
 
+    def test_rate_mismatch_is_data_error(self, tmp_path, capsys):
+        write_tone(tmp_path / "ref.wav", 440, rate=16000)
+        write_tone(tmp_path / "est.wav", 440, rate=8000)
+        code = cli_main(
+            ["eval", "--ref", str(tmp_path / "ref.wav"), "--est", str(tmp_path / "est.wav")]
+        )
+        assert code == EXIT_DATA
+        assert "sample rate mismatch between ref and est" in capsys.readouterr().err
+
 
 class TestSeedSource:
     """The seed of a run comes from ``--seed`` alone and defaults to 0."""
@@ -416,6 +425,19 @@ class TestPipeline:
         assert {p.name: oct(stat.S_IMODE(p.stat().st_mode)) for p in outputs} == {
             p.name: "0o644" for p in outputs
         }
+
+    def test_outputs_do_not_touch_the_umask(self, corpus, monkeypatch):
+        # the umask is process-wide: setting it, even briefly, changes the
+        # mode of files that other threads of an in-process caller create
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", no_umask)
+        run_pipeline(corpus, iters=5)
+        for p in (corpus / "a.cmfb", corpus / "b.cmfb", corpus / "out" / "est_a.wav",
+                  corpus / "out" / "est_b.wav"):
+            assert p.stat().st_size > 0
+        assert list(corpus.rglob(".tmp-cmfsep-*")) == []
 
     def test_no_partial_output_on_failure(self, corpus, tmp_path):
         # unwritable sibling directory: the temp-then-rename write leaves

@@ -253,6 +253,13 @@ class TestEvalReport:
         rep = EvalReport(correlation=0.5, tir_loss=0.25, tir_esc=0.1875, snr_db=3.0)
         assert rep.to_csv_row() == "0.5,0.25,0.1875,3"
 
+    def test_rate_mismatch_raises(self):
+        # same samples, different rates: the scores would be of signals
+        # that do not line up in time
+        x = noise(24)
+        with pytest.raises(ValueError, match="sample rate mismatch"):
+            evaluate(sig(x, 16000), sig(x, 8000), CFG)
+
 
 
 class TestMemory:

@@ -23,6 +23,34 @@ def test_every_export_resolves(name):
     assert missing == []
 
 
+class TestPublicNames:
+    """The package root exports the library; solver internals have one
+    home, their module."""
+
+    def test_root_exports_the_library(self):
+        assert sorted(cmfsep.__all__) == [
+            "BasisSet", "CmfResult", "EvalReport", "SepConfig", "Signal", "StftConfig",
+            "cmf_factorize", "correlation", "dft", "evaluate", "istft", "reconstruct",
+            "separate", "snr_db", "stft", "tir_esc", "tir_loss", "train_bases",
+        ]
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("cmfsep.cmf", "nmf_step"),
+            ("cmfsep.cmf", "symmetrize_h"),
+            ("cmfsep.nmf", "NmfProblem"),
+            ("cmfsep.nmf", "NmfState"),
+            ("cmfsep.linalg", "split_complex"),
+            ("cmfsep.linalg", "merge_quad"),
+            ("cmfsep.linalg", "SplitQuad"),
+        ],
+    )
+    def test_solver_internals_live_in_their_module(self, module, name):
+        assert name in importlib.import_module(module).__all__
+        assert name not in cmfsep.__all__
+
+
 def _run_fresh(code: str, cwd) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports this cmfsep."""
     src = str(Path(cmfsep.__file__).resolve().parents[1])

@@ -121,6 +121,15 @@ class TestStftConfig:
         with pytest.raises(ValueError, match="sample rate"):
             StftConfig(sample_rate=rate)
 
+    @pytest.mark.parametrize("rate", [16000.5, 16000.0])
+    def test_rejects_non_integer_sample_rate(self, rate):
+        # the WAV and bases headers store the rate as an integer
+        with pytest.raises(ValueError, match="sample rate must be an integer"):
+            StftConfig(sample_rate=rate)
+
+    def test_accepts_numpy_integer_sample_rate(self):
+        assert StftConfig(sample_rate=np.int64(8000)).sample_rate == 8000
+
 
 class TestSignal:
     def test_flattens_and_casts(self):
@@ -151,6 +160,14 @@ class TestSignal:
     def test_rejects_sample_rate_below_one(self, rate):
         with pytest.raises(ValueError, match="sample rate"):
             Signal(np.ones(4), rate)
+
+    @pytest.mark.parametrize("rate", [16000.5, 16000.0])
+    def test_rejects_non_integer_sample_rate(self, rate):
+        with pytest.raises(ValueError, match="sample rate must be an integer"):
+            Signal(np.ones(4), rate)
+
+    def test_accepts_numpy_integer_sample_rate(self):
+        assert Signal(np.ones(4), np.int32(8000)).sample_rate == 8000
 
 
 class TestStft:
