@@ -5,11 +5,10 @@ negative parts of the real and imaginary components). Stacking the
 parts into a 2x2 block matrix turns the complex factorization
 ``Z ~ X H`` (complex bases X, real weights H) into one nonnegative
 problem, with the weight blocks tied pairwise as [[h⁺, h⁻], [h⁻, h⁺]].
-The split and its block matrices live in ``linalg``; this module
-imports them and keeps them among its names. The nonnegative problem,
-``nmf.NmfProblem``, is built from the complex data: with free bases it
-assembles the 2F×2T block matrix Zc, and with fixed bases it never
-does (see ``nmf``). The solve stores the weights once, as
+The split and its block matrices live in ``linalg``, which alone
+exports them. The nonnegative problem, ``nmf.NmfProblem``, is built
+from the complex data: with free bases it assembles the 2F×2T block
+matrix Zc, and with fixed bases it never does (see ``nmf``). The solve stores the weights once, as
 W = [h⁺; h⁻], and at every multiplicative update averages the two
 block ratios that multiply h⁺, and the two that multiply h⁻, into one
 multiplier each; at termination the signed factors are reassembled
@@ -38,11 +37,13 @@ formed.
 that part's frames of one rank × T output; a free solve is one part
 over all frames, since the X update couples them. With fixed bases the
 H update of a frame reads only that frame's numerator column, so each
-frame chunk (``nmf.NmfProblem.segment``) is a part, whose whole
-iteration loop runs before the next part starts. The start is still
-taken once over all frames and sliced. Each chunk stops on its own
-objective; the histories, and the complex errors that each part's loop
-returns as {iteration: error}, are summed over chunks.
+frame chunk (``nmf.NmfProblem.segment``, which alone builds a
+numerator) is a part, whose whole iteration loop runs before the next
+part starts. Every part's start comes from one ``_start`` over all
+frames: its bases, and its frames of the start's weight halves. Each
+chunk stops on its own objective; the histories, and the complex errors
+that each part's loop returns as {iteration: error}, are summed over
+chunks.
 
 After each step's X update, and after its H update, factor entries
 below ``FLUSH_BELOW`` (sqrt of the smallest normal float64, about
@@ -58,16 +59,10 @@ from typing import Optional
 import numpy as np
 
 from .config import SepConfig
-from .linalg import (
-    BlockMatrix,
-    SplitQuad,
-    as_real,
-    assemble_zc,
-    frame_chunks,
-    frobenius_norm_sq,
-    merge_quad,
-    split_complex,
-)
+from .linalg import as_real, frame_chunks, frobenius_norm_sq
+
+# not called here: bench/spans.py patches these three names
+from .linalg import BlockMatrix, assemble_zc, split_complex  # noqa: F401
 from .nmf import (
     NmfProblem,
     NmfState,
@@ -79,12 +74,7 @@ from .nmf import (
 
 __all__ = [
     "EPSILON",
-    "SplitQuad",
-    "BlockMatrix",
     "CmfResult",
-    "split_complex",
-    "merge_quad",
-    "assemble_zc",
     "symmetrize_h",
     "nmf_step",
     "cmf_factorize",
@@ -197,26 +187,26 @@ def _checked_halves(h_init, rank: int, cols: int):
     return hp0, hm0
 
 
-def _start(problem: NmfProblem, seed: int, h_init=None) -> NmfState:
-    """The seeded start of a solve of ``problem``, from one generator:
-    the bases first, a copy of the fixed block bases ``problem.xc`` or
-    uniform draws in (EPSILON, 1]; then the weights W = [h⁺; h⁻]. Drawn
-    weights fill a 2K×2T block matrix, which is tied once and whose left
-    column block is kept. Given halves ``h_init`` are stacked as they
-    are: tying [[h⁺, h⁻], [h⁻, h⁺]] gives them back exactly, so it is
-    skipped."""
+def _start(problem: NmfProblem, seed: int, h_init=None):
+    """The seeded start (x, h⁺, h⁻) of a solve of ``problem``, from one
+    generator: the bases first, the fixed block bases ``problem.xc``
+    themselves (a fixed-basis step never writes them) or uniform draws
+    in (EPSILON, 1]; then the weight halves. Drawn weights fill a 2K×2T
+    block matrix, which is tied once and whose left column block is
+    copied and split. Given halves ``h_init`` are checked and returned
+    as they are: tying [[h⁺, h⁻], [h⁻, h⁺]] gives them back exactly, so
+    it is skipped."""
     rng = np.random.default_rng(seed)
     rank, (rows, cols) = problem.rank, problem.z.shape
     if problem.fixed_x is not None:
-        x = problem.xc.copy()
+        x = problem.xc
     else:
         x = np.maximum(rng.random((2 * rows, 2 * rank)), EPSILON)
-    if h_init is None:
-        hc = np.maximum(rng.random((2 * rank, 2 * cols)), EPSILON)
-        w = _make_coupling(rank, cols)(hc)[:, :cols].copy()
-    else:
-        w = np.concatenate(_checked_halves(h_init, rank, cols))
-    return NmfState(x=x, h=w)
+    if h_init is not None:
+        return (x, *_checked_halves(h_init, rank, cols))
+    hc = np.maximum(rng.random((2 * rank, 2 * cols)), EPSILON)
+    w = _make_coupling(rank, cols)(hc)[:, :cols].copy()
+    return (x, *np.split(w, 2))
 
 
 def _reassemble(xc: np.ndarray, w: np.ndarray, rows: int, rank: int):
@@ -267,28 +257,25 @@ def _iterate(problem: NmfProblem, state: NmfState, cfg: SepConfig, checkpoint_ev
 
 
 def _parts(problem: NmfProblem, cfg: SepConfig, h_init):
-    """The (frames, problem, start) of each part solved on its own, all
-    of it checked before the first is solved: the whole problem when
-    the bases are free, since the X update couples all frames. With
-    fixed bases, one part per frame chunk of ``linalg.frame_chunks``:
-    the start is taken over all frames, and each part's problem and
-    weights are formed from it only when that part is reached. The
-    start's halves are those of ``_start``'s drawn W, or the given
-    halves as they are, checked but never stacked into a whole W."""
+    """The (frames, problem, state) of each part solved on its own, all
+    from one ``_start``, which checks the given start before the first
+    part is solved: the whole problem when the bases are free, since
+    the X update couples all frames. With fixed bases, one part per
+    frame chunk of ``linalg.frame_chunks``, whose problem
+    (``NmfProblem.segment``) and weights are formed only when that part
+    is reached. A part's weights W = [h⁺; h⁻] are stacked from its
+    frames of the start's halves."""
+    x, hp, hm = _start(problem, cfg.seed, h_init)
     if problem.fixed_x is None:
-        return [(slice(None), problem, _start(problem, cfg.seed, h_init))]
-    if h_init is None:
-        hp, hm = np.split(_start(problem, cfg.seed).h, 2)
-    else:
-        hp, hm = _checked_halves(h_init, problem.rank, problem.z.shape[1])
+        # built here, so that the halves are freed before the solve
+        return [(slice(None), problem, NmfState(x=x, h=np.concatenate((hp, hm))))]
     # a part's problem, and with it its numerator, is formed before its
-    # weights; the bases are shared, since a fixed-basis step never
-    # writes them
+    # weights
     return (
         (
             cols,
             problem.segment(cols),
-            NmfState(x=problem.xc, h=np.concatenate((hp[:, cols], hm[:, cols]))),
+            NmfState(x=x, h=np.concatenate((hp[:, cols], hm[:, cols]))),
         )
         for cols in frame_chunks(problem.z.shape[1])
     )

@@ -152,14 +152,11 @@ def _header(tag: int, itemsize: int, rate: int, count: int) -> bytes:
 
 
 def write_wav(path, signal: Signal, bit_depth: str = "pcm16") -> None:
-    """Write ``signal`` as a mono WAV. The samples and rate are checked
-    here, before anything is written, because a ``Signal`` can be
-    changed after its constructor checked it."""
+    """Write ``signal`` as a mono WAV. Its length and rate were checked
+    when it was made and its fields cannot be reassigned, but its samples
+    array can be written in place, so each chunk is checked to be finite
+    here, before anything is written."""
     x = signal.samples
-    if x.size == 0:
-        raise ValueError("refusing to write an empty signal")
-    if signal.sample_rate < 1:
-        raise ValueError(f"sample rate must be >= 1, got {signal.sample_rate}")
     if bit_depth not in _BIT_DEPTHS:
         raise ValueError(f"unsupported bit depth {bit_depth!r}")
     tag, dtype = _BIT_DEPTHS[bit_depth]

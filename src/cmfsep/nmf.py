@@ -20,12 +20,13 @@ construction. With fixed bases each frame's weights update on their
 own, so ``NmfProblem.segment`` gives the problem of a run of frames,
 sharing the checked bases and XᵀX and forming the numerator XᵀZc of its
 own frames alone (frames t of a run are columns t and T + t of Zc).
-``cmf.cmf_factorize`` solves one run of at most ``linalg.FRAME_CHUNK`` frames
-at a time this way, so it forms one run's Zc at a time, never the whole
-Zc or the whole numerator. The objective is the Gram form
-``‖Z‖² − 2⟨H, XᵀZc⟩ + ⟨H, XᵀX H⟩``, which costs no 2F×2T residual;
-each inner product over H is the sum of two over W, one per row block
-of the stacked term.
+The numerator is built there only, so a fixed-basis problem is stepped
+through its segments. ``cmf.cmf_factorize`` solves one run of at most
+``linalg.FRAME_CHUNK`` frames at a time this way, so it forms one run's
+Zc at a time, never the whole Zc or the whole numerator. The objective
+is the Gram form ``‖Z‖² − 2⟨H, XᵀZc⟩ + ⟨H, XᵀX H⟩``, which costs no
+2F×2T residual; each inner product over H is the sum of two over W,
+one per row block of the stacked term.
 
 Its quadratic term is taken from the product the next update needs,
 so a step forms one quadratic product fewer. With fixed bases it is
@@ -92,7 +93,9 @@ class NmfProblem:
     free bases ``zc``, the assembled 2F×2T Zc; with ``fixed_x`` its
     2F×2K block matrix ``xc`` and the stacked Gram ``xtx`` of
     ``gram_terms``, with ``zc`` left None. The stacked numerator ``xtz``
-    is set by ``segment``, or built at its first use in a whole problem.
+    of fixed bases is set only by ``segment``, so a fixed-basis problem
+    is stepped through a segment (``segment(slice(None))`` for all of its
+    frames); it stays None on the problem itself and with free bases.
     """
 
     z: np.ndarray
@@ -102,7 +105,7 @@ class NmfProblem:
     zc: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     xc: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     xtx: Optional[np.ndarray] = field(init=False, repr=False, default=None)
-    _xtz: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    xtz: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.z = as_complex_matrix(self.z)
@@ -127,15 +130,6 @@ class NmfProblem:
             self.xtx = _stacked_xtx(self.xc)
         self.z_norm_sq = frobenius_norm_sq(self.z)
 
-    @property
-    def xtz(self) -> Optional[np.ndarray]:
-        """The stacked numerator [Y_L; ΠY_R] of the problem's frames with
-        fixed bases, None with free ones; built at the first use, from the
-        Zc of all of those frames, and kept."""
-        if self.fixed_x is not None and self._xtz is None:
-            self._xtz = _stacked_xtz(self.xc, _block_matrix(self.z))
-        return self._xtz
-
     def segment(self, cols: slice) -> "NmfProblem":
         """The problem of the frames ``cols`` of ``z``, with the same
         fixed bases. It shares this problem's checked bases, ``xc`` and
@@ -146,7 +140,7 @@ class NmfProblem:
         part = copy.copy(self)
         part.z = self.z[:, cols]
         part.z_norm_sq = frobenius_norm_sq(part.z)
-        part._xtz = _stacked_xtz(self.xc, _block_matrix(part.z))
+        part.xtz = _stacked_xtz(self.xc, _block_matrix(part.z))
         return part
 
 
@@ -207,8 +201,8 @@ def _stacked_xtx(x: np.ndarray) -> np.ndarray:
 
 def gram_terms(problem: NmfProblem, x: np.ndarray):
     """The H update's stacked numerator and Gram for bases ``x``,
-    ``([Y_L; ΠY_R], [G; ΠGΠ])``; the hoisted pair when the bases are
-    fixed."""
+    ``([Y_L; ΠY_R], [G; ΠGΠ])``; when the bases are fixed, the
+    segment's numerator and the Gram hoisted at construction."""
     if problem.fixed_x is not None:
         return problem.xtz, problem.xtx
     return _stacked_xtz(x, problem.zc), _stacked_xtx(x)

@@ -64,17 +64,21 @@ class StftConfig:
         return self.frame_len // 2 + 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Signal:
+    """Mono samples at a sample rate, checked once, here: nonempty,
+    finite, and a whole number of Hz. The fields cannot be reassigned;
+    the samples array itself can still be written in place."""
+
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        self.samples = as_real(self.samples).ravel()
-        if self.samples.size == 0:
+        x = as_real(self.samples).ravel()
+        object.__setattr__(self, "samples", x)
+        if x.size == 0:
             raise ValueError("signal must be non-empty")
         # one chunk's mask at a time, not a full-length one
-        x = self.samples
         if not all(np.all(np.isfinite(x[c])) for c in sample_chunks(x.size)):
             raise ValueError("signal contains non-finite samples")
         _check_rate(self.sample_rate)

@@ -1,11 +1,22 @@
 """The weight block matrix, the four explicit part-products of the
 factorization and the assembled block matrix Zc with its stacked
 numerator, which the solver never forms (Zc not when its bases are
-fixed); tests check the reduction's block algebra against them."""
+fixed); tests check the reduction's block algebra against them. Also
+the iterate of the solver's seeded start, which it never forms whole
+with fixed bases."""
 
 import numpy as np
 
-from cmfsep.cmf import BlockMatrix, SplitQuad, assemble_zc, split_complex
+from cmfsep.cmf import _start
+from cmfsep.linalg import BlockMatrix, SplitQuad, assemble_zc, split_complex
+from cmfsep.nmf import NmfState
+
+
+def start_state(problem, seed, h_init=None) -> NmfState:
+    """The iterate of ``cmf._start``'s (x, h⁺, h⁻): the bases and the
+    weights W = [h⁺; h⁻] over all of ``problem``'s frames."""
+    x, hp, hm = _start(problem, seed, h_init)
+    return NmfState(x=x, h=np.concatenate((hp, hm)))
 
 
 def assembled_zc(z) -> np.ndarray:

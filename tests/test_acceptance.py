@@ -15,15 +15,10 @@ import pytest
 import cmfsep.cmf as cmf_mod
 from blocks import assemble_hc, block_product_identity_check
 from cmfsep.cli import EXIT_OK, cli_main
-from cmfsep.cmf import (
-    assemble_zc,
-    cmf_factorize,
-    merge_quad,
-    split_complex,
-)
+from cmfsep.cmf import cmf_factorize
 from cmfsep.config import SepConfig
 from cmfsep.io_wav import write_wav
-from cmfsep.linalg import frobenius_norm_sq
+from cmfsep.linalg import assemble_zc, frobenius_norm_sq, merge_quad, split_complex
 from cmfsep.metrics import correlation, tir_esc, tir_loss
 from cmfsep.separation import separate, train_bases
 from cmfsep.stft import Signal, StftConfig, dft, istft, stft

@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 
 import cmfsep.cmf as cmf_mod
 import cmfsep.nmf as nmf_mod
-from blocks import assemble_hc, block_product_identity_check
-from cmfsep.cmf import (
-    CmfResult,
+from blocks import assemble_hc, block_product_identity_check, start_state
+from cmfsep.cmf import CmfResult, cmf_factorize, symmetrize_h
+from cmfsep.config import SepConfig
+from cmfsep.linalg import (
+    FRAME_CHUNK,
     SplitQuad,
     assemble_zc,
-    cmf_factorize,
+    frame_chunks,
+    frobenius_norm_sq,
     merge_quad,
     split_complex,
-    symmetrize_h,
 )
-from cmfsep.config import SepConfig
-from cmfsep.linalg import FRAME_CHUNK, frame_chunks, frobenius_norm_sq
 
 
 def random_complex(rng, shape):
@@ -316,16 +316,15 @@ class TestCmfFactorize:
         start = cmf_mod._start
 
         def capturing(problem, seed, h_init=None):
-            state = start(problem, seed, h_init)
-            captured.append(state.h.copy())
-            return state
+            x, hp, hm = start(problem, seed, h_init)
+            captured.append((hp.copy(), hm.copy()))
+            return x, hp, hm
 
         cfg = SepConfig(rank=2, iters=40, tol=0.0, seed=3)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cmf_mod, "_start", capturing)
             drawn = cmf_factorize(z, 2, cfg, checkpoint_every=10, **kwargs)
-        w = captured[0]
-        given = cmf_factorize(z, 2, cfg, checkpoint_every=10, h_init=(w[:2], w[2:]), **kwargs)
+        given = cmf_factorize(z, 2, cfg, checkpoint_every=10, h_init=captured[0], **kwargs)
         assert np.array_equal(given.x, drawn.x) and np.array_equal(given.h, drawn.h)
         assert given.objective_history == drawn.objective_history
         assert given.checkpoints == drawn.checkpoints
@@ -402,11 +401,11 @@ class TestCmfFactorize:
 
 def whole_fixed_solve(z, x, cfg, h_init=None):
     """The parent arithmetic of a fixed-basis solve: every frame stepped
-    at once on the whole problem, no stop rule. Returns h, the history
-    and the final complex error."""
+    at once on the segment of all frames, no stop rule. Returns h, the
+    history and the final complex error."""
     rank = x.shape[1]
-    problem = nmf_mod.NmfProblem(z=z, rank=rank, fixed_x=x)
-    state = cmf_mod._start(problem, cfg.seed, h_init)
+    problem = nmf_mod.NmfProblem(z=z, rank=rank, fixed_x=x).segment(slice(None))
+    state = start_state(problem, cfg.seed, h_init)
     for _ in range(cfg.iters):
         cmf_mod.nmf_step(state, problem)
     h = state.h[:rank] - state.h[rank:]
@@ -499,8 +498,9 @@ class TestFixedSolveMemory:
         assert peak < z.nbytes
 
     def test_given_start_holds_no_block_matrix(self):
-        # given halves are stacked into W = [h+; h-] directly, not through
-        # the 2K x 2T block matrix that a drawn start ties
+        # given halves come back as they are, neither stacked nor put
+        # through the 2K x 2T block matrix that a drawn start ties, and
+        # fixed bases are not copied
         rng = np.random.default_rng(32)
         rank, cols = 80, 4100
         problem = nmf_mod.NmfProblem(
@@ -509,12 +509,12 @@ class TestFixedSolveMemory:
         h_init = (rng.random((rank, cols)), rng.random((rank, cols)))
         tracemalloc.start()
         try:
-            state = cmf_mod._start(problem, 0, h_init)
+            x, hp, hm = cmf_mod._start(problem, 0, h_init)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(state.h, np.concatenate(h_init))
-        assert peak < 2 * state.h.nbytes
+        assert x is problem.xc and hp is h_init[0] and hm is h_init[1]
+        assert peak < hp.nbytes
 
     def test_segmented_peak_does_not_grow_with_frames(self):
         # one frame chunk's numerator, weights and products at a time:

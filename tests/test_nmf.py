@@ -3,15 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocks import assembled_zc, stacked_numerator
-from cmfsep.cmf import EPSILON, FLUSH_BELOW, _start, nmf_step
+from blocks import assembled_zc, stacked_numerator, start_state
+from cmfsep.cmf import EPSILON, FLUSH_BELOW, nmf_step
 from cmfsep.linalg import FRAME_CHUNK, frobenius_norm_sq
 from cmfsep.nmf import GRAM_GUARD, NmfProblem, NmfState, gram_terms, objective
 
 
 def tied(z, rank, fixed_x=None):
-    """The tied problem of complex ``z`` at complex rank ``rank``."""
-    return NmfProblem(z=z, rank=rank, fixed_x=fixed_x)
+    """The tied problem of complex ``z`` at complex rank ``rank``; with
+    fixed bases, its segment of all frames, which carries the numerator
+    that a step reads."""
+    problem = NmfProblem(z=z, rank=rank, fixed_x=fixed_x)
+    return problem if fixed_x is None else problem.segment(slice(None))
 
 
 def random_complex(rng, shape):
@@ -46,7 +49,7 @@ def planted_fit(rng, rows, rank, cols):
 
 def run_steps(problem, iters, seed=0):
     """The seeded start, then a fixed number of steps."""
-    state = _start(problem, seed)
+    state = start_state(problem, seed)
     for _ in range(iters):
         nmf_step(state, problem)
     return state
@@ -73,21 +76,24 @@ class TestProblemValidation:
     def test_block_matrix_only_with_free_bases(self, fixed):
         rng = np.random.default_rng(1)
         z = random_complex(rng, (5, 4))
-        problem = tied(z, 2, fixed_x=random_complex(rng, (5, 2)) if fixed else None)
+        fixed_x = random_complex(rng, (5, 2)) if fixed else None
+        problem = NmfProblem(z=z, rank=2, fixed_x=fixed_x)
         assert problem.z_norm_sq == pytest.approx(frobenius_norm_sq(assembled_zc(z)), rel=1e-15)
+        # only a segment builds a numerator
+        assert problem.xtz is None
         if fixed:
             assert problem.zc is None
             assert np.array_equal(problem.xc, assembled_zc(problem.fixed_x))
         else:
             assert np.array_equal(problem.zc, assembled_zc(z))
-            assert problem.xc is None and problem.xtz is None
+            assert problem.xc is None
 
 
 class TestChunkedFixedTerms:
-    """With fixed bases the stacked numerator is one product over the
-    problem's own frames, built at its first use in a whole problem; at
-    frame counts on both sides of the chunk width it must equal the one
-    formed from the whole assembled Zc."""
+    """With fixed bases the stacked numerator is one product over a
+    segment's own frames; at frame counts on both sides of the chunk
+    width, that of the segment of all frames must equal the one formed
+    from the whole assembled Zc."""
 
     @pytest.mark.parametrize(
         "frames", [1, FRAME_CHUNK - 1, FRAME_CHUNK, FRAME_CHUNK + 1, 2 * FRAME_CHUNK + 1]
@@ -125,21 +131,23 @@ class TestInit:
 
     def test_same_seed_bit_identical(self):
         problem = random_problem(0)
-        a = _start(problem, 42)
-        b = _start(problem, 42)
+        a = start_state(problem, 42)
+        b = start_state(problem, 42)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.h, b.h)
 
-    def test_fixed_x_copied(self):
+    def test_fixed_x_shared(self):
+        # a fixed-basis step never writes the bases, so the start and
+        # every part share the problem's block bases
         x = random_complex(np.random.default_rng(2), (2, 1))
         problem = tied(np.ones((2, 2)), 1, fixed_x=x)
-        state = _start(problem, 0)
+        state = start_state(problem, 0)
         assert np.array_equal(state.x, assembled_zc(x))
-        assert state.x is not problem.xc
+        assert state.x is problem.xc
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
     def test_entries_above_epsilon(self, seed):
         problem = random_problem(seed)
-        state = _start(problem, seed)
+        state = start_state(problem, seed)
         assert state.x.min() >= EPSILON
         assert state.h.min() >= EPSILON
 
@@ -147,7 +155,7 @@ class TestInit:
         # one generator: the bases, then the 2K x 2T weight block matrix,
         # tied by averaging, of which W is the left column block
         problem = random_problem(3)
-        state = _start(problem, 5)
+        state = start_state(problem, 5)
         rng = np.random.default_rng(5)
         x = np.maximum(rng.random((8, 4)), EPSILON)
         hc = np.maximum(rng.random((4, 6)), EPSILON)
@@ -196,7 +204,7 @@ class TestStep:
     @settings(max_examples=25, deadline=None)
     def test_nonnegativity_preserved(self, seed):
         problem = random_problem(seed)
-        state = _start(problem, seed)
+        state = start_state(problem, seed)
         for _ in range(20):
             nmf_step(state, problem)
             assert np.all(state.x >= 0) and np.all(state.h >= 0)
@@ -234,7 +242,7 @@ class TestSolve:
 
 def histories(problem, iters, seed=0):
     """Recorded objective and the direct residual after each of ``iters`` steps."""
-    state = _start(problem, seed)
+    state = start_state(problem, seed)
     zc, direct = assembled_zc(problem.z), []
     for _ in range(iters):
         nmf_step(state, problem)
@@ -345,7 +353,7 @@ class TestCarriedProduct:
         # set up as cmf_factorize does: the seeded start, then an
         # objective that seeds the carried product; the oracle steps the
         # block matrix of the same start
-        state = _start(problem, 3)
+        state = start_state(problem, 3)
         ref = NmfState(x=state.x.copy(), h=assembled(state.h))
         objective(problem, state, *gram_terms(problem, state.x))
         couple = block_coupling(rank, cols)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import shutil
@@ -49,6 +50,19 @@ class TestPublicNames:
     def test_solver_internals_live_in_their_module(self, module, name):
         assert name in importlib.import_module(module).__all__
         assert name not in cmfsep.__all__
+
+    @pytest.mark.parametrize("name", MODULES[1:])
+    def test_each_module_exports_only_its_own(self, name):
+        # a class or function is exported by the module that defines it,
+        # never re-exported by another submodule
+        module = importlib.import_module(name)
+        borrowed = [
+            n
+            for n in module.__all__
+            if (inspect.isclass(getattr(module, n)) or inspect.isfunction(getattr(module, n)))
+            and getattr(module, n).__module__ != name
+        ]
+        assert borrowed == []
 
 
 def _run_fresh(code: str, cwd) -> subprocess.CompletedProcess:
