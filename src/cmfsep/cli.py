@@ -4,7 +4,7 @@ import argparse
 import os
 import sys
 
-from .bases_file import BasesFileError, load_bases, save_bases
+from .bases_file import load_bases, save_bases
 from .cmf import cmf_factorize
 from .config import SepConfig
 from .io_wav import read_wav, write_wav
@@ -167,7 +167,7 @@ def cli_main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BasesFileError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -9,10 +9,11 @@ The split and its block matrices live in ``linalg``, which alone
 exports them. The nonnegative problem, ``nmf.NmfProblem``, is built
 from the complex data: with free bases it assembles the 2F×2T block
 matrix Zc, and with fixed bases it never does (see ``nmf``). The solve stores the weights once, as
-W = [h⁺; h⁻], and at every multiplicative update averages the two
-block ratios that multiply h⁺, and the two that multiply h⁻, into one
-multiplier each; at termination the signed factors are reassembled
-from the blocks.
+W = [h⁺; h⁻], and ties them with one in-place average of a stacked
+pair (``symmetrize_h``): the drawn start's left column block with its
+row-swapped right one, and at every multiplicative update the two
+halves of the stacked update ratio; at termination the signed factors
+are reassembled from the blocks.
 
 The update step ``nmf_step`` is one Lee–Seung multiplicative update of
 the tied problem of ``nmf``, X then H. Denominators are floored at
@@ -22,11 +23,12 @@ describes the actual iterate.
 
 Lee–Seung updates act on each column of H separately, so both column
 halves of H update from W: the numerator is the stacked [Y_L; ΠY_R] and
-the product [G; ΠGΠ]·W gives the denominators of both halves.
-``_tie_ratio`` ties the resulting four block ratios into the two
-multipliers of h⁺ and h⁻. With fixed bases that product is the one the
-last objective carried, and the update's ratio is formed in place in
-its buffer. The X update needs Zc·Hᵀ = Zc_L·Wᵀ + Zc_R·(ΠW)ᵀ and
+the product [G; ΠGΠ]·W gives the denominators of both halves. With
+fixed bases that product is the one the last objective carried, and
+the update's ratio is formed in place in its buffer. That ratio's
+halves, [R11; R21] and [R22; R12], both line up with W, so
+``_tie_ratio`` averages them into W's multiplier in the ratio's top
+half. The X update needs Zc·Hᵀ = Zc_L·Wᵀ + Zc_R·(ΠW)ᵀ and
 H·Hᵀ = W·Wᵀ + Π·W·Wᵀ·Π, so H is never formed.
 
 The complex-domain error ‖Z − Xh‖² of a checkpoint is summed over the
@@ -84,13 +86,13 @@ EPSILON = 1e-12
 FLUSH_BELOW = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
-def symmetrize_h(h1, h2, h3, h4):
-    """Tie the weight blocks pairwise by arithmetic averaging."""
-    h_plus = h1 + h4
-    h_plus *= 0.5
-    h_minus = h2 + h3
-    h_minus *= 0.5
-    return h_plus, h_minus
+def symmetrize_h(top, bottom):
+    """The tie of a stacked pair, in place: ``top`` becomes the mean of
+    ``top`` and ``bottom`` and is returned. Both ties line up their
+    halves with W = [h⁺; h⁻], so each is one call."""
+    top += bottom
+    top *= 0.5
+    return top
 
 
 @dataclass
@@ -103,29 +105,26 @@ class CmfResult:
 
 
 def _make_coupling(rank: int, cols: int):
-    """The tie of a 2·rank × 2·cols weight block matrix: the two averages
-    are written back into the blocks of ``hc``, which is returned.
-    ``_start`` ties the start with it once."""
+    """The tie of a 2·rank × 2·cols weight block matrix, in place in
+    ``hc``, which is returned: the left column block [H11; H21] and the
+    row-swapped right one [H22; H12] are averaged into the left, and the
+    right is the swapped mean. ``_start`` ties the start with it once."""
 
     def couple(hc: np.ndarray) -> np.ndarray:
-        h11, h12 = hc[:rank, :cols], hc[:rank, cols:]
-        h21, h22 = hc[rank:, :cols], hc[rank:, cols:]
-        h_plus, h_minus = symmetrize_h(h11, h12, h21, h22)
-        h11[...] = h22[...] = h_plus
-        h12[...] = h21[...] = h_minus
+        left = symmetrize_h(hc[:, :cols], _swap(hc[:, cols:]))
+        hc[:, cols:] = _swap(left)
         return hc
 
     return couple
 
 
-def _tie_ratio(ratio: np.ndarray):
-    """The tie of ``nmf_step``'s H update. The stacked H-update ratio's
-    row blocks are R11, R21, R22 and R12, block (i, j) being the ratio for
-    block (i, j) of [[h⁺, h⁻], [h⁻, h⁺]]; averaging the pairs
-    that multiply the same half gives the multipliers of h⁺ and h⁻."""
-    k = len(ratio) // 4
-    r11, r21, r22, r12 = (ratio[i * k : (i + 1) * k] for i in range(4))
-    return symmetrize_h(r11, r12, r21, r22)
+def _tie_ratio(ratio: np.ndarray) -> np.ndarray:
+    """The tie of ``nmf_step``'s H update: the multiplier of W, formed in
+    place in the top half of ``ratio``. The stacked H-update ratio's row
+    blocks are R11, R21, R22 and R12, block (i, j) being the ratio for
+    block (i, j) of [[h⁺, h⁻], [h⁻, h⁺]], so its halves [R11; R21] and
+    [R22; R12] both line up with [h⁺; h⁻]."""
+    return symmetrize_h(*np.split(ratio, 2))
 
 
 def _flush(a: np.ndarray) -> None:
@@ -135,9 +134,9 @@ def _flush(a: np.ndarray) -> None:
 def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
     """One multiplicative update of X then H (X skipped when fixed).
 
-    The H update multiplies each row half of the weights by
-    ``_tie_ratio``'s tie of the update ratio. The objective appended to
-    the history reflects the updated iterate.
+    The H update multiplies the weights W by ``_tie_ratio``'s tie of
+    the update ratio. The objective appended to the history reflects the
+    updated iterate.
     """
     x, h = state.x, state.h
     carried, state.carried = state.carried, None
@@ -163,12 +162,9 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
     ratio = xtx @ h if carried is None else carried
     np.maximum(ratio, EPSILON, out=ratio)
     np.divide(xtz, ratio, out=ratio)
-    half = len(h) // 2
-    m_plus, m_minus = _tie_ratio(ratio)
-    h[:half] *= m_plus
-    h[half:] *= m_minus
+    h *= _tie_ratio(ratio)
     # freed before the objective forms the next product
-    del m_plus, m_minus, carried, ratio
+    del carried, ratio
     _flush(h)
     state.objective_history.append(objective(problem, state, xtz, xtx))
     return state

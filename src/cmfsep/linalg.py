@@ -106,9 +106,6 @@ class SplitQuad:
     pi: np.ndarray
     ni: np.ndarray
 
-    def __iter__(self):
-        return iter((self.pr, self.nr, self.pi, self.ni))
-
 
 @dataclass(frozen=True)
 class BlockMatrix:

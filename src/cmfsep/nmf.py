@@ -158,10 +158,10 @@ class NmfState:
     by assignment.
     """
 
-    def __init__(self, x: np.ndarray, h: np.ndarray, objective_history=None):
+    def __init__(self, x: np.ndarray, h: np.ndarray):
         self.x = x
         self.h = h
-        self.objective_history = [] if objective_history is None else objective_history
+        self.objective_history = []
 
     @property
     def h(self) -> np.ndarray:

@@ -48,7 +48,7 @@ def block_product_identity_check(
     Equal, block for block, to the assembled 2x2 product of the basis
     and weight block matrices.
     """
-    xpr, xnr, xpi, xni = x_parts
+    xpr, xnr, xpi, xni = x_parts.pr, x_parts.nr, x_parts.pi, x_parts.ni
     if xpr.shape[1] != h_plus.shape[0]:
         raise ValueError(
             f"dimension mismatch: basis parts {xpr.shape} x weights {h_plus.shape}"

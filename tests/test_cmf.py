@@ -134,26 +134,35 @@ class TestBlockProductIdentity:
 
 class TestSymmetrize:
     def test_arithmetic_mean(self):
-        hp, hm = symmetrize_h(
-            np.array([[1.0]]), np.array([[0.0]]), np.array([[2.0]]), np.array([[3.0]])
-        )
-        assert hp[0, 0] == 2.0 and hm[0, 0] == 1.0
+        top, bottom = np.array([[1.0], [2.0]]), np.array([[3.0], [0.0]])
+        tied = symmetrize_h(top, bottom)
+        assert tied is top
+        assert tied[0, 0] == 2.0 and tied[1, 0] == 1.0
 
     def test_symmetric_input_unchanged(self):
         rng = np.random.default_rng(23)
-        a, b = rng.random((2, 2)), rng.random((2, 2))
-        hp, hm = symmetrize_h(a, b, b, a)
-        assert np.array_equal(hp, a) and np.array_equal(hm, b)
+        a = rng.random((4, 2))
+        top = a.copy()
+        assert symmetrize_h(top, a.copy()) is top
+        assert np.array_equal(top, a)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_idempotent(self, seed):
         rng = np.random.default_rng(seed)
-        h1, h2, h3, h4 = (rng.random((3, 3)) for _ in range(4))
-        hp, hm = symmetrize_h(h1, h2, h3, h4)
-        hp2, hm2 = symmetrize_h(hp, hm, hm, hp)
-        assert np.max(np.abs(hp2 - hp)) <= 1e-15
-        assert np.max(np.abs(hm2 - hm)) <= 1e-15
+        top, bottom = rng.random((6, 3)), rng.random((6, 3))
+        tied = symmetrize_h(top, bottom).copy()
+        again = symmetrize_h(top, top.copy())
+        assert again is top
+        assert np.max(np.abs(again - tied)) <= 1e-15
+
+    def test_ratio_tie_is_formed_in_place(self):
+        rng = np.random.default_rng(24)
+        r = rng.random((8, 5))
+        want = 0.5 * (r[:4] + r[4:])
+        tied = cmf_mod._tie_ratio(r)
+        assert np.shares_memory(tied, r)
+        assert np.array_equal(tied, want)
 
 
 def planted_problem(seed, rows=64, rank=20, cols=100, support=8):
@@ -359,7 +368,7 @@ class TestCmfFactorize:
         rng = np.random.default_rng(16)
         cmf_factorize(random_complex(rng, (4, 4)), 2, SepConfig(rank=2, iters=7, tol=0.0))
         # the drawn 2K x 2T start is tied once; every iteration then ties
-        # the stacked 4K x T update ratio into the multipliers of h+, h-
+        # the stacked 4K x T update ratio into the multiplier of [h+; h-]
         assert starts == [(4, 8)]
         assert steps == [(8, 4)] * 7
 
