@@ -40,12 +40,20 @@ that part's frames of one rank × T output; a free solve is one part
 over all frames, since the X update couples them. With fixed bases the
 H update of a frame reads only that frame's numerator column, so each
 frame chunk (``nmf.NmfProblem.segment``, which alone builds a
-numerator) is a part, whose whole iteration loop runs before the next
-part starts. Every part's start comes from one ``_start`` over all
-frames: its bases, and its frames of the start's weight halves. Each
-chunk stops on its own objective; the histories, and the complex errors
-that each part's loop returns as {iteration: error}, are summed over
-chunks.
+numerator) is a part, whose whole iteration loop runs on its own. The
+parts run on as many threads as BLAS has at entry, at most one per
+part (``blas.solve_threads``), each product on one BLAS thread while
+they run; the calling thread is one of them, and with one thread none
+is started. Each thread steps its parts in arrays allocated for it
+before any thread starts (``_Workspace``), so a step allocates nothing
+frame-sized. A part's arithmetic does not depend on the thread or the
+arrays it runs in, so the result is the same however many threads run
+the parts.
+Every part's start comes from one ``_start`` over all frames: its
+bases, and its frames of the start's weight halves. Each chunk stops on
+its own objective; the histories, and the complex errors that each
+part's loop returns as {iteration: error}, are summed over chunks in
+frame order.
 
 After each step's X update, and after its H update, factor entries
 below ``FLUSH_BELOW`` (sqrt of the smallest normal float64, about
@@ -55,11 +63,14 @@ arithmetic is many times slower and which would make the late
 iterations of a long solve up to twice as slow as the early ones.
 """
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .blas import solve_threads
 from .config import SepConfig
 from .linalg import as_real, frame_chunks, frobenius_norm_sq
 
@@ -127,8 +138,10 @@ def _tie_ratio(ratio: np.ndarray) -> np.ndarray:
     return symmetrize_h(*np.split(ratio, 2))
 
 
-def _flush(a: np.ndarray) -> None:
-    a[a < FLUSH_BELOW] = 0.0
+def _flush(a: np.ndarray, mask=None) -> None:
+    """Set the entries of ``a`` below ``FLUSH_BELOW`` to 0, through
+    ``mask`` (bool, shaped like ``a``) when given, else a fresh one."""
+    np.copyto(a, 0.0, where=np.less(a, FLUSH_BELOW, out=mask))
 
 
 def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
@@ -165,7 +178,7 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
     h *= _tie_ratio(ratio)
     # freed before the objective forms the next product
     del carried, ratio
-    _flush(h)
+    _flush(h, state.mask)
     state.objective_history.append(objective(problem, state, xtz, xtx))
     return state
 
@@ -205,33 +218,32 @@ def _start(problem: NmfProblem, seed: int, h_init=None):
     return (x, *np.split(w, 2))
 
 
-def _reassemble(xc: np.ndarray, w: np.ndarray, rows: int, rank: int):
-    x = (xc[:rows, :rank] - xc[:rows, rank:]) + 1j * (
+def _bases(xc: np.ndarray, rows: int, rank: int) -> np.ndarray:
+    """The complex bases of block bases ``xc``."""
+    return (xc[:rows, :rank] - xc[:rows, rank:]) + 1j * (
         xc[rows:, :rank] - xc[rows:, rank:]
     )
-    h = w[:rank] - w[rank:]
-    return x, h
 
 
-def _complex_error(z: np.ndarray, x: np.ndarray, h: np.ndarray) -> float:
+def _complex_error(z: np.ndarray, x: np.ndarray, h: np.ndarray, resid=None) -> float:
     """‖Z − X·h‖², summed over frame chunks: each chunk's residual is
     formed in its product's buffer, one complex F×``FRAME_CHUNK``
-    temporary at a time."""
+    temporary at a time, or in ``resid`` (complex, F × frames of a ``z``
+    of one chunk) when given."""
     total = 0.0
     for cols in frame_chunks(z.shape[1]):
-        resid = x @ h[:, cols]
-        np.subtract(z[:, cols], resid, out=resid)
-        total += frobenius_norm_sq(resid)
+        r = np.matmul(x, h[:, cols], out=resid)
+        np.subtract(z[:, cols], r, out=r)
+        total += frobenius_norm_sq(r)
     return total
 
 
-def _iterate(problem: NmfProblem, state: NmfState, cfg: SepConfig, checkpoint_every: int):
+def _iterate(problem: NmfProblem, state: NmfState, cfg: SepConfig, checkpoint_every: int, error):
     """Step ``state`` until the stop rule fires or ``cfg.iters`` steps
-    are taken; return the complex errors of every
-    ``checkpoint_every``-th step and of the last, as
-    {iteration: complex error}, and the signed factors x, h of the last.
-    The block objectives are ``state.objective_history``."""
-    rows, rank = problem.z.shape[0], problem.rank
+    are taken; return ``error(state)``, the complex error, at every
+    ``checkpoint_every``-th step and at the last, as
+    {iteration: complex error}. The block objectives are
+    ``state.objective_history``."""
     errors = {}
     # also leaves on the state the product the first update needs
     prev = objective(problem, state, *gram_terms(problem, state.x))
@@ -244,37 +256,146 @@ def _iterate(problem: NmfProblem, state: NmfState, cfg: SepConfig, checkpoint_ev
             or it == cfg.iters
             or (checkpoint_every > 0 and it % checkpoint_every == 0)
         ):
-            x, h = _reassemble(state.x, state.h, rows, rank)
-            errors[it] = _complex_error(problem.z, x, h)
+            errors[it] = error(state)
         if stopping:
             break
         prev = cur
-    return errors, x, h
+    return errors
 
 
-def _parts(problem: NmfProblem, cfg: SepConfig, h_init):
-    """The (frames, problem, state) of each part solved on its own, all
-    from one ``_start``, which checks the given start before the first
-    part is solved: the whole problem when the bases are free, since
-    the X update couples all frames. With fixed bases, one part per
-    frame chunk of ``linalg.frame_chunks``, whose problem
-    (``NmfProblem.segment``) and weights are formed only when that part
-    is reached. A part's weights W = [h⁺; h⁻] are stacked from its
-    frames of the start's halves."""
-    x, hp, hm = _start(problem, cfg.seed, h_init)
-    if problem.fixed_x is None:
-        # built here, so that the halves are freed before the solve
-        return [(slice(None), problem, NmfState(x=x, h=np.concatenate((hp, hm))))]
-    # a part's problem, and with it its numerator, is formed before its
-    # weights
-    return (
-        (
-            cols,
-            problem.segment(cols),
-            NmfState(x=x, h=np.concatenate((hp[:, cols], hm[:, cols]))),
-        )
-        for cols in frame_chunks(problem.z.shape[1])
+def _signed(w: np.ndarray, rank: int, out: np.ndarray) -> np.ndarray:
+    """The signed weights h⁺ − h⁻ of W = [h⁺; h⁻], written into ``out``."""
+    return np.subtract(w[:rank], w[rank:], out=out)
+
+
+def _solve_free(problem: NmfProblem, state: NmfState, cfg, checkpoint_every):
+    """The solve with free bases, one part over all frames, since the X
+    update couples them; each checkpoint writes its weights into the
+    rank × T output ``h``. Returns the complex bases, ``h`` and
+    [(history, errors)]."""
+    rows, rank = problem.z.shape[0], problem.rank
+    h = np.empty((rank, problem.z.shape[1]))
+
+    def error(state):
+        x = _bases(state.x, rows, rank)
+        return _complex_error(problem.z, x, _signed(state.h, rank, h))
+
+    errors = _iterate(problem, state, cfg, checkpoint_every, error)
+    return _bases(state.x, rows, rank), h, [(state.objective_history, errors)]
+
+
+class _Workspace:
+    """One solve thread's arrays for fixed-basis segments of up to
+    ``width`` frames. Each is flat, so that a narrower segment takes a
+    contiguous leading part (``_take``): the stacked numerator and the
+    carried product (4K rows each), the weights W and the flush mask (2K
+    rows each), a scratch of 2F rows, which holds Z's sign parts while a
+    segment's numerator is built and then its complex checkpoint
+    residual (F complex rows), and the signed weights as complex numbers
+    (K rows), from which that residual is formed. All are allocated
+    before any thread starts and reused for every segment the thread
+    solves, so its steps allocate nothing frame-sized: what a thread
+    frees stays resident in that thread's allocator arena."""
+
+    def __init__(self, rows: int, rank: int, width: int):
+        self.xtz = np.empty(4 * rank * width)
+        self.product = np.empty(4 * rank * width)
+        self.w = np.empty(2 * rank * width)
+        self.mask = np.empty(2 * rank * width, dtype=bool)
+        self.scratch = np.empty(2 * rows * width)
+        # only real parts are ever written, so the imaginary ones stay 0
+        self.signed = np.zeros(rank * width, dtype=np.complex128)
+
+
+def _take(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The leading rows × cols entries of flat ``buf``, as a C-contiguous
+    rows × cols array."""
+    return buf[: rows * cols].reshape(rows, cols)
+
+
+def _solve_segment(problem, frames, x, halves, space, cfg, checkpoint_every, h):
+    """The solve of the frames ``frames`` of a fixed-basis ``problem``
+    in the arrays of ``space``, from those frames of the start's
+    ``halves``; each checkpoint writes its weights into those frames of
+    ``h``. Returns (history, errors)."""
+    rows, rank = problem.z.shape[0], problem.rank
+    width = frames.stop - frames.start
+    scratch = _take(space.scratch, 2 * rows, width)
+    part = problem.segment(frames, _take(space.xtz, 4 * rank, width), scratch)
+    w = _take(space.w, 2 * rank, width)
+    w[:rank], w[rank:] = (half[:, frames] for half in halves)
+    state = NmfState(
+        x=problem.xc,
+        h=w,
+        product=_take(space.product, 4 * rank, width),
+        mask=_take(space.mask, 2 * rank, width),
     )
+    resid = _take(space.scratch.view(np.complex128), rows, width)
+    signed = _take(space.signed, rank, width)
+
+    def error(state):
+        # the product of complex bases with complex weights casts nothing
+        signed.real = _signed(state.h, rank, h[:, frames])
+        return _complex_error(part.z, x, signed, resid)
+
+    errors = _iterate(part, state, cfg, checkpoint_every, error)
+    return state.objective_history, errors
+
+
+def _run(tasks: int, run, workers: int) -> None:
+    """Call ``run(task, worker)`` for every task in ``range(tasks)`` on
+    ``workers`` threads: the calling thread is worker 0, and workers
+    1 … workers − 1 are pool threads, started only when there are any.
+    Each worker takes the next task from one shared iterator under a
+    lock. A task that raises stops the handing out of tasks, and its
+    exception is raised once every worker has finished."""
+    lock = threading.Lock()
+    todo = iter(range(tasks))
+
+    def work(worker):
+        while True:
+            with lock:
+                task = next(todo, None)
+            if task is None:
+                return
+            try:
+                run(task, worker)
+            except BaseException:
+                with lock:
+                    for _ in todo:
+                        pass
+                raise
+
+    # a pool starts its threads on submit, so one worker starts none
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        futures = [pool.submit(work, worker) for worker in range(1, workers)]
+        work(0)
+        for future in futures:
+            future.result()
+
+
+def _solve_fixed(problem: NmfProblem, halves, cfg, checkpoint_every):
+    """The solve with fixed bases, one part per frame chunk of
+    ``linalg.frame_chunks``, on ``blas.solve_threads`` threads, each
+    stepping its parts in a ``_Workspace`` of its own. Each part writes
+    its weights into its frames of the rank × T output ``h``. Returns
+    the complex bases, ``h`` and the (history, errors) of every part, in
+    frame order."""
+    rows, rank = problem.z.shape[0], problem.rank
+    segments = frame_chunks(problem.z.shape[1])
+    x = _bases(problem.xc, rows, rank)
+    h = np.empty((rank, problem.z.shape[1]))
+    parts = [None] * len(segments)
+    with solve_threads(len(segments)) as workers:
+        spaces = [_Workspace(rows, rank, segments[0].stop) for _ in range(workers)]
+
+        def run(task, worker):
+            parts[task] = _solve_segment(
+                problem, segments[task], x, halves, spaces[worker], cfg, checkpoint_every, h
+            )
+
+        _run(len(segments), run, workers)
+    return x, h, parts
 
 
 def cmf_factorize(
@@ -299,13 +420,17 @@ def cmf_factorize(
     The output weights are allocated once, rank × cols, and each part of
     the solve writes its weights into its own frames; with free bases
     the whole problem is one part. With fixed bases each frame's weights
-    update on their own, so the solve runs one frame chunk
-    (``linalg.FRAME_CHUNK`` = 512 frames) at a time: it holds ``z``, the
-    given ``h_init`` and the output weights, plus one chunk's numerator,
-    weights and products, so with ``h_init`` (as ``separate`` passes) its
-    memory does not otherwise grow with length. A drawn start also holds the 2K×T drawn weights, and while
-    they are drawn the 2K×2T block draw. Each chunk stops on its own
-    objective. An entry of ``objective_history``, and a checkpoint's
+    update on their own, so the solve runs in frame chunks
+    (``linalg.FRAME_CHUNK`` = 512 frames), one chunk per thread at a
+    time, on as many threads as BLAS has at entry (at most one per
+    chunk; the BLAS count is 1 while they run and is restored on
+    return). It holds ``z``, the given ``h_init`` and the output
+    weights, plus one chunk's numerator, weights and products per
+    thread, so with ``h_init`` (as ``separate`` passes) its memory does
+    not otherwise grow with length. A drawn start also holds the 2K×T
+    drawn weights, and while they are drawn the 2K×2T block draw. The
+    result does not depend on the number of threads. Each chunk stops on
+    its own objective. An entry of ``objective_history``, and a checkpoint's
     objective and complex error, is the sum over chunks of each chunk's
     value at that iteration, or at its last iteration if it stopped
     before; the history is as long as the slowest chunk's. With
@@ -326,7 +451,7 @@ def cmf_factorize(
     """
     problem = NmfProblem(z=z, rank=rank, fixed_x=fixed_x)
     cfg = cfg or SepConfig(rank=rank)
-    parts = _parts(problem, cfg, h_init)
+    x, *halves = _start(problem, cfg.seed, h_init)
     rows, cols = problem.z.shape
 
     if problem.z_norm_sq == 0.0:
@@ -338,14 +463,13 @@ def cmf_factorize(
             final_error=0.0,
         )
 
-    # each part's weights are written into its frames of the output
-    h = np.empty((rank, cols))
-    histories, errors = [], []
-    for frames, part, state in parts:
-        part_errors, x, h[:, frames] = _iterate(part, state, cfg, checkpoint_every)
-        histories.append(state.objective_history)
-        errors.append(part_errors)
-        del part, state  # before the next part is formed
+    if problem.fixed_x is None:
+        state = NmfState(x=x, h=np.concatenate(halves))
+        del halves  # freed before the solve
+        x, h, parts = _solve_free(problem, state, cfg, checkpoint_every)
+    else:
+        x, h, parts = _solve_fixed(problem, halves, cfg, checkpoint_every)
+    histories, errors = zip(*parts)
 
     # a part that stopped at iteration s contributes its value at s to
     # every later iteration

@@ -19,14 +19,16 @@ fixed, the stacked XᵀX is built with their block matrix, at
 construction. With fixed bases each frame's weights update on their
 own, so ``NmfProblem.segment`` gives the problem of a run of frames,
 sharing the checked bases and XᵀX and forming the numerator XᵀZc of its
-own frames alone (frames t of a run are columns t and T + t of Zc).
-The numerator is built there only, so a fixed-basis problem is stepped
-through its segments. ``cmf.cmf_factorize`` solves one run of at most
-``linalg.FRAME_CHUNK`` frames at a time this way, so it forms one run's
-Zc at a time, never the whole Zc or the whole numerator. The objective
-is the Gram form ``‖Z‖² − 2⟨H, XᵀZc⟩ + ⟨H, XᵀX H⟩``, which costs no
-2F×2T residual; each inner product over H is the sum of two over W,
-one per row block of the stacked term.
+own frames alone (frames t of a run are columns t and T + t of Zc)
+from Z's sign parts, one column half of the run's Zc at a time, without
+assembling it. The numerator is built there only, so a fixed-basis
+problem is stepped through its segments. ``cmf.cmf_factorize`` solves
+runs of at most ``linalg.FRAME_CHUNK`` frames this way, one per thread
+at a time, so it never forms the whole numerator, and a run's Zc only
+for the direct residual below. The objective is the Gram form
+``‖Z‖² − 2⟨H, XᵀZc⟩ + ⟨H, XᵀX H⟩``, which costs no 2F×2T residual;
+each inner product over H is the sum of two over W, one per row block
+of the stacked term.
 
 Its quadratic term is taken from the product the next update needs,
 so a step forms one quadratic product fewer. With fixed bases it is
@@ -130,18 +132,50 @@ class NmfProblem:
             self.xtx = _stacked_xtx(self.xc)
         self.z_norm_sq = frobenius_norm_sq(self.z)
 
-    def segment(self, cols: slice) -> "NmfProblem":
+    def segment(self, cols: slice, xtz=None, scratch=None) -> "NmfProblem":
         """The problem of the frames ``cols`` of ``z``, with the same
         fixed bases. It shares this problem's checked bases, ``xc`` and
         ``xtx`` rather than checking and deriving them again; its ‖Z‖²
-        and numerator, built here, are those of its own frames."""
+        and numerator, built here, are those of its own frames.
+
+        Both are formed from Z's sign parts, the column halves
+        [P_r; P_i] and [N_r; N_i] of the frames' Zc, each in turn in
+        ``scratch`` (2F × frames), so no Zc is assembled: ‖Z‖² is the
+        sum of their squares, Y_L = Xcᵀ·[P_r; P_i], and ΠY_R takes Xc's
+        column halves in swapped order against [N_r; N_i]. ``xtz``
+        (4K × frames) and ``scratch`` are allocated here unless given;
+        given, they are written in place and the segment allocates
+        nothing frame-sized.
+        """
         if self.fixed_x is None:
             raise ValueError("only a problem with fixed bases splits into frame segments")
         part = copy.copy(self)
         part.z = self.z[:, cols]
-        part.z_norm_sq = frobenius_norm_sq(part.z)
-        part.xtz = _stacked_xtz(self.xc, _block_matrix(part.z))
+        rows, frames = part.z.shape
+        k = self.rank
+        part.xtz = np.empty((4 * k, frames)) if xtz is None else xtz
+        signs = np.empty((2 * rows, frames)) if scratch is None else scratch
+        top, bottom = np.split(part.xtz, 2)
+        np.matmul(self.xc.T, _sign_parts(part.z, np.maximum, signs), out=top)
+        norm = frobenius_norm_sq(signs)
+        _sign_parts(part.z, np.minimum, signs)
+        np.matmul(self.xc[:, k:].T, signs, out=bottom[:k])
+        np.matmul(self.xc[:, :k].T, signs, out=bottom[k:])
+        part.z_norm_sq = norm + frobenius_norm_sq(signs)
         return part
+
+
+def _sign_parts(z: np.ndarray, pick, out: np.ndarray) -> np.ndarray:
+    """One column half of the Zc of complex ``z``, written into ``out``
+    (2F × frames) and returned: [P_r; P_i] with ``pick`` = ``np.maximum``,
+    [N_r; N_i] with ``np.minimum``, as ``linalg.split_complex`` forms
+    them."""
+    rows = len(z)
+    pick(0.0, z.real, out=out[:rows])
+    pick(0.0, z.imag, out=out[rows:])
+    if pick is np.minimum:
+        np.negative(out, out=out)
+    return out
 
 
 class NmfState:
@@ -156,12 +190,18 @@ class NmfState:
     product never outlives the weights it came from; ``cmf.nmf_step``
     itself updates the weights in place, and other code replaces them
     by assignment.
+
+    ``product`` and ``mask``, when given, are arrays that a fixed-basis
+    step writes into instead of allocating: the carried XᵀX·H
+    (2·len(h) × cols) and the mask of ``cmf``'s flush of ``h`` (bool,
+    shaped like ``h``).
     """
 
-    def __init__(self, x: np.ndarray, h: np.ndarray):
+    def __init__(self, x: np.ndarray, h: np.ndarray, product=None, mask=None):
         self.x = x
         self.h = h
         self.objective_history = []
+        self.product, self.mask = product, mask
 
     @property
     def h(self) -> np.ndarray:
@@ -240,7 +280,7 @@ def objective(problem: NmfProblem, state: NmfState, xtz, xtx) -> float:
     which is left on ``state.carried``."""
     h = state.h
     if problem.fixed_x is not None:
-        state.carried = xtx @ h
+        state.carried = np.matmul(xtx, h, out=state.product)
         quad = _stacked_vdot(h, state.carried)
     else:
         state.carried = _weight_gram(h)

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import cmfsep.cmf as cmf_mod
 import cmfsep.nmf as nmf_mod
 from blocks import assemble_hc, block_product_identity_check, start_state
+from cmfsep.blas import blas_threads, set_blas_threads
 from cmfsep.cmf import CmfResult, cmf_factorize, symmetrize_h
 from cmfsep.config import SepConfig
 from cmfsep.linalg import (
@@ -421,8 +423,22 @@ def whole_fixed_solve(z, x, cfg, h_init=None):
     return h, state.objective_history, frobenius_norm_sq(z - x @ h)
 
 
+def segments_stopping_apart():
+    """Three frame chunks that stop at different iterations: z, fixed
+    bases x, h_init and a ``tol > 0`` config."""
+    rng = np.random.default_rng(34)
+    frames = 3 * FRAME_CHUNK - 100
+    x = random_complex(rng, (6, 3))
+    # the planted first segment stops first; the random ones take longer
+    z = random_complex(rng, (6, frames))
+    z[:, :FRAME_CHUNK] = x @ rng.uniform(0.3, 1.0, (3, FRAME_CHUNK))
+    z[:, 2 * FRAME_CHUNK :] *= 1e3
+    h_init = tuple(rng.random((2, 3, frames)))
+    return z, x, h_init, SepConfig(rank=3, iters=400, tol=1e-6, seed=6)
+
+
 class TestSegmentedFixedSolve:
-    """With fixed bases the solve runs one frame chunk at a time; with
+    """With fixed bases the solve runs each frame chunk on its own; with
     ``tol=0`` it equals one solve over all frames to rounding."""
 
     @pytest.mark.parametrize("given", [False, True])
@@ -457,15 +473,8 @@ class TestSegmentedFixedSolve:
         assert res.final_error == pytest.approx(error, rel=1e-12)
 
     def test_each_segment_stops_on_its_own_objective(self):
-        rng = np.random.default_rng(34)
-        frames = 3 * FRAME_CHUNK - 100
-        x = random_complex(rng, (6, 3))
-        # the planted first segment stops first; the random ones take longer
-        z = random_complex(rng, (6, frames))
-        z[:, :FRAME_CHUNK] = x @ rng.uniform(0.3, 1.0, (3, FRAME_CHUNK))
-        z[:, 2 * FRAME_CHUNK :] *= 1e3
-        h_init = tuple(rng.random((2, 3, frames)))
-        cfg = SepConfig(rank=3, iters=400, tol=1e-6, seed=6)
+        z, x, h_init, cfg = segments_stopping_apart()
+        frames = z.shape[1]
         res = cmf_factorize(z, 3, cfg, fixed_x=x, checkpoint_every=50, h_init=h_init)
         parts = [
             cmf_factorize(
@@ -490,7 +499,65 @@ class TestSegmentedFixedSolve:
         ]
 
 
+class TestPooledFixedSolve:
+    """Segments solved on several threads, each on one BLAS thread, give
+    the bits of the solve on one thread."""
+
+    def test_equals_the_one_thread_solve(self, monkeypatch, two_blas_threads):
+        z, x, h_init, cfg = segments_stopping_apart()
+        threads = set()
+        step = cmf_mod.nmf_step
+
+        def recording(state, problem):
+            threads.add(threading.get_ident())
+            return step(state, problem)
+
+        monkeypatch.setattr(cmf_mod, "nmf_step", recording)
+        pooled = cmf_factorize(z, 3, cfg, fixed_x=x, checkpoint_every=50, h_init=h_init)
+        assert len(threads) == 2 and blas_threads() == 2
+        threads.clear()
+        set_blas_threads(1)
+        serial = cmf_factorize(z, 3, cfg, fixed_x=x, checkpoint_every=50, h_init=h_init)
+        assert threads == {threading.get_ident()}
+        assert np.array_equal(pooled.h, serial.h)
+        assert np.array_equal(pooled.x, serial.x)
+        assert pooled.objective_history == serial.objective_history
+        assert pooled.checkpoints == serial.checkpoints
+        assert pooled.final_error == serial.final_error
+
+
 class TestFixedSolveMemory:
+    def test_steps_allocate_less_than_a_frame_chunk(self, monkeypatch, two_blas_threads):
+        # each thread steps its segments in arrays allocated before the
+        # threads start: from the first step on, neither the steps nor
+        # the segments built and checkpointed between them, on either
+        # thread, raise the traced peak by one F × FRAME_CHUNK float64
+        # array
+        rng = np.random.default_rng(36)
+        rows, rank, frames = 257, 80, 3 * FRAME_CHUNK - 100
+        z, x = random_complex(rng, (rows, frames)), random_complex(rng, (rows, rank))
+        h_init = tuple(rng.random((2, rank, frames)))
+        base = []
+        step = cmf_mod.nmf_step
+
+        def sampled(state, problem):
+            if not base:
+                base.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+            return step(state, problem)
+
+        monkeypatch.setattr(cmf_mod, "nmf_step", sampled)
+        tracemalloc.start()
+        try:
+            cmf_factorize(
+                z, rank, SepConfig(rank=rank, iters=4, tol=0.0), fixed_x=x,
+                checkpoint_every=2, h_init=h_init,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base[0] < rows * FRAME_CHUNK * 8
+
     def test_holds_no_block_matrix(self):
         # Zc alone is twice z.nbytes; a fixed solve forms only a frame
         # chunk of it at a time, and no complex F×T residual
