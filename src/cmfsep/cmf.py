@@ -23,17 +23,25 @@ describes the actual iterate.
 
 Lee–Seung updates act on each column of H separately, so both column
 halves of H update from W: the numerator is the stacked [Y_L; ΠY_R] and
-the product [G; ΠGΠ]·W gives the denominators of both halves. With
-fixed bases that product is the one the last objective carried, and
-the update's ratio is formed in place in its buffer. That ratio's
-halves, [R11; R21] and [R22; R12], both line up with W, so
-``_tie_ratio`` averages them into W's multiplier in the ratio's top
-half. The X update needs Zc·Hᵀ = Zc_L·Wᵀ + Zc_R·(ΠW)ᵀ and
-H·Hᵀ = W·Wᵀ + Π·W·Wᵀ·Π, so H is never formed.
+the product [G; ΠGΠ]·W gives the denominators of both halves. That
+product is formed by ``nmf._stacked_product`` from the sums
+s = h⁺ + h⁻ and differences d = h⁺ − h⁻ of the tied weights, as
+[U·s + V·d; Π(U·s − V·d)] with U and V half the sum and half the
+difference of G's column halves: half the flops of the direct product,
+with the rounding bound that the ``nmf`` docstring states. With fixed
+bases that product is the one the last objective carried, and the
+update's ratio is formed in place in its buffer; with free bases it is
+formed from the new G. That ratio's halves, [R11; R21] and [R22; R12],
+both line up with W, so ``_tie_ratio`` averages them into W's
+multiplier in the ratio's top half. The X update needs
+Zc·Hᵀ = Zc_L·Wᵀ + Zc_R·(ΠW)ᵀ and H·Hᵀ = W·Wᵀ + Π·W·Wᵀ·Π, so H is never
+formed.
 
 The complex-domain error ‖Z − Xh‖² of a checkpoint is summed over the
 frame chunks of ``linalg.frame_chunks``, so no complex F×T residual is
-formed.
+formed. Each chunk's residual is one real product, [Re X; Im X]
+times h⁺ − h⁻, less [Re Z; Im Z], at half the flops of the complex
+product; a fixed-basis segment forms it in its thread's scratch.
 
 ``cmf_factorize`` solves in parts and writes each part's weights into
 that part's frames of one rank × T output; a free solve is one part
@@ -45,10 +53,10 @@ parts run on as many threads as BLAS has at entry, at most one per
 part (``blas.solve_threads``), each product on one BLAS thread while
 they run; the calling thread is one of them, and with one thread none
 is started. Each thread steps its parts in arrays allocated for it
-before any thread starts (``_Workspace``), so a step allocates nothing
-frame-sized. A part's arithmetic does not depend on the thread or the
-arrays it runs in, so the result is the same however many threads run
-the parts.
+before any thread starts (``_Workspace``), each aligned to a 64-byte
+cache line, so a step allocates nothing frame-sized. A part's
+arithmetic does not depend on the thread or the arrays it runs in, so
+the result is the same however many threads run the parts.
 Every part's start comes from one ``_start`` over all frames: its
 bases, and its frames of the start's weight halves. Each chunk stops on
 its own objective; the histories, and the complex errors that each
@@ -79,6 +87,7 @@ from .linalg import BlockMatrix, assemble_zc, split_complex  # noqa: F401
 from .nmf import (
     NmfProblem,
     NmfState,
+    _stacked_product,
     _swap,
     _weight_gram,
     gram_terms,
@@ -135,7 +144,8 @@ def _tie_ratio(ratio: np.ndarray) -> np.ndarray:
     blocks are R11, R21, R22 and R12, block (i, j) being the ratio for
     block (i, j) of [[h⁺, h⁻], [h⁻, h⁺]], so its halves [R11; R21] and
     [R22; R12] both line up with [h⁺; h⁻]."""
-    return symmetrize_h(*np.split(ratio, 2))
+    n = len(ratio) // 2
+    return symmetrize_h(ratio[:n], ratio[n:])
 
 
 def _flush(a: np.ndarray, mask=None) -> None:
@@ -169,17 +179,19 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
         x *= ratio
         _flush(x)
         carried = None  # H·Hᵀ, of no use to the H update
-    xtz, xtx = gram_terms(problem, x)
+    xtz, xtx, uv = gram_terms(problem, x)
     # the H-update ratio is formed in place in XᵀX·H's buffer, the
     # carried one when the bases are fixed
-    ratio = xtx @ h if carried is None else carried
+    if carried is None:
+        carried = _stacked_product(uv, h, state.product, state.sd, state.vd)
+    ratio = carried
     np.maximum(ratio, EPSILON, out=ratio)
     np.divide(xtz, ratio, out=ratio)
     h *= _tie_ratio(ratio)
     # freed before the objective forms the next product
     del carried, ratio
     _flush(h, state.mask)
-    state.objective_history.append(objective(problem, state, xtz, xtx))
+    state.objective_history.append(objective(problem, state, xtz, xtx, uv))
     return state
 
 
@@ -218,22 +230,30 @@ def _start(problem: NmfProblem, seed: int, h_init=None):
     return (x, *np.split(w, 2))
 
 
-def _bases(xc: np.ndarray, rows: int, rank: int) -> np.ndarray:
-    """The complex bases of block bases ``xc``."""
-    return (xc[:rows, :rank] - xc[:rows, rank:]) + 1j * (
-        xc[rows:, :rank] - xc[rows:, rank:]
-    )
+def _bases(xc: np.ndarray, rank: int) -> np.ndarray:
+    """[Re X; Im X] (2F×K): the real and imaginary parts, stacked, of the
+    complex bases X of block bases ``xc``."""
+    return xc[:, :rank] - xc[:, rank:]
 
 
-def _complex_error(z: np.ndarray, x: np.ndarray, h: np.ndarray, resid=None) -> float:
-    """‖Z − X·h‖², summed over frame chunks: each chunk's residual is
-    formed in its product's buffer, one complex F×``FRAME_CHUNK``
-    temporary at a time, or in ``resid`` (complex, F × frames of a ``z``
-    of one chunk) when given."""
-    total = 0.0
+def _complex_bases(xri: np.ndarray) -> np.ndarray:
+    """The complex bases X of ``xri`` = [Re X; Im X]."""
+    rows = len(xri) // 2
+    return xri[:rows] + 1j * xri[rows:]
+
+
+def _complex_error(z: np.ndarray, xri: np.ndarray, h: np.ndarray, out=None) -> float:
+    """‖Z − X·h‖² for complex bases X given as ``xri`` = [Re X; Im X]
+    (2F×K) and real weights ``h``, summed over frame chunks: each chunk's
+    residual is one real product less [Re Z; Im Z], at half the flops
+    of the complex product, formed in a fresh 2F×``FRAME_CHUNK``
+    temporary at a time, or in ``out`` (2F × frames of a ``z`` of one
+    chunk) when given."""
+    rows, total = len(z), 0.0
     for cols in frame_chunks(z.shape[1]):
-        r = np.matmul(x, h[:, cols], out=resid)
-        np.subtract(z[:, cols], r, out=r)
+        r = np.matmul(xri, h[:, cols], out=out)
+        np.subtract(r[:rows], z.real[:, cols], out=r[:rows])
+        np.subtract(r[rows:], z.imag[:, cols], out=r[rows:])
         total += frobenius_norm_sq(r)
     return total
 
@@ -273,38 +293,50 @@ def _solve_free(problem: NmfProblem, state: NmfState, cfg, checkpoint_every):
     update couples them; each checkpoint writes its weights into the
     rank × T output ``h``. Returns the complex bases, ``h`` and
     [(history, errors)]."""
-    rows, rank = problem.z.shape[0], problem.rank
+    rank = problem.rank
     h = np.empty((rank, problem.z.shape[1]))
 
     def error(state):
-        x = _bases(state.x, rows, rank)
-        return _complex_error(problem.z, x, _signed(state.h, rank, h))
+        return _complex_error(problem.z, _bases(state.x, rank), _signed(state.h, rank, h))
 
     errors = _iterate(problem, state, cfg, checkpoint_every, error)
-    return _bases(state.x, rows, rank), h, [(state.objective_history, errors)]
+    return _complex_bases(_bases(state.x, rank)), h, [(state.objective_history, errors)]
 
 
 class _Workspace:
     """One solve thread's arrays for fixed-basis segments of up to
     ``width`` frames. Each is flat, so that a narrower segment takes a
     contiguous leading part (``_take``): the stacked numerator and the
-    carried product (4K rows each), the weights W and the flush mask (2K
-    rows each), a scratch of 2F rows, which holds Z's sign parts while a
-    segment's numerator is built and then its complex checkpoint
-    residual (F complex rows), and the signed weights as complex numbers
-    (K rows), from which that residual is formed. All are allocated
+    carried product (4K rows each); the numerator's summed halves, the
+    weights W, the flush mask, the sums and differences [s; d] of W's
+    halves and their product V·d (2K rows each); and a scratch of 2F
+    rows, which holds Z's sign parts while a segment's numerator is
+    built and then its checkpoint residual [Re; Im]. All are allocated
     before any thread starts and reused for every segment the thread
     solves, so its steps allocate nothing frame-sized: what a thread
-    frees stays resident in that thread's allocator arena."""
+    frees stays resident in that thread's allocator arena. Each starts
+    on a 64-byte cache line (``_aligned``), where numpy's own
+    allocations here start 16 bytes past one; the elementwise passes
+    over them run faster aligned, and alignment changes no result."""
 
     def __init__(self, rows: int, rank: int, width: int):
-        self.xtz = np.empty(4 * rank * width)
-        self.product = np.empty(4 * rank * width)
-        self.w = np.empty(2 * rank * width)
-        self.mask = np.empty(2 * rank * width, dtype=bool)
-        self.scratch = np.empty(2 * rows * width)
-        # only real parts are ever written, so the imaginary ones stay 0
-        self.signed = np.zeros(rank * width, dtype=np.complex128)
+        self.xtz = _aligned(4 * rank * width)
+        self.product = _aligned(4 * rank * width)
+        self.xtz_sum = _aligned(2 * rank * width)
+        self.w = _aligned(2 * rank * width)
+        self.mask = _aligned(2 * rank * width, bool)
+        self.sd = _aligned(2 * rank * width)
+        self.vd = _aligned(2 * rank * width)
+        self.scratch = _aligned(2 * rows * width)
+
+
+def _aligned(size: int, dtype=np.float64) -> np.ndarray:
+    """An uninitialised flat array of ``size`` entries whose data starts
+    on a 64-byte boundary: a view into a 64 bytes longer byte buffer."""
+    nbytes = size * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + nbytes].view(dtype)
 
 
 def _take(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -313,15 +345,21 @@ def _take(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return buf[: rows * cols].reshape(rows, cols)
 
 
-def _solve_segment(problem, frames, x, halves, space, cfg, checkpoint_every, h):
+def _solve_segment(problem, frames, xri, halves, space, cfg, checkpoint_every, h):
     """The solve of the frames ``frames`` of a fixed-basis ``problem``
     in the arrays of ``space``, from those frames of the start's
     ``halves``; each checkpoint writes its weights into those frames of
-    ``h``. Returns (history, errors)."""
+    ``h`` and takes the complex error with ``xri`` = [Re X; Im X].
+    Returns (history, errors)."""
     rows, rank = problem.z.shape[0], problem.rank
     width = frames.stop - frames.start
     scratch = _take(space.scratch, 2 * rows, width)
-    part = problem.segment(frames, _take(space.xtz, 4 * rank, width), scratch)
+    part = problem.segment(
+        frames,
+        _take(space.xtz, 4 * rank, width),
+        scratch,
+        _take(space.xtz_sum, 2 * rank, width),
+    )
     w = _take(space.w, 2 * rank, width)
     w[:rank], w[rank:] = (half[:, frames] for half in halves)
     state = NmfState(
@@ -329,14 +367,12 @@ def _solve_segment(problem, frames, x, halves, space, cfg, checkpoint_every, h):
         h=w,
         product=_take(space.product, 4 * rank, width),
         mask=_take(space.mask, 2 * rank, width),
+        sd=_take(space.sd, 2 * rank, width),
+        vd=_take(space.vd, 2 * rank, width),
     )
-    resid = _take(space.scratch.view(np.complex128), rows, width)
-    signed = _take(space.signed, rank, width)
 
     def error(state):
-        # the product of complex bases with complex weights casts nothing
-        signed.real = _signed(state.h, rank, h[:, frames])
-        return _complex_error(part.z, x, signed, resid)
+        return _complex_error(part.z, xri, _signed(state.h, rank, h[:, frames]), scratch)
 
     errors = _iterate(part, state, cfg, checkpoint_every, error)
     return state.objective_history, errors
@@ -383,7 +419,7 @@ def _solve_fixed(problem: NmfProblem, halves, cfg, checkpoint_every):
     frame order."""
     rows, rank = problem.z.shape[0], problem.rank
     segments = frame_chunks(problem.z.shape[1])
-    x = _bases(problem.xc, rows, rank)
+    xri = _bases(problem.xc, rank)
     h = np.empty((rank, problem.z.shape[1]))
     parts = [None] * len(segments)
     with solve_threads(len(segments)) as workers:
@@ -391,11 +427,11 @@ def _solve_fixed(problem: NmfProblem, halves, cfg, checkpoint_every):
 
         def run(task, worker):
             parts[task] = _solve_segment(
-                problem, segments[task], x, halves, spaces[worker], cfg, checkpoint_every, h
+                problem, segments[task], xri, halves, spaces[worker], cfg, checkpoint_every, h
             )
 
         _run(len(segments), run, workers)
-    return x, h, parts
+    return _complex_bases(xri), h, parts
 
 
 def cmf_factorize(

@@ -8,27 +8,49 @@ nonnegative form Zc, the 2F×2T block matrix of Z's split, is factored
 as X·H with X 2F×2K and the weights tied as
 H = [[h⁺, h⁻], [h⁻, h⁺]] = [W, ΠW], where W = [h⁺; h⁻] is stored alone
 and Π swaps its two row halves. The Gram terms are stacked to match:
-[Y_L; ΠY_R] from the column halves of Y = XᵀZc, and [G; ΠGΠ] with
-G = XᵀX, so one product [G; ΠGΠ]·W covers both column halves of H.
+[Y_L; ΠY_R] from the column halves of Y = XᵀZc, and the product
+[G; ΠGΠ]·W with G = XᵀX, which covers both column halves of H.
+
+That product is formed at half the flops of the (4K×2K)·(2K×T) one,
+from the sums s = h⁺ + h⁻ and differences d = h⁺ − h⁻ of the tied
+weights. With U and V half the sum and half the difference of G's two
+column halves (2K×K each), GW = U·s + V·d and ΠGΠW = Π(U·s − V·d):
+two (2K×K)·(K×T) products (``_stacked_product``). G's entries and W's
+are nonnegative, so the direct product sums nonnegative terms; V and d
+have mixed signs, so the sum/difference form can cancel. Write a
+column's entries of [G; ΠGΠ]·W as D₁₁, D₂₁ (GW) and D₂₂, D₁₂ (ΠGΠW),
+block (i, j) being the denominator of block (i, j) of H. D₁₁ and D₁₂
+are formed from the same U·s and V·d entries, as their sum and their
+difference, and so are D₂₁ and D₂₂; since |V| ≤ U entrywise and
+|d| ≤ s, each of them is off by |error| ≲ c·ε·(D₁₁ + D₁₂) (or
+c·ε·(D₂₁ + D₂₂)), with ε the unit roundoff and c a small multiple of
+K. That is relative to the entry itself except where one entry of a
+pair is far below its partner: for instance h⁺ ≪ h⁻ under bases whose
+positive and negative parts have disjoint supports, where G's cross
+blocks vanish and D₁₁ = G₁₁h⁺ ≪ D₁₂ = G₁₁h⁻. There the small entry is
+known only to about ε of its partner. The objective weighs D₁₁ by
+the small h⁺, so its quadratic term keeps the direct product's
+accuracy.
 
 ``NmfProblem`` computes ‖Z‖² once, from the complex Z (‖Zc‖² = ‖Z‖²).
 When the bases are free it assembles Zc, which their update reads at
-every step; a free step computes the Gram terms from its new X and
-shares them between the H update and the objective. When the bases are
-fixed, the stacked XᵀX is built with their block matrix, at
-construction. With fixed bases each frame's weights update on their
+every step; a free step computes the Gram terms from its new X, U and
+V among them, and shares them between the H update and the objective.
+When the bases are fixed, G, U and V are built with their block matrix,
+at construction. With fixed bases each frame's weights update on their
 own, so ``NmfProblem.segment`` gives the problem of a run of frames,
-sharing the checked bases and XᵀX and forming the numerator XᵀZc of its
-own frames alone (frames t of a run are columns t and T + t of Zc)
-from Z's sign parts, one column half of the run's Zc at a time, without
-assembling it. The numerator is built there only, so a fixed-basis
-problem is stepped through its segments. ``cmf.cmf_factorize`` solves
-runs of at most ``linalg.FRAME_CHUNK`` frames this way, one per thread
-at a time, so it never forms the whole numerator, and a run's Zc only
-for the direct residual below. The objective is the Gram form
+sharing the checked bases and Gram terms and forming the numerator
+XᵀZc of its own frames alone (frames t of a run are columns t and T + t
+of Zc) from Z's sign parts, one column half of the run's Zc at a time,
+without assembling it. The numerator is built there only, so a
+fixed-basis problem is stepped through its segments. ``cmf.cmf_factorize``
+solves runs of at most ``linalg.FRAME_CHUNK`` frames this way, one per
+thread at a time, so it never forms the whole numerator, and a run's Zc
+only for the direct residual below. The objective is the Gram form
 ``‖Z‖² − 2⟨H, XᵀZc⟩ + ⟨H, XᵀX H⟩``, which costs no 2F×2T residual;
 each inner product over H is the sum of two over W, one per row block
-of the stacked term.
+of the stacked term. A segment also keeps its numerator's two halves
+summed, Y_L + ΠY_R, so its linear term is one ⟨W, ·⟩.
 
 Its quadratic term is taken from the product the next update needs,
 so a step forms one quadratic product fewer. With fixed bases it is
@@ -93,11 +115,13 @@ class NmfProblem:
     least 1, ``fixed_x`` F×K and finite; ``z`` and ``fixed_x`` are kept
     as complex128. Derived once at construction: ``z_norm_sq``; with
     free bases ``zc``, the assembled 2F×2T Zc; with ``fixed_x`` its
-    2F×2K block matrix ``xc`` and the stacked Gram ``xtx`` of
-    ``gram_terms``, with ``zc`` left None. The stacked numerator ``xtz``
-    of fixed bases is set only by ``segment``, so a fixed-basis problem
-    is stepped through a segment (``segment(slice(None))`` for all of its
-    frames); it stays None on the problem itself and with free bases.
+    2F×2K block matrix ``xc``, the Gram ``xtx`` = G and its sum and
+    difference halves ``uv`` = (U, V) of ``gram_terms``, with ``zc`` left
+    None. The stacked numerator ``xtz`` of fixed bases, and ``xtz_sum``,
+    its two halves summed, are set only by ``segment``, so a fixed-basis
+    problem is stepped through a segment (``segment(slice(None))`` for
+    all of its frames); they stay None on the problem itself and with
+    free bases.
     """
 
     z: np.ndarray
@@ -107,7 +131,9 @@ class NmfProblem:
     zc: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     xc: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     xtx: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    uv: Optional[tuple] = field(init=False, repr=False, default=None)
     xtz: Optional[np.ndarray] = field(init=False, repr=False, default=None)
+    xtz_sum: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.z = as_complex_matrix(self.z)
@@ -129,23 +155,25 @@ class NmfProblem:
             if not np.all(np.isfinite(self.fixed_x)):
                 raise ValueError("fixed_x contains non-finite entries")
             self.xc = _block_matrix(self.fixed_x)
-            self.xtx = _stacked_xtx(self.xc)
+            self.xtx = self.xc.T @ self.xc
+            self.uv = _sum_difference(self.xtx)
         self.z_norm_sq = frobenius_norm_sq(self.z)
 
-    def segment(self, cols: slice, xtz=None, scratch=None) -> "NmfProblem":
+    def segment(self, cols: slice, xtz=None, scratch=None, xtz_sum=None) -> "NmfProblem":
         """The problem of the frames ``cols`` of ``z``, with the same
         fixed bases. It shares this problem's checked bases, ``xc`` and
-        ``xtx`` rather than checking and deriving them again; its ‖Z‖²
+        Gram terms rather than checking and deriving them again; its ‖Z‖²
         and numerator, built here, are those of its own frames.
 
         Both are formed from Z's sign parts, the column halves
         [P_r; P_i] and [N_r; N_i] of the frames' Zc, each in turn in
         ``scratch`` (2F × frames), so no Zc is assembled: ‖Z‖² is the
         sum of their squares, Y_L = Xcᵀ·[P_r; P_i], and ΠY_R takes Xc's
-        column halves in swapped order against [N_r; N_i]. ``xtz``
-        (4K × frames) and ``scratch`` are allocated here unless given;
-        given, they are written in place and the segment allocates
-        nothing frame-sized.
+        column halves in swapped order against [N_r; N_i]. ``xtz_sum`` is
+        Y_L + ΠY_R, with which the objective's linear term is one inner
+        product. ``xtz`` (4K × frames), ``scratch`` and ``xtz_sum``
+        (2K × frames) are allocated here unless given; given, they are
+        written in place and the segment allocates nothing frame-sized.
         """
         if self.fixed_x is None:
             raise ValueError("only a problem with fixed bases splits into frame segments")
@@ -154,14 +182,16 @@ class NmfProblem:
         rows, frames = part.z.shape
         k = self.rank
         part.xtz = np.empty((4 * k, frames)) if xtz is None else xtz
+        part.xtz_sum = np.empty((2 * k, frames)) if xtz_sum is None else xtz_sum
         signs = np.empty((2 * rows, frames)) if scratch is None else scratch
-        top, bottom = np.split(part.xtz, 2)
+        top, bottom = part.xtz[: 2 * k], part.xtz[2 * k :]
         np.matmul(self.xc.T, _sign_parts(part.z, np.maximum, signs), out=top)
         norm = frobenius_norm_sq(signs)
         _sign_parts(part.z, np.minimum, signs)
         np.matmul(self.xc[:, k:].T, signs, out=bottom[:k])
         np.matmul(self.xc[:, :k].T, signs, out=bottom[k:])
         part.z_norm_sq = norm + frobenius_norm_sq(signs)
+        np.add(top, bottom, out=part.xtz_sum)
         return part
 
 
@@ -191,17 +221,19 @@ class NmfState:
     itself updates the weights in place, and other code replaces them
     by assignment.
 
-    ``product`` and ``mask``, when given, are arrays that a fixed-basis
-    step writes into instead of allocating: the carried XᵀX·H
-    (2·len(h) × cols) and the mask of ``cmf``'s flush of ``h`` (bool,
-    shaped like ``h``).
+    ``product``, ``mask``, ``sd`` and ``vd``, when given, are arrays
+    that a fixed-basis step writes into instead of allocating: the
+    carried XᵀX·H (2·len(h) × cols), the mask of ``cmf``'s flush of
+    ``h`` (bool, shaped like ``h``), and the sums and differences [s; d]
+    of the weight halves and their product V·d (each shaped like ``h``),
+    from which ``_stacked_product`` forms XᵀX·H.
     """
 
-    def __init__(self, x: np.ndarray, h: np.ndarray, product=None, mask=None):
+    def __init__(self, x: np.ndarray, h: np.ndarray, product=None, mask=None, sd=None, vd=None):
         self.x = x
         self.h = h
         self.objective_history = []
-        self.product, self.mask = product, mask
+        self.product, self.mask, self.sd, self.vd = product, mask, sd, vd
 
     @property
     def h(self) -> np.ndarray:
@@ -233,19 +265,47 @@ def _stacked_xtz(x: np.ndarray, zc: np.ndarray) -> np.ndarray:
     return np.concatenate((y[:, :cols], y[half:, cols:], y[:half, cols:]))
 
 
-def _stacked_xtx(x: np.ndarray) -> np.ndarray:
-    """[G; ΠGΠ] of G = xᵀx."""
-    xtx = x.T @ x
-    return np.concatenate((xtx, _swap_both(xtx)))
+def _sum_difference(xtx: np.ndarray):
+    """(U, V): half the sum and half the difference of the two column
+    halves of G = ``xtx``, each a C-contiguous 2K×K array."""
+    k = len(xtx) // 2
+    left, right = xtx[:, :k], xtx[:, k:]
+    return 0.5 * (left + right), 0.5 * (left - right)
+
+
+def _stacked_product(uv, w: np.ndarray, out=None, sd=None, vd=None) -> np.ndarray:
+    """[G; ΠGΠ]·W of W = [h⁺; h⁻] from ``uv`` = (U, V), written into
+    ``out`` (4K × T) and returned: GW = U·s + V·d and ΠGΠW = Π(U·s − V·d)
+    with s = h⁺ + h⁻ and d = h⁺ − h⁻, at half the flops of the direct
+    product; see the module docstring for its rounding. U·s is formed
+    in GW's rows of ``out``, s over d in ``sd`` and V·d in ``vd`` (each
+    shaped like ``w``); any of the three not given is allocated."""
+    u, v = uv
+    k = len(w) // 2
+    out = np.empty((2 * len(w), w.shape[1])) if out is None else out
+    sd = np.empty_like(w) if sd is None else sd
+    vd = np.empty_like(w) if vd is None else vd
+    s, d = sd[:k], sd[k:]
+    np.add(w[:k], w[k:], out=s)
+    np.subtract(w[:k], w[k:], out=d)
+    top, bottom = out[: 2 * k], out[2 * k :]
+    np.matmul(u, s, out=top)
+    np.matmul(v, d, out=vd)
+    np.subtract(top[k:], vd[k:], out=bottom[:k])
+    np.subtract(top[:k], vd[:k], out=bottom[k:])
+    top += vd
+    return out
 
 
 def gram_terms(problem: NmfProblem, x: np.ndarray):
-    """The H update's stacked numerator and Gram for bases ``x``,
-    ``([Y_L; ΠY_R], [G; ΠGΠ])``; when the bases are fixed, the
-    segment's numerator and the Gram hoisted at construction."""
+    """The Gram terms of bases ``x``: the H update's stacked numerator
+    [Y_L; ΠY_R], G = XᵀX and G's (U, V) of ``_sum_difference``; when the
+    bases are fixed, the segment's numerator and the terms built at
+    construction."""
     if problem.fixed_x is not None:
-        return problem.xtz, problem.xtx
-    return _stacked_xtz(x, problem.zc), _stacked_xtx(x)
+        return problem.xtz, problem.xtx, problem.uv
+    xtx = x.T @ x
+    return _stacked_xtz(x, problem.zc), xtx, _sum_difference(xtx)
 
 
 def _weight_gram(h: np.ndarray) -> np.ndarray:
@@ -272,20 +332,24 @@ def _direct_residual(problem: NmfProblem, x: np.ndarray, w: np.ndarray) -> float
     return total
 
 
-def objective(problem: NmfProblem, state: NmfState, xtz, xtx) -> float:
-    """‖Zc − XH‖² of ``state`` from its Gram terms ``xtz``, ``xtx``; the
+def objective(problem: NmfProblem, state: NmfState, xtz, xtx, uv) -> float:
+    """‖Zc − XH‖² of ``state`` from the Gram terms of ``gram_terms``; the
     direct residual below ``GRAM_GUARD``·‖Z‖², where the Gram form
-    cancels. The quadratic term is ⟨H, XᵀX·H⟩ with fixed bases and
-    ⟨XᵀX, H·Hᵀ⟩ with free ones, from the product the next update needs,
-    which is left on ``state.carried``."""
+    cancels. The quadratic term is ⟨H, XᵀX·H⟩ with fixed bases, from
+    ``uv``, and ⟨XᵀX, H·Hᵀ⟩ with free ones, from ``xtx``: the product
+    the next update needs, which is left on ``state.carried``. The
+    linear term reads the segment's ``xtz_sum`` with fixed bases and
+    ``xtz`` with free ones."""
     h = state.h
     if problem.fixed_x is not None:
-        state.carried = np.matmul(xtx, h, out=state.product)
+        state.carried = _stacked_product(uv, h, state.product, state.sd, state.vd)
         quad = _stacked_vdot(h, state.carried)
+        linear = np.vdot(h, problem.xtz_sum)
     else:
         state.carried = _weight_gram(h)
-        quad = np.vdot(xtx[: 2 * problem.rank], state.carried)
-    gram = problem.z_norm_sq - 2.0 * _stacked_vdot(h, xtz) + quad
+        quad = np.vdot(xtx, state.carried)
+        linear = _stacked_vdot(h, xtz)
+    gram = problem.z_norm_sq - 2.0 * linear + quad
     if gram < GRAM_GUARD * problem.z_norm_sq:
         return _direct_residual(problem, state.x, h)
     return float(gram)

@@ -3,13 +3,22 @@ factorization and the assembled block matrix Zc with its stacked
 numerator, which the solver never forms (Zc not when its bases are
 fixed); tests check the reduction's block algebra against them. Also
 the iterate of the solver's seeded start, which it never forms whole
-with fixed bases."""
+with fixed bases, the H-update denominator as the direct product
+[G; ΠGΠ]·W, which the solver forms from sums and differences, and a
+reference step on the 2K×2T block matrix H that uses the direct
+product."""
 
 import numpy as np
 
-from cmfsep.cmf import _start
-from cmfsep.linalg import BlockMatrix, SplitQuad, assemble_zc, split_complex
-from cmfsep.nmf import NmfState
+from cmfsep.cmf import EPSILON, FLUSH_BELOW, _start
+from cmfsep.linalg import (
+    BlockMatrix,
+    SplitQuad,
+    assemble_zc,
+    frobenius_norm_sq,
+    split_complex,
+)
+from cmfsep.nmf import GRAM_GUARD, NmfState
 
 
 def start_state(problem, seed, h_init=None) -> NmfState:
@@ -58,3 +67,44 @@ def block_product_identity_check(
     z3 = xpi @ h_plus + xni @ h_minus
     z4 = xpi @ h_minus + xni @ h_plus
     return z1, z2, z3, z4
+
+
+def direct_denominator(xc: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """[G; ΠGΠ]·W with G = xcᵀ·xc, as one (4K×2K)·(2K×T) product of
+    nonnegative terms."""
+    g = xc.T @ xc
+    k = len(g) // 2
+    pgp = np.block([[g[k:, k:], g[k:, :k]], [g[:k, k:], g[:k, :k]]])
+    return np.concatenate((g, pgp)) @ w
+
+
+def block_coupling(rank, cols):
+    """The weight-block tie built as a new array with ``np.block``."""
+
+    def couple(hc):
+        h_plus = 0.5 * (hc[:rank, :cols] + hc[rank:, cols:])
+        h_minus = 0.5 * (hc[:rank, cols:] + hc[rank:, :cols])
+        return np.block([[h_plus, h_minus], [h_minus, h_plus]])
+
+    return couple
+
+
+def reference_step(state, problem, couple):
+    """One step on the 2K×2T block matrix H, computed plainly: XᵀZ and
+    XᵀX formed here, nothing carried from the last step, an allocating
+    H-update ratio over the direct product XᵀX·H, the tie applied to H,
+    and the quadratic term as ⟨H, XᵀX H⟩."""
+    z, eps = assembled_zc(problem.z), EPSILON
+    x, h = state.x, state.h
+    if problem.fixed_x is None:
+        x *= (z @ h.T) / np.maximum(x @ (h @ h.T), eps)
+        x[x < FLUSH_BELOW] = 0.0
+    xtz, xtx = x.T @ z, x.T @ x
+    h *= xtz / np.maximum(xtx @ h, eps)
+    h = couple(h)
+    h[h < FLUSH_BELOW] = 0.0
+    gram = problem.z_norm_sq - 2.0 * np.vdot(h, xtz) + np.vdot(h, xtx @ h)
+    if gram < GRAM_GUARD * problem.z_norm_sq:
+        gram = frobenius_norm_sq(z - x @ h)
+    state.h = h
+    state.objective_history.append(float(gram))

@@ -526,6 +526,21 @@ class TestPooledFixedSolve:
         assert pooled.final_error == serial.final_error
 
 
+class TestWorkspace:
+    """A solve thread's ``_Workspace``."""
+
+    @pytest.mark.parametrize("rows, rank, width", [(257, 80, FRAME_CHUNK), (3, 1, 1), (6, 3, 7)])
+    def test_arrays_start_on_a_cache_line(self, rows, rank, width):
+        space = cmf_mod._Workspace(rows, rank, width)
+        arrays = vars(space).values()
+        assert len(arrays) == 8
+        for a in arrays:
+            assert a.ctypes.data % 64 == 0
+            assert a.ndim == 1 and a.flags.c_contiguous and a.flags.writeable
+        assert space.mask.dtype == bool and space.mask.size == 2 * rank * width
+        assert space.scratch.size == 2 * rows * width
+
+
 class TestFixedSolveMemory:
     def test_steps_allocate_less_than_a_frame_chunk(self, monkeypatch, two_blas_threads):
         # each thread steps its segments in arrays allocated before the

@@ -3,10 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocks import assembled_zc, stacked_numerator, start_state
-from cmfsep.cmf import EPSILON, FLUSH_BELOW, nmf_step
+from blocks import (
+    assembled_zc,
+    block_coupling,
+    direct_denominator,
+    reference_step,
+    stacked_numerator,
+    start_state,
+)
+from cmfsep.cmf import EPSILON, cmf_factorize, nmf_step
+from cmfsep.config import SepConfig
 from cmfsep.linalg import FRAME_CHUNK, frobenius_norm_sq
-from cmfsep.nmf import GRAM_GUARD, NmfProblem, NmfState, gram_terms, objective
+from cmfsep.nmf import (
+    GRAM_GUARD,
+    NmfProblem,
+    NmfState,
+    _stacked_product,
+    _sum_difference,
+    gram_terms,
+    objective,
+)
 
 
 def tied(z, rank, fixed_x=None):
@@ -116,9 +132,11 @@ class TestSegment:
         whole = tied(z, 2, fixed_x=x)
         part = whole.segment(slice(10, 25))
         alone = tied(z[:, 10:25], 2, fixed_x=x)
-        assert part.xc is whole.xc and part.xtx is whole.xtx
+        assert part.xc is whole.xc and part.xtx is whole.xtx and part.uv is whole.uv
         assert part.z_norm_sq == alone.z_norm_sq
         assert np.array_equal(part.xtz, alone.xtz)
+        # the numerator's halves summed, for the objective's linear term
+        assert np.array_equal(part.xtz_sum, part.xtz[:4] + part.xtz[4:])
         np.testing.assert_allclose(part.xtz, whole.xtz[:, 10:25], rtol=1e-14, atol=0)
 
     def test_free_bases_do_not_split(self):
@@ -163,6 +181,51 @@ class TestInit:
         h_minus = 0.5 * (hc[:2, 3:] + hc[2:, :3])
         assert np.array_equal(state.x, x)
         assert np.array_equal(state.h, np.concatenate((h_plus, h_minus)))
+
+
+class TestStackedProduct:
+    """``_stacked_product``: the H-update denominator [G; ΠGΠ]·W from the
+    sums s = h⁺ + h⁻ and differences d = h⁺ − h⁻, against the direct
+    product."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_direct_product(self, seed):
+        rng = np.random.default_rng(seed)
+        xc = assembled_zc(random_complex(rng, (30, 6)))
+        w = rng.random((12, 40))
+        want = direct_denominator(xc, w)
+        got = _stacked_product(_sum_difference(xc.T @ xc), w)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    def test_cancellation_is_bounded_by_the_pair(self):
+        # rows of one sign give bases whose positive and negative parts
+        # have disjoint supports, so G's cross blocks are 0; with
+        # h+ << h-, D11 = G11·h+ is the difference of two terms of size
+        # G11·h- = D12, and is held to 1e-13 of D11 + D12, not of itself
+        rng = np.random.default_rng(4)
+        rank = 6
+        _, xc, _, _ = planted_fit(rng, rows=30, rank=rank, cols=1)
+        g = xc.T @ xc
+        assert np.all(g[:rank, rank:] == 0)
+        h_minus = rng.uniform(0.1, 1.0, (rank, 40))
+        w = np.concatenate((1e-9 * rng.uniform(0.1, 1.0, (rank, 40)), h_minus))
+        want = direct_denominator(xc, w)
+        got = _stacked_product(_sum_difference(g), w)
+        d11, d21, d22, d12 = np.split(want, 4)
+        assert np.max(d11 / d12) < 1e-7
+        pairs = np.concatenate((d11 + d12, d21 + d22, d21 + d22, d11 + d12))
+        assert np.all(np.abs(got - want) <= 1e-13 * pairs)
+        assert np.max(np.abs(got[:rank] - d11) / d11) > 1e-13
+
+    def test_writes_into_given_arrays(self):
+        rng = np.random.default_rng(5)
+        xc = assembled_zc(random_complex(rng, (8, 3)))
+        w = rng.random((6, 7))
+        out, sd, vd = np.empty((12, 7)), np.empty((6, 7)), np.empty((6, 7))
+        got = _stacked_product(_sum_difference(xc.T @ xc), w, out, sd, vd)
+        assert got is out
+        assert np.array_equal(sd, np.concatenate((w[:3] + w[3:], w[:3] - w[3:])))
+        np.testing.assert_allclose(got, direct_denominator(xc, w), rtol=1e-13, atol=0)
 
 
 class TestStep:
@@ -286,38 +349,6 @@ class TestGramObjective:
         assert np.all(np.abs(recorded[below] - direct[below]) <= 1e-12 * direct[below])
 
 
-def block_coupling(rank, cols):
-    """The weight-block tie built as a new array with ``np.block``."""
-
-    def couple(hc):
-        h_plus = 0.5 * (hc[:rank, :cols] + hc[rank:, cols:])
-        h_minus = 0.5 * (hc[:rank, cols:] + hc[rank:, :cols])
-        return np.block([[h_plus, h_minus], [h_minus, h_plus]])
-
-    return couple
-
-
-def reference_step(state, problem, couple):
-    """One step on the 2K×2T block matrix H, computed plainly: XᵀZ and
-    XᵀX formed here, nothing carried from the last step, an allocating
-    H-update ratio, the tie applied to H, and the quadratic term as
-    ⟨H, XᵀX H⟩."""
-    z, eps = assembled_zc(problem.z), EPSILON
-    x, h = state.x, state.h
-    if problem.fixed_x is None:
-        x *= (z @ h.T) / np.maximum(x @ (h @ h.T), eps)
-        x[x < FLUSH_BELOW] = 0.0
-    xtz, xtx = x.T @ z, x.T @ x
-    h *= xtz / np.maximum(xtx @ h, eps)
-    h = couple(h)
-    h[h < FLUSH_BELOW] = 0.0
-    gram = problem.z_norm_sq - 2.0 * np.vdot(h, xtz) + np.vdot(h, xtx @ h)
-    if gram < GRAM_GUARD * problem.z_norm_sq:
-        gram = frobenius_norm_sq(z - x @ h)
-    state.h = h
-    state.objective_history.append(float(gram))
-
-
 class TestCarriedProduct:
     """Each objective leaves the quadratic product the next update needs
     on the state (XᵀX·H with fixed bases, H·Hᵀ with free ones)."""
@@ -371,3 +402,33 @@ class TestCarriedProduct:
         # absolute bound is meaningful
         floor = 1e-18 * problem.z_norm_sq
         assert np.all(np.abs(got - want) <= np.maximum(1e-12 * want, floor))
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_solve_matches_reference_steps(self, fixed, planted):
+        """``cmf_factorize`` (in two frame segments when the bases are
+        fixed) against the reference steps over all frames from the same
+        start. The planted bases have rows of one sign, whose tied update
+        drives h- toward 0 under vanishing cross blocks of G, the
+        case where the sum/difference product cancels."""
+        rows, rank = 12, 3
+        cols = FRAME_CHUNK + 88 if fixed else 60
+        rng = np.random.default_rng(22)
+        if planted:
+            x, _, _, z = planted_fit(rng, rows, rank, cols)
+        else:
+            x, z = random_complex(rng, (rows, rank)), random_complex(rng, (rows, cols))
+        x = x if fixed else None
+        cfg = SepConfig(rank=rank, iters=200, tol=0.0, seed=5)
+        res = cmf_factorize(z, rank, cfg, fixed_x=x)
+        problem = tied(z, rank, fixed_x=x)
+        state = start_state(problem, cfg.seed)
+        ref = NmfState(x=state.x.copy(), h=assembled(state.h))
+        couple = block_coupling(rank, cols)
+        for _ in range(cfg.iters):
+            reference_step(ref, problem, couple)
+        got, want = np.array(res.objective_history), np.array(ref.objective_history)
+        floor = 1e-18 * problem.z_norm_sq
+        assert np.all(np.abs(got - want) <= np.maximum(1e-12 * want, floor))
+        h = ref.h[:rank, :cols] - ref.h[rank:, :cols]
+        assert np.max(np.abs(res.h - h)) <= 1e-12 * np.max(np.abs(h))
