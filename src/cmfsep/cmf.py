@@ -6,14 +6,17 @@ parts into a 2x2 block matrix turns the complex factorization
 ``Z ~ X H`` (complex bases X, real weights H) into one nonnegative
 problem, with the weight blocks tied pairwise as [[h⁺, h⁻], [h⁻, h⁺]].
 The split and its block matrices live in ``linalg``, which alone
-exports them. The nonnegative problem, ``nmf.NmfProblem``, is built
-from the complex data: with free bases it assembles the 2F×2T block
-matrix Zc, and with fixed bases it never does (see ``nmf``). The solve stores the weights once, as
-W = [h⁺; h⁻], and ties them with one in-place average of a stacked
-pair (``symmetrize_h``): the drawn start's left column block with its
-row-swapped right one, and at every multiplicative update the two
-halves of the stacked update ratio; at termination the signed factors
-are reassembled from the blocks.
+exports them; the solver forms neither. The nonnegative problem,
+``nmf.NmfProblem``, is built from the complex data and reads it
+through Zri = [Re Z; Im Z]: its multiplicative updates through Zri's
+sign parts Zp = max(Zri, 0) and Zn = max(−Zri, 0), Zc's column halves,
+and its residual as ½‖Zab − p·s‖² + ½‖Zri − q·d‖² with Zab = |Zri|
+(see ``nmf``), so the 2F×2T block matrix Zc is never formed. The solve
+stores the weights once, as W = [h⁺; h⁻], and ties them with one
+in-place average of a stacked pair (``symmetrize_h``): the drawn
+start's left column block with its row-swapped right one, and at every
+multiplicative update the two halves of the stacked update ratio; at
+termination the signed factors are reassembled from the blocks.
 
 The update step ``nmf_step`` is one Lee–Seung multiplicative update of
 the tied problem of ``nmf``, X then H. Denominators are floored at
@@ -33,15 +36,18 @@ bases that product is the one the last objective carried, and the
 update's ratio is formed in place in its buffer; with free bases it is
 formed from the new G. That ratio's halves, [R11; R21] and [R22; R12],
 both line up with W, so ``_tie_ratio`` averages them into W's
-multiplier in the ratio's top half. The X update needs
-Zc·Hᵀ = Zc_L·Wᵀ + Zc_R·(ΠW)ᵀ and H·Hᵀ = W·Wᵀ + Π·W·Wᵀ·Π, so H is never
-formed.
+multiplier in the ratio's top half. The X update's numerator is
+Zc·Hᵀ = [Zp·h⁺ᵀ + Zn·h⁻ᵀ, Zp·h⁻ᵀ + Zn·h⁺ᵀ], from the two products Zp·Wᵀ
+and Zn·Wᵀ, and its denominator is X times the H·Hᵀ that the last
+objective carried (``nmf._weight_gram``); so H is never formed, and
+every entry of both is a sum of nonnegative terms.
 
-The complex-domain error ‖Z − Xh‖² of a checkpoint is summed over the
-frame chunks of ``linalg.frame_chunks``, so no complex F×T residual is
-formed. Each chunk's residual is one real product, [Re X; Im X]
-times h⁺ − h⁻, less [Re Z; Im Z], at half the flops of the complex
-product; a fixed-basis segment forms it in its thread's scratch.
+The complex-domain error ‖Z − Xh‖² of a checkpoint is the second of the
+two residual terms of ``nmf._residuals``, with q = [Re X; Im X] and
+d = h⁺ − h⁻: summed over the frame chunks of ``linalg.frame_chunks``,
+each chunk's residual one real product less Zri, at half the flops of
+the complex product, so no complex F×T residual is formed; a
+fixed-basis segment forms it in its thread's scratch.
 
 ``cmf_factorize`` solves in parts and writes each part's weights into
 that part's frames of one rank × T output; a free solve is one part
@@ -80,14 +86,17 @@ import numpy as np
 
 from .blas import solve_threads
 from .config import SepConfig
-from .linalg import as_real, frame_chunks, frobenius_norm_sq
+from .linalg import as_real, frame_chunks
 
-# not called here: bench/spans.py patches these three names
+# not called here: bench/spans.py patches these three names, so its
+# cmf.split span times nothing
 from .linalg import BlockMatrix, assemble_zc, split_complex  # noqa: F401
 from .nmf import (
     NmfProblem,
     NmfState,
+    _residuals,
     _stacked_product,
+    _sums,
     _swap,
     _weight_gram,
     gram_terms,
@@ -163,27 +172,24 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
     """
     x, h = state.x, state.h
     carried, state.carried = state.carried, None
+    if carried is None:  # the weights were replaced since the last objective
+        state.sd = _sums(h, state.sd)
     if problem.fixed_x is None:
         hht = _weight_gram(h) if carried is None else carried
-        # Z·Hᵀ = Z_L·Wᵀ + Z_R·(ΠW)ᵀ without forming H; the second
-        # product's buffer then takes X·H·Hᵀ, one fresh 2F×2K array
-        # fewer per step
-        cols = h.shape[1]
-        ratio = problem.zc[:, cols:] @ _swap(h).T
-        zht = problem.zc[:, :cols] @ h.T
-        zht += ratio
-        np.matmul(x, hht, out=ratio)
+        # Zc·Hᵀ = Zp·Wᵀ + Zn·(ΠW)ᵀ; the second product's array then
+        # takes X·H·Hᵀ and the ratio
+        num = np.matmul(problem.zp, h.T, out=state.xwork[0])
+        num += np.matmul(problem.zn, _swap(h).T, out=state.xwork[1])
+        ratio = np.matmul(x, hht, out=state.xwork[1])
         np.maximum(ratio, EPSILON, out=ratio)
-        np.divide(zht, ratio, out=ratio)
-        del zht
-        x *= ratio
+        x *= np.divide(num, ratio, out=ratio)
         _flush(x)
         carried = None  # H·Hᵀ, of no use to the H update
-    xtz, xtx, uv = gram_terms(problem, x)
+    xtz, uv = gram_terms(problem, x, state.xtz)
     # the H-update ratio is formed in place in XᵀX·H's buffer, the
     # carried one when the bases are fixed
     if carried is None:
-        carried = _stacked_product(uv, h, state.product, state.sd, state.vd)
+        carried = _stacked_product(uv, state.sd, state.product, state.vd)
     ratio = carried
     np.maximum(ratio, EPSILON, out=ratio)
     np.divide(xtz, ratio, out=ratio)
@@ -191,7 +197,7 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
     # freed before the objective forms the next product
     del carried, ratio
     _flush(h, state.mask)
-    state.objective_history.append(objective(problem, state, xtz, xtx, uv))
+    state.objective_history.append(objective(problem, state, xtz, uv))
     return state
 
 
@@ -230,40 +236,13 @@ def _start(problem: NmfProblem, seed: int, h_init=None):
     return (x, *np.split(w, 2))
 
 
-def _bases(xc: np.ndarray, rank: int) -> np.ndarray:
-    """[Re X; Im X] (2F×K): the real and imaginary parts, stacked, of the
-    complex bases X of block bases ``xc``."""
-    return xc[:, :rank] - xc[:, rank:]
-
-
-def _complex_bases(xri: np.ndarray) -> np.ndarray:
-    """The complex bases X of ``xri`` = [Re X; Im X]."""
-    rows = len(xri) // 2
-    return xri[:rows] + 1j * xri[rows:]
-
-
-def _complex_error(z: np.ndarray, xri: np.ndarray, h: np.ndarray, out=None) -> float:
-    """‖Z − X·h‖² for complex bases X given as ``xri`` = [Re X; Im X]
-    (2F×K) and real weights ``h``, summed over frame chunks: each chunk's
-    residual is one real product less [Re Z; Im Z], at half the flops
-    of the complex product, formed in a fresh 2F×``FRAME_CHUNK``
-    temporary at a time, or in ``out`` (2F × frames of a ``z`` of one
-    chunk) when given."""
-    rows, total = len(z), 0.0
-    for cols in frame_chunks(z.shape[1]):
-        r = np.matmul(xri, h[:, cols], out=out)
-        np.subtract(r[:rows], z.real[:, cols], out=r[:rows])
-        np.subtract(r[rows:], z.imag[:, cols], out=r[rows:])
-        total += frobenius_norm_sq(r)
-    return total
-
-
-def _iterate(problem: NmfProblem, state: NmfState, cfg: SepConfig, checkpoint_every: int, error):
+def _iterate(problem: NmfProblem, state: NmfState, cfg: SepConfig, checkpoint_every: int, h):
     """Step ``state`` until the stop rule fires or ``cfg.iters`` steps
-    are taken; return ``error(state)``, the complex error, at every
-    ``checkpoint_every``-th step and at the last, as
-    {iteration: complex error}. The block objectives are
-    ``state.objective_history``."""
+    are taken. At every ``checkpoint_every``-th step and at the last,
+    write the signed weights h⁺ − h⁻, the d of the state's [s; d], into
+    ``h`` and take the complex error, the q·d term of
+    ``nmf._residuals``, alone; return them as {iteration: complex error}. The
+    block objectives are ``state.objective_history``."""
     errors = {}
     # also leaves on the state the product the first update needs
     prev = objective(problem, state, *gram_terms(problem, state.x))
@@ -276,31 +255,12 @@ def _iterate(problem: NmfProblem, state: NmfState, cfg: SepConfig, checkpoint_ev
             or it == cfg.iters
             or (checkpoint_every > 0 and it % checkpoint_every == 0)
         ):
-            errors[it] = error(state)
+            np.copyto(h, state.sd[problem.rank :])
+            errors[it] = _residuals(problem, state.x, state.sd, modulus=False)[1]
         if stopping:
             break
         prev = cur
     return errors
-
-
-def _signed(w: np.ndarray, rank: int, out: np.ndarray) -> np.ndarray:
-    """The signed weights h⁺ − h⁻ of W = [h⁺; h⁻], written into ``out``."""
-    return np.subtract(w[:rank], w[rank:], out=out)
-
-
-def _solve_free(problem: NmfProblem, state: NmfState, cfg, checkpoint_every):
-    """The solve with free bases, one part over all frames, since the X
-    update couples them; each checkpoint writes its weights into the
-    rank × T output ``h``. Returns the complex bases, ``h`` and
-    [(history, errors)]."""
-    rank = problem.rank
-    h = np.empty((rank, problem.z.shape[1]))
-
-    def error(state):
-        return _complex_error(problem.z, _bases(state.x, rank), _signed(state.h, rank, h))
-
-    errors = _iterate(problem, state, cfg, checkpoint_every, error)
-    return _complex_bases(_bases(state.x, rank)), h, [(state.objective_history, errors)]
 
 
 class _Workspace:
@@ -310,11 +270,11 @@ class _Workspace:
     carried product (4K rows each); the numerator's summed halves, the
     weights W, the flush mask, the sums and differences [s; d] of W's
     halves and their product V·d (2K rows each); and a scratch of 2F
-    rows, which holds Z's sign parts while a segment's numerator is
-    built and then its checkpoint residual [Re; Im]. All are allocated
-    before any thread starts and reused for every segment the thread
-    solves, so its steps allocate nothing frame-sized: what a thread
-    frees stays resident in that thread's allocator arena. Each starts
+    rows, which holds Zri and then its sign parts while a segment's
+    numerator is built, and then its residuals (``nmf._residuals``). All
+    are allocated before any thread starts and reused for every segment
+    the thread solves, so its steps allocate nothing frame-sized: what a
+    thread frees stays resident in that thread's allocator arena. Each starts
     on a 64-byte cache line (``_aligned``), where numpy's own
     allocations here start 16 bytes past one; the elementwise passes
     over them run faster aligned, and alignment changes no result."""
@@ -345,19 +305,29 @@ def _take(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return buf[: rows * cols].reshape(rows, cols)
 
 
-def _solve_segment(problem, frames, xri, halves, space, cfg, checkpoint_every, h):
+def _free_state(x: np.ndarray, w: np.ndarray) -> NmfState:
+    """The state of a free solve from bases ``x`` and weights ``w``,
+    with every array its steps write allocated once, here: a step that
+    allocated its larger temporaries afresh would grow and trim the heap
+    at every step, and each step would fault their pages in again."""
+    stacked = (2 * len(w), w.shape[1])
+    return NmfState(
+        x, w, product=np.empty(stacked), mask=np.empty(w.shape, bool), sd=np.empty_like(w),
+        vd=np.empty_like(w), xtz=np.empty(stacked), xwork=(np.empty_like(x), np.empty_like(x)),
+    )
+
+
+def _solve_segment(problem, frames, halves, space, cfg, checkpoint_every, h):
     """The solve of the frames ``frames`` of a fixed-basis ``problem``
     in the arrays of ``space``, from those frames of the start's
     ``halves``; each checkpoint writes its weights into those frames of
-    ``h`` and takes the complex error with ``xri`` = [Re X; Im X].
-    Returns (history, errors)."""
+    ``h``. Returns (history, errors)."""
     rows, rank = problem.z.shape[0], problem.rank
     width = frames.stop - frames.start
-    scratch = _take(space.scratch, 2 * rows, width)
     part = problem.segment(
         frames,
         _take(space.xtz, 4 * rank, width),
-        scratch,
+        _take(space.scratch, 2 * rows, width),
         _take(space.xtz_sum, 2 * rank, width),
     )
     w = _take(space.w, 2 * rank, width)
@@ -370,11 +340,7 @@ def _solve_segment(problem, frames, xri, halves, space, cfg, checkpoint_every, h
         sd=_take(space.sd, 2 * rank, width),
         vd=_take(space.vd, 2 * rank, width),
     )
-
-    def error(state):
-        return _complex_error(part.z, xri, _signed(state.h, rank, h[:, frames]), scratch)
-
-    errors = _iterate(part, state, cfg, checkpoint_every, error)
+    errors = _iterate(part, state, cfg, checkpoint_every, h[:, frames])
     return state.objective_history, errors
 
 
@@ -410,28 +376,25 @@ def _run(tasks: int, run, workers: int) -> None:
             future.result()
 
 
-def _solve_fixed(problem: NmfProblem, halves, cfg, checkpoint_every):
+def _solve_fixed(problem: NmfProblem, halves, cfg, checkpoint_every, h):
     """The solve with fixed bases, one part per frame chunk of
     ``linalg.frame_chunks``, on ``blas.solve_threads`` threads, each
     stepping its parts in a ``_Workspace`` of its own. Each part writes
     its weights into its frames of the rank × T output ``h``. Returns
-    the complex bases, ``h`` and the (history, errors) of every part, in
-    frame order."""
+    the (history, errors) of every part, in frame order."""
     rows, rank = problem.z.shape[0], problem.rank
     segments = frame_chunks(problem.z.shape[1])
-    xri = _bases(problem.xc, rank)
-    h = np.empty((rank, problem.z.shape[1]))
     parts = [None] * len(segments)
     with solve_threads(len(segments)) as workers:
         spaces = [_Workspace(rows, rank, segments[0].stop) for _ in range(workers)]
 
         def run(task, worker):
             parts[task] = _solve_segment(
-                problem, segments[task], xri, halves, spaces[worker], cfg, checkpoint_every, h
+                problem, segments[task], halves, spaces[worker], cfg, checkpoint_every, h
             )
 
         _run(len(segments), run, workers)
-    return _complex_bases(xri), h, parts
+    return parts
 
 
 def cmf_factorize(
@@ -445,8 +408,10 @@ def cmf_factorize(
     """Factor a complex matrix into complex bases and real weights.
 
     With ``fixed_x`` the bases are held constant (split once) and only
-    the weights are estimated; this is the separation mode, which never
-    forms the 2F×2T block matrix of ``z`` (see ``nmf.NmfProblem``).
+    the weights are estimated; this is the separation mode. Neither mode
+    forms the 2F×2T block matrix of ``z``: with free bases the problem
+    holds the sign parts of [Re Z; Im Z], 2F×T each (see
+    ``nmf.NmfProblem``).
     ``objective_history`` holds the block-domain error driving the
     updates, one entry per iteration; the complex-domain error
     ``|Z - XH|^2`` is evaluated every ``checkpoint_every`` iterations
@@ -499,12 +464,19 @@ def cmf_factorize(
             final_error=0.0,
         )
 
+    h = np.empty((rank, cols))
     if problem.fixed_x is None:
-        state = NmfState(x=x, h=np.concatenate(halves))
+        # one part over all frames, since the X update couples them
+        state = _free_state(x, np.concatenate(halves))
         del halves  # freed before the solve
-        x, h, parts = _solve_free(problem, state, cfg, checkpoint_every)
+        parts = [(state.objective_history, _iterate(problem, state, cfg, checkpoint_every, h))]
+        # the complex bases from q = [Re X; Im X], the block bases'
+        # column halves' difference
+        xri = state.x[:, :rank] - state.x[:, rank:]
+        x = xri[:rows] + 1j * xri[rows:]
     else:
-        x, h, parts = _solve_fixed(problem, halves, cfg, checkpoint_every)
+        parts = _solve_fixed(problem, halves, cfg, checkpoint_every, h)
+        x = problem.fixed_x.copy()
     histories, errors = zip(*parts)
 
     # a part that stopped at iteration s contributes its value at s to

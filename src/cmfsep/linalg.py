@@ -1,6 +1,9 @@
 """Dense matrix helpers shared by the factorization modules, the frame
 chunks that bound every pass over the columns of a spectrogram, and the
 split of a complex matrix into the nonnegative blocks of the reduction.
+The solver never forms the split: it reads Z as [Re Z; Im Z], its sign
+parts and its modulus (see ``nmf``). The split states the paper's reduction, which
+the acceptance criteria and tests check the solver against.
 
 Matrices are plain 2-D numpy arrays: float64 for real matrices,
 complex128 for complex ones, row-major.
@@ -29,7 +32,8 @@ __all__ = [
 # frames per chunk of every pass over the columns of a spectrogram: the
 # STFT and its inverse, synthesis, the segments of a fixed-basis solve
 # and the solver's sums over Z (the guard residual and the checkpoint
-# error); 4 MB of Zc columns at 257 bins. A constant, not a setting.
+# error); 2 MB of [Re Z; Im Z] columns at 257 bins, the buffer in which
+# those sums form a chunk's residual. A constant, not a setting.
 FRAME_CHUNK = 512
 # samples per chunk of every elementwise pass over a whole signal: the
 # metrics' sums and WAV output; 512 kB of float64. A constant as well.

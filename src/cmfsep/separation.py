@@ -51,6 +51,8 @@ class BasisSet:
             )
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
+        if not np.any(self.x_train):
+            raise ValueError("basis set is all zero")
 
     @property
     def rank(self) -> int:
@@ -72,7 +74,9 @@ def train_bases(
     speaker_id: str,
     cfg: SepConfig,
 ) -> BasisSet:
-    """Learn a speaker's complex basis from clean training signals."""
+    """Learn a speaker's complex basis from clean training signals.
+    Silent training input, whose spectrogram is all zero, is rejected:
+    it would give an all-zero basis set."""
     if not training_signals:
         raise ValueError("training set is empty")
     for i, s in enumerate(training_signals):
@@ -82,6 +86,8 @@ def train_bases(
                 f"match configured {cfg.stft_cfg.sample_rate}"
             )
     z = np.hstack([stft(s, cfg.stft_cfg) for s in training_signals])
+    if not np.any(z):
+        raise ValueError("training signals are silent")
     result = cmf_factorize(z, cfg.rank, cfg)
     return BasisSet(
         x_train=_normalize_columns(result.x),

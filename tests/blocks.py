@@ -1,7 +1,7 @@
 """The weight block matrix, the four explicit part-products of the
 factorization and the assembled block matrix Zc with its stacked
-numerator, which the solver never forms (Zc not when its bases are
-fixed); tests check the reduction's block algebra against them. Also
+numerator, which the solver never forms; tests check the reduction's
+block algebra, and the solver's rotated form of it, against them. Also
 the iterate of the solver's seeded start, which it never forms whole
 with fixed bases, the H-update denominator as the direct product
 [G; ΠGΠ]·W, which the solver forms from sums and differences, and a

@@ -108,6 +108,36 @@ class TestExitCodes:
         )
         assert code == EXIT_DATA
 
+    def test_silent_training_dir_is_data_error(self, tmp_path, capsys):
+        # one second of silence would train an all-zero basis set
+        d = tmp_path / "spk_silent"
+        d.mkdir()
+        write_wav(d / "u1.wav", Signal(np.zeros(16000), 16000), "float32")
+        out = tmp_path / "a.cmfb"
+        code = cli_main(
+            ["train", "--speaker-dir", str(d), "--speaker-id", "A", "--rank", "4",
+             "--iters", "5", "--out", str(out)]
+        )
+        assert code == EXIT_DATA
+        assert "silent" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_all_zero_bases_file_is_data_error(self, corpus, capsys):
+        run_pipeline(corpus, iters=5)
+        zero = corpus / "zero.cmfb"
+        raw = bytearray((corpus / "b.cmfb").read_bytes())
+        payload = 257 * 2 * 16  # freq_bins x rank complex128 entries
+        raw[-payload:] = bytes(payload)
+        zero.write_bytes(bytes(raw))
+        code = cli_main(
+            ["separate", "--mix", str(corpus / "mix.wav"),
+             "--bases-a", str(corpus / "a.cmfb"), "--bases-b", str(zero),
+             "--out-dir", str(corpus / "out_zero")]
+        )
+        assert code == EXIT_DATA
+        assert "all zero" in capsys.readouterr().err
+        assert not (corpus / "out_zero").exists()
+
     def test_zero_sample_rate_is_data_error(self, tmp_path):
         d = tmp_path / "spk_0hz"
         d.mkdir()

@@ -575,7 +575,7 @@ class TestFixedSolveMemory:
 
     def test_holds_no_block_matrix(self):
         # Zc alone is twice z.nbytes; a fixed solve forms only a frame
-        # chunk of it at a time, and no complex F×T residual
+        # chunk of [Re Z; Im Z] at a time, and no complex F×T residual
         rng = np.random.default_rng(30)
         z = random_complex(rng, (257, 4100))
         x = random_complex(rng, (257, 4))
@@ -625,6 +625,26 @@ class TestFixedSolveMemory:
                 tracemalloc.stop()
             extra.append(peak - res.h.nbytes)
         assert extra[1] <= 1.05 * extra[0]
+
+
+class TestFreeSolveMemory:
+    def test_holds_the_sign_parts_and_one_step(self):
+        # the sign parts of [Re Z; Im Z] take 2·z.nbytes, the bytes of
+        # Zc; beyond them a free solve holds its factors, one step's
+        # temporaries (a few arrays the size of W = [h+; h-]) and, at a
+        # checkpoint, one frame chunk of residual. Splitting Z and
+        # assembling Zc from the parts held 4·z.nbytes at once
+        rng = np.random.default_rng(37)
+        rows, rank, cols = 257, 4, 2048
+        z = random_complex(rng, (rows, cols))
+        tracemalloc.start()
+        try:
+            cmf_factorize(z, rank, SepConfig(rank=rank, iters=3, tol=0.0), checkpoint_every=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        w_bytes = 2 * rank * cols * 8
+        assert peak < 2 * z.nbytes + 2 * rows * FRAME_CHUNK * 8 + 12 * w_bytes
 
 
 class TestTracedCallPath:

@@ -18,8 +18,14 @@ from cmfsep.nmf import (
     GRAM_GUARD,
     NmfProblem,
     NmfState,
+    _direct_residual,
+    _numerator,
+    _residuals,
+    _sign_parts,
     _stacked_product,
     _sum_difference,
+    _sums,
+    _weight_gram,
     gram_terms,
     objective,
 )
@@ -89,7 +95,10 @@ class TestProblemValidation:
             tied(np.ones((2, 2)), 1, fixed_x=np.array([[1.0], [np.inf]]))
 
     @pytest.mark.parametrize("fixed", [False, True])
-    def test_block_matrix_only_with_free_bases(self, fixed):
+    def test_holds_sign_parts_and_no_block_matrix(self, fixed):
+        # free bases read Z as the sign parts of Zri = [Re Z; Im Z], Zc's
+        # column halves, in two arrays; no problem, nor a segment of
+        # one, holds a 2F×2T array
         rng = np.random.default_rng(1)
         z = random_complex(rng, (5, 4))
         fixed_x = random_complex(rng, (5, 2)) if fixed else None
@@ -97,19 +106,31 @@ class TestProblemValidation:
         assert problem.z_norm_sq == pytest.approx(frobenius_norm_sq(assembled_zc(z)), rel=1e-15)
         # only a segment builds a numerator
         assert problem.xtz is None
+        problems = [problem]
         if fixed:
-            assert problem.zc is None
+            assert problem.zp is None and problem.zn is None
             assert np.array_equal(problem.xc, assembled_zc(problem.fixed_x))
+            xri = np.concatenate((fixed_x.real, fixed_x.imag))
+            assert np.array_equal(problem.pq[0], np.abs(xri))
+            assert np.array_equal(problem.pq[1], xri)
+            problems.append(problem.segment(slice(None)))
         else:
-            assert np.array_equal(problem.zc, assembled_zc(z))
+            zri, zc = np.concatenate((z.real, z.imag)), assembled_zc(z)
+            assert np.array_equal(problem.zp, np.maximum(zri, 0.0))
+            assert np.array_equal(problem.zn, np.maximum(-zri, 0.0))
+            assert np.array_equal(np.hstack((problem.zp, problem.zn)), zc)
             assert problem.xc is None
+        for held in problems:
+            arrays = [a for a in vars(held).values() if isinstance(a, np.ndarray)]
+            assert arrays and all(a.shape != (10, 8) for a in arrays)
 
 
 class TestChunkedFixedTerms:
-    """With fixed bases the stacked numerator is one product over a
-    segment's own frames; at frame counts on both sides of the chunk
-    width, that of the segment of all frames must equal the one formed
-    from the whole assembled Zc."""
+    """With fixed bases the stacked numerator is formed over a segment's
+    own frames; at frame counts on both sides of the chunk width, that of
+    the segment of all frames must equal the one formed from the whole
+    assembled Zc. Each entry is a sum of nonnegative terms, so it is held
+    to 1e-14 of itself."""
 
     @pytest.mark.parametrize(
         "frames", [1, FRAME_CHUNK - 1, FRAME_CHUNK, FRAME_CHUNK + 1, 2 * FRAME_CHUNK + 1]
@@ -132,7 +153,7 @@ class TestSegment:
         whole = tied(z, 2, fixed_x=x)
         part = whole.segment(slice(10, 25))
         alone = tied(z[:, 10:25], 2, fixed_x=x)
-        assert part.xc is whole.xc and part.xtx is whole.xtx and part.uv is whole.uv
+        assert part.xc is whole.xc and part.pq is whole.pq and part.uv is whole.uv
         assert part.z_norm_sq == alone.z_norm_sq
         assert np.array_equal(part.xtz, alone.xtz)
         # the numerator's halves summed, for the objective's linear term
@@ -142,6 +163,100 @@ class TestSegment:
     def test_free_bases_do_not_split(self):
         with pytest.raises(ValueError, match="fixed bases"):
             random_problem(9).segment(slice(0, 1))
+
+
+class TestRotatedForm:
+    """The coordinates in which the problem reads Z, against the
+    assembled Zc: the numerator [Y_L; ΠY_R] from the sign parts of
+    Zri = [Re Z; Im Z], and the residual ‖Zc − X·H‖² as
+    ½‖Zab − p·s‖² + ½‖Zri − q·d‖²."""
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_numerator_equals_the_assembled_one(self, fixed):
+        rng = np.random.default_rng(40)
+        z = random_complex(rng, (30, 70))
+        if fixed:
+            problem = tied(z, 4, fixed_x=random_complex(rng, (30, 4)))
+            xc, got = problem.xc, problem.xtz
+        else:
+            xc = rng.random((60, 8))
+            got = gram_terms(tied(z, 4), xc)[0]
+        want = stacked_numerator(xc, assembled_zc(z))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_sign_parts_take_turns_in_one_buffer(self):
+        # a segment's scratch holds [Re Z; Im Z], then Zc's column halves
+        rng = np.random.default_rng(41)
+        z = random_complex(rng, (6, 9))
+        zc, buf = assembled_zc(z), np.concatenate((z.real, z.imag))
+        parts = _sign_parts(z, buf)
+        assert next(parts) is buf and np.array_equal(buf, zc[:, :9])
+        assert next(parts) is buf and np.array_equal(buf, zc[:, 9:])
+        x = rng.random((12, 6))
+        got = _numerator(x, _sign_parts(z, np.concatenate((z.real, z.imag))))
+        assert np.array_equal(got, _numerator(x, iter((zc[:, :9], zc[:, 9:]))))
+
+    def test_updates_keep_small_entries_accurate(self):
+        # Z's parts mostly positive, with a few tiny negative entries,
+        # and h- tiny: Zn = max(-Zri, 0), the numerator's Y_R, the
+        # X numerator's right half Zp·h-ᵀ + Zn·h+ᵀ and H·Hᵀ's cross
+        # block F are all about 1e-9 of their partners. Formed as half
+        # the difference of products with |Zri| and Zri (or of s·sᵀ and
+        # d·dᵀ), such an entry is known only to about ε of its partner
+        # and may round below 0; from the sign parts each entry is a sum
+        # of nonnegative terms and keeps its own relative accuracy
+        rng = np.random.default_rng(43)
+        rows, rank, cols = 30, 4, 50
+        parts = rng.uniform(0.1, 1.0, (2, rows, cols))
+        tiny = rng.random((2, rows, cols)) < 0.2
+        parts[tiny] = -1e-9 * rng.uniform(0.1, 1.0, tiny.sum())
+        z = parts[0] + 1j * parts[1]
+        problem = tied(z, rank)
+        x = rng.random((2 * rows, 2 * rank))
+        h_minus = 1e-9 * rng.random((rank, cols))
+        w = np.concatenate((rng.uniform(0.1, 1.0, (rank, cols)), h_minus))
+        got = gram_terms(problem, x)[0]
+        want = stacked_numerator(x, assembled_zc(z))
+        assert np.max(want[2 * rank :]) < 1e-7 * np.min(want[: 2 * rank])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        hht = assembled(w) @ assembled(w).T
+        assert np.max(hht[:rank, rank:]) < 1e-7 * np.min(hht[:rank, :rank])
+        np.testing.assert_allclose(_weight_gram(w), hht, rtol=1e-13, atol=0)
+        # the X update of one step, against the block step's
+        state, ref = NmfState(x=x.copy(), h=w.copy()), NmfState(x=x.copy(), h=assembled(w))
+        nmf_step(state, problem)
+        reference_step(ref, problem, block_coupling(rank, cols))
+        assert np.max(ref.x[:, rank:]) < 1e-7 * np.max(ref.x[:, :rank])
+        np.testing.assert_allclose(state.x, ref.x, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_residuals_sum_to_the_block_residual(self, fixed):
+        # three frame chunks, the last a partial one
+        rng = np.random.default_rng(42)
+        rows, rank, cols = 9, 3, 2 * FRAME_CHUNK + 7
+        z = random_complex(rng, (rows, cols))
+        fixed_x = random_complex(rng, (rows, rank)) if fixed else None
+        problem = tied(z, rank, fixed_x=fixed_x)
+        x = problem.xc if fixed else rng.random((2 * rows, 2 * rank))
+        w = rng.random((2 * rank, cols))
+        sd = _sums(w)
+        ab, ri = _residuals(problem, x, sd)
+        want = frobenius_norm_sq(assembled_zc(z) - x @ assembled(w))
+        assert abs(0.5 * (ab + ri) - want) <= 1e-13 * want
+        assert _direct_residual(problem, x, sd) == 0.5 * (ab + ri)
+        # a checkpoint forms the complex error alone
+        assert _residuals(problem, x, sd, modulus=False) == (0.0, ri)
+        # the q·d term is the complex error of the complex bases and the
+        # signed weights
+        complex_error = frobenius_norm_sq(z - _complex_bases(x) @ (w[:rank] - w[rank:]))
+        assert abs(ri - complex_error) <= 1e-13 * complex_error
+
+
+def _complex_bases(xc):
+    """The complex bases of block bases ``xc``."""
+    rank, rows = xc.shape[1] // 2, len(xc) // 2
+    xri = xc[:, :rank] - xc[:, rank:]
+    return xri[:rows] + 1j * xri[rows:]
 
 
 class TestInit:
@@ -194,7 +309,7 @@ class TestStackedProduct:
         xc = assembled_zc(random_complex(rng, (30, 6)))
         w = rng.random((12, 40))
         want = direct_denominator(xc, w)
-        got = _stacked_product(_sum_difference(xc.T @ xc), w)
+        got = _stacked_product(_sum_difference(xc.T @ xc), _sums(w))
         assert np.all(np.abs(got - want) <= 1e-13 * want)
 
     def test_cancellation_is_bounded_by_the_pair(self):
@@ -210,7 +325,7 @@ class TestStackedProduct:
         h_minus = rng.uniform(0.1, 1.0, (rank, 40))
         w = np.concatenate((1e-9 * rng.uniform(0.1, 1.0, (rank, 40)), h_minus))
         want = direct_denominator(xc, w)
-        got = _stacked_product(_sum_difference(g), w)
+        got = _stacked_product(_sum_difference(g), _sums(w))
         d11, d21, d22, d12 = np.split(want, 4)
         assert np.max(d11 / d12) < 1e-7
         pairs = np.concatenate((d11 + d12, d21 + d22, d21 + d22, d11 + d12))
@@ -222,9 +337,10 @@ class TestStackedProduct:
         xc = assembled_zc(random_complex(rng, (8, 3)))
         w = rng.random((6, 7))
         out, sd, vd = np.empty((12, 7)), np.empty((6, 7)), np.empty((6, 7))
-        got = _stacked_product(_sum_difference(xc.T @ xc), w, out, sd, vd)
-        assert got is out
+        assert _sums(w, sd) is sd
         assert np.array_equal(sd, np.concatenate((w[:3] + w[3:], w[:3] - w[3:])))
+        got = _stacked_product(_sum_difference(xc.T @ xc), sd, out, vd)
+        assert got is out
         np.testing.assert_allclose(got, direct_denominator(xc, w), rtol=1e-13, atol=0)
 
 
@@ -304,13 +420,16 @@ class TestSolve:
 
 
 def histories(problem, iters, seed=0):
-    """Recorded objective and the direct residual after each of ``iters`` steps."""
+    """Recorded objective and the direct residual of the assembled Zc
+    after each of ``iters`` steps; with ``rotated``, also the solver's own
+    direct residual of each iterate."""
     state = start_state(problem, seed)
-    zc, direct = assembled_zc(problem.z), []
+    zc, direct, rotated = assembled_zc(problem.z), [], []
     for _ in range(iters):
         nmf_step(state, problem)
         direct.append(frobenius_norm_sq(zc - state.x @ assembled(state.h)))
-    return np.array(state.objective_history), np.array(direct)
+        rotated.append(_direct_residual(problem, state.x, state.sd))
+    return np.array(state.objective_history), np.array(direct), np.array(rotated)
 
 
 class TestGramObjective:
@@ -323,7 +442,7 @@ class TestGramObjective:
         rng = np.random.default_rng(seed)
         z = random_complex(rng, (20, 15))
         problem = tied(z, 3, fixed_x=random_complex(rng, (20, 3)) if fixed else None)
-        recorded, direct = histories(problem, 300, seed)
+        recorded, direct, _ = histories(problem, 300, seed)
         assert np.all(recorded >= GRAM_GUARD * problem.z_norm_sq)
         assert np.max(np.abs(recorded - direct) / direct) <= 1e-12
 
@@ -331,19 +450,31 @@ class TestGramObjective:
     def test_direct_residual_below_guard(self, fixed):
         x, _, _, z = planted_fit(np.random.default_rng(17), rows=4, rank=2, cols=3)
         problem = tied(z, 2, fixed_x=x if fixed else None)
-        recorded, direct = histories(problem, 2000)
+        recorded, direct, rotated = histories(problem, 2000)
         below = recorded < GRAM_GUARD * problem.z_norm_sq
         assert below.sum() > 100
-        assert np.array_equal(recorded[below], direct[below])
-        # a guard set too low lets Gram rounding noise into this descent
-        assert np.all(np.abs(recorded - direct) <= 1e-12 * direct)
+        # below the guard the history is the solver's direct residual,
+        # the rotated sum, and it equals the assembled one to 1e-13. Free
+        # bases reach 1e-12·‖Z‖² here, where an entry of the residual r
+        # is known only to the rounding of the fit, about ε·‖Z‖, in the
+        # block form and the rotated one alike (q = X_L − X_R rounds), so
+        # the two sums differ by up to about ε·‖Z‖·‖r‖/6: they are held
+        # to the larger of 1e-13 relative and ε·‖Z‖·‖r‖/2. Fixed bases
+        # give q exactly. A guard set too low lets Gram rounding noise,
+        # about ε·‖Z‖², into this descent
+        assert np.array_equal(recorded[below], rotated[below])
+        bound = 1e-13 * direct
+        if not fixed:
+            rounding = 0.5 * np.finfo(float).eps * np.sqrt(direct * problem.z_norm_sq)
+            bound = np.maximum(bound, rounding)
+        assert np.all(np.abs(recorded - direct) <= bound)
 
     def test_chunked_direct_residual_below_guard(self):
         # three frame chunks: the direct residual is summed chunk by chunk
         cols = 2 * FRAME_CHUNK + 5
         x, _, _, z = planted_fit(np.random.default_rng(18), rows=4, rank=2, cols=cols)
         problem = tied(z, 2, fixed_x=x)
-        recorded, direct = histories(problem, 500)
+        recorded, direct, _ = histories(problem, 500)
         below = recorded < GRAM_GUARD * problem.z_norm_sq
         assert below.sum() > 100
         assert np.all(np.abs(recorded[below] - direct[below]) <= 1e-12 * direct[below])

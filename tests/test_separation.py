@@ -49,7 +49,21 @@ class TestBasisSet:
             )
 
 
+    def test_rejects_all_zero_bases(self):
+        with pytest.raises(ValueError, match="all zero"):
+            BasisSet(
+                x_train=np.zeros((257, 2), dtype=complex),
+                speaker_id="x",
+                stft_cfg=StftConfig(),
+            )
+
+
 class TestTrainBases:
+    def test_rejects_silence(self):
+        # silence would train an all-zero basis set
+        with pytest.raises(ValueError, match="silent"):
+            train_bases([Signal(np.zeros(4096), 16000)] * 2, "x", SepConfig(rank=2))
+
     def test_rejects_empty_corpus(self):
         with pytest.raises(ValueError, match="empty"):
             train_bases([], "x", SepConfig(rank=2))
@@ -160,7 +174,7 @@ class TestSeparate:
         ba, _ = tone_bases
         other_cfg = StftConfig(frame_len=256)
         bb_other = BasisSet(
-            x_train=np.zeros((129, 2), dtype=complex),
+            x_train=np.ones((129, 2), dtype=complex),
             speaker_id="y",
             stft_cfg=other_cfg,
         )

@@ -458,6 +458,14 @@ class TestBasesFile:
         with pytest.raises(BasesFileError, match="non-finite"):
             load_bases(p)
 
+    def test_all_zero_payload_rejected(self, tmp_path):
+        b = random_basis()
+        b.x_train[:] = 0
+        p = tmp_path / "z.cmfb"
+        save_bases(p, b)
+        with pytest.raises(BasesFileError, match="all zero"):
+            load_bases(p)
+
     def test_invalid_utf8_speaker_id_rejected(self, tmp_path):
         b = random_basis()
         p = tmp_path / "u.cmfb"
