@@ -44,10 +44,14 @@ every entry of both is a sum of nonnegative terms.
 
 The complex-domain error ‖Z − Xh‖² of a checkpoint is the second of the
 two residual terms of ``nmf._residuals``, with q = [Re X; Im X] and
-d = h⁺ − h⁻: summed over the frame chunks of ``linalg.frame_chunks``,
-each chunk's residual one real product less Zri, at half the flops of
-the complex product, so no complex F×T residual is formed; a
-fixed-basis segment forms it in its thread's scratch.
+d = h⁺ − h⁻, which ``nmf.complex_error`` takes. With fixed bases it is
+the Gram form of the segment's summed numerator and the V·d of the last
+objective, at no product's cost. Below ``nmf.GRAM_GUARD``·‖Z‖², and with
+free bases, it is formed directly: summed over the frame chunks of
+``linalg.frame_chunks``, each chunk's residual one real product less
+Zri, at half the flops of the complex product, so no complex F×T
+residual is formed; a fixed-basis segment forms it in its thread's
+scratch.
 
 ``cmf_factorize`` solves in parts and writes each part's weights into
 that part's frames of one rank × T output; a free solve is one part
@@ -94,11 +98,11 @@ from .linalg import BlockMatrix, assemble_zc, split_complex  # noqa: F401
 from .nmf import (
     NmfProblem,
     NmfState,
-    _residuals,
     _stacked_product,
     _sums,
     _swap,
     _weight_gram,
+    complex_error,
     gram_terms,
     objective,
 )
@@ -203,13 +207,16 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
 
 def _checked_halves(h_init, rank: int, cols: int):
     """The given start (h⁺, h⁻) as float64 arrays, each checked to be
-    rank × cols, finite and nonnegative."""
+    rank × cols and, from its own min and max, finite and nonnegative."""
     hp0, hm0 = (as_real(a) for a in h_init)
     if hp0.shape != (rank, cols) or hm0.shape != (rank, cols):
         raise ValueError("h_init halves must each be rank x cols")
-    if not (np.all(np.isfinite(hp0)) and np.all(np.isfinite(hm0))):
+    # numpy's min and max propagate a NaN, where Python's drop one
+    # depending on argument order
+    lows, highs = (hp0.min(), hm0.min()), (hp0.max(), hm0.max())
+    if not np.all(np.isfinite(lows + highs)):
         raise ValueError("h_init contains non-finite entries")
-    if np.any(hp0 < 0) or np.any(hm0 < 0):
+    if np.min(lows) < 0:
         raise ValueError("h_init must be nonnegative")
     return hp0, hm0
 
@@ -240,9 +247,9 @@ def _iterate(problem: NmfProblem, state: NmfState, cfg: SepConfig, checkpoint_ev
     """Step ``state`` until the stop rule fires or ``cfg.iters`` steps
     are taken. At every ``checkpoint_every``-th step and at the last,
     write the signed weights h⁺ − h⁻, the d of the state's [s; d], into
-    ``h`` and take the complex error, the q·d term of
-    ``nmf._residuals``, alone; return them as {iteration: complex error}. The
-    block objectives are ``state.objective_history``."""
+    ``h`` and take the complex error (``nmf.complex_error``); return the
+    errors as {iteration: complex error}. The block objectives are
+    ``state.objective_history``."""
     errors = {}
     # also leaves on the state the product the first update needs
     prev = objective(problem, state, *gram_terms(problem, state.x))
@@ -256,7 +263,7 @@ def _iterate(problem: NmfProblem, state: NmfState, cfg: SepConfig, checkpoint_ev
             or (checkpoint_every > 0 and it % checkpoint_every == 0)
         ):
             np.copyto(h, state.sd[problem.rank :])
-            errors[it] = _residuals(problem, state.x, state.sd, modulus=False)[1]
+            errors[it] = complex_error(problem, state)
         if stopping:
             break
         prev = cur

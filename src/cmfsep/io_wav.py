@@ -11,6 +11,12 @@ format, and any header that the file's own bytes contradict, raises
 Written files match ``scipy.io.wavfile.write`` byte for byte: a 16-byte
 ``fmt `` chunk for PCM, and an 18-byte one (cbSize 0) followed by a
 ``fact`` chunk for float.
+
+Both directions walk the samples one ``linalg.SAMPLE_CHUNK`` at a time,
+each in one pass: reading decodes a chunk into the float64 result,
+pcm16 scaled by 2⁻¹⁵ on the way, and writing checks a chunk finite from
+its sum of squares (``linalg.all_finite``) before it is clipped, scaled
+and cast into the output buffer.
 """
 
 import logging
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SAMPLE_CHUNK, sample_chunks
+from .linalg import SAMPLE_CHUNK, all_finite, sample_chunks
 from .stft import Signal
 
 __all__ = ["WavFile", "read_wav", "write_wav"]
@@ -28,6 +34,7 @@ __all__ = ["WavFile", "read_wav", "write_wav"]
 log = logging.getLogger(__name__)
 
 _PCM16_SCALE = 32768.0
+_PCM16_STEP = 1.0 / _PCM16_SCALE
 _U32_MAX = 0xFFFFFFFF
 _PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
 # an extensible sub-format GUID is the format tag as a u32, then these bytes
@@ -110,19 +117,19 @@ def read_wav(path) -> WavFile:
                 f"{dtype.itemsize}-byte frames"
             )
         # read one chunk at a time through a buffer of the file's dtype
-        # into the float64 result: no full-length copy of the file's data
+        # into the float64 result: no full-length copy of the file's data.
+        # pcm16 is scaled on the way, by 2⁻¹⁵, which is exact
         count = n // dtype.itemsize
         samples = np.empty(count)
         buf = np.empty(min(count, SAMPLE_CHUNK), dtype)
+        scale = _PCM16_STEP if bit_depth == "pcm16" else 1.0
         got = 0
         for s in sample_chunks(count):
             part = buf[: s.stop - s.start]
             got += fh.readinto(part)
-            samples[s] = part
+            np.multiply(part, scale, out=samples[s])
         if got != n:
             raise ValueError(f"{path}: truncated data chunk: read {got} of {n} bytes")
-    if bit_depth == "pcm16":
-        samples /= _PCM16_SCALE
     return WavFile(samples=Signal(samples, rate), bit_depth=bit_depth)
 
 
@@ -155,7 +162,7 @@ def write_wav(path, signal: Signal, bit_depth: str = "pcm16") -> None:
     """Write ``signal`` as a mono WAV. Its length and rate were checked
     when it was made and its fields cannot be reassigned, but its samples
     array can be written in place, so each chunk is checked to be finite
-    here, before anything is written."""
+    here, from its sum of squares, before anything is written."""
     x = signal.samples
     if bit_depth not in _BIT_DEPTHS:
         raise ValueError(f"unsupported bit depth {bit_depth!r}")
@@ -167,7 +174,7 @@ def write_wav(path, signal: Signal, bit_depth: str = "pcm16") -> None:
     clipped = 0
     for s in sample_chunks(x.size):
         chunk = x[s]
-        if not np.all(np.isfinite(chunk)):
+        if not all_finite(chunk):
             raise ValueError("refusing to write non-finite samples")
         clipped += int(np.count_nonzero((chunk < -1.0) | (chunk > 1.0)))
         chunk = np.clip(chunk, -1.0, 1.0)

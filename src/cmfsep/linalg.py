@@ -9,6 +9,7 @@ Matrices are plain 2-D numpy arrays: float64 for real matrices,
 complex128 for complex ones, row-major.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "sample_chunks",
     "as_complex_matrix",
     "as_real",
+    "all_finite",
     "frobenius_norm_sq",
     "complex_matmul_real",
     "SplitQuad",
@@ -36,7 +38,8 @@ __all__ = [
 # those sums form a chunk's residual. A constant, not a setting.
 FRAME_CHUNK = 512
 # samples per chunk of every elementwise pass over a whole signal: the
-# metrics' sums and WAV output; 512 kB of float64. A constant as well.
+# metrics' sums, WAV input and output and the exact finiteness mask;
+# 512 kB of float64. A constant as well.
 SAMPLE_CHUNK = 1 << 16
 
 
@@ -50,10 +53,10 @@ def frame_chunks(frames: int) -> list:
     return _chunks(frames, FRAME_CHUNK)
 
 
-def sample_chunks(samples: int) -> list:
-    """Slices of at most ``SAMPLE_CHUNK`` samples covering ``samples``, in
-    order."""
-    return _chunks(samples, SAMPLE_CHUNK)
+def sample_chunks(samples: int, width: int = SAMPLE_CHUNK) -> list:
+    """Slices of at most ``width`` (by default ``SAMPLE_CHUNK``) samples
+    covering ``samples``, in order."""
+    return _chunks(samples, width)
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -76,8 +79,25 @@ def as_real(a) -> np.ndarray:
     return m.astype(np.float64, copy=False)
 
 
+def all_finite(a: np.ndarray, sum_sq=None) -> bool:
+    """Whether every entry of the nonempty array ``a`` is finite, decided
+    from the sum of its squared moduli: ``sum_sq`` when given, else
+    ``frobenius_norm_sq``, one pass. A finite sum has only finite terms.
+    A sum that is not finite comes from a NaN or an infinity, or from
+    finite entries whose squares overflow, so only then is the exact
+    mask taken, over ``SAMPLE_CHUNK`` entries of whole rows of ``a`` at a
+    time."""
+    if sum_sq is None:
+        sum_sq = frobenius_norm_sq(a)
+    if math.isfinite(sum_sq):
+        return True
+    rows = max(1, SAMPLE_CHUNK * len(a) // a.size)
+    return all(np.all(np.isfinite(a[i : i + rows])) for i in range(0, len(a), rows))
+
+
 def frobenius_norm_sq(a) -> float:
-    """Sum of squared moduli over all entries."""
+    """Sum of squared moduli over all entries: inf or NaN, with no
+    floating-point warning, when the squares overflow."""
     m = np.asarray(a)
     return float(np.vdot(m, m).real)
 

@@ -7,19 +7,24 @@ and full credit at R = 35 dB. It is labeled a surrogate in all
 serialized output. ``tir_esc`` couples it with the squared correlation
 shortfall.
 
-Each metric walks the signals in chunks (``linalg.SAMPLE_CHUNK`` samples,
-or ``linalg.FRAME_CHUNK`` analysis frames), so besides its inputs it
-holds one chunk of centred samples or of errors, never a full-length
-temporary.
+All four metrics read the sums of one loop over the aligned signals
+(``_sums``), which walks them in chunks of ``linalg.SAMPLE_CHUNK``
+samples, and ``evaluate`` runs that loop once: each full-length array is
+read once. A frame's energy is the sum of the energies of its two hop
+blocks, since hop = frame/2, so the loop sums each hop block once rather
+than each overlapping frame. Besides its inputs the loop holds one chunk
+of centred samples and errors and the block energies, never a
+full-length temporary.
 """
 
 import json
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .linalg import frame_chunks, sample_chunks
+from .linalg import SAMPLE_CHUNK, sample_chunks
 from .stft import Signal, StftConfig
 
 __all__ = [
@@ -70,63 +75,113 @@ def _tail(e: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _aligned_chunks(ref: Signal, est: Signal):
-    """(reference, estimate) samples, one ``linalg.SAMPLE_CHUNK`` at a
-    time over the reference's length: the estimate is truncated, or
-    zero-padded at its tail, to that length."""
-    r, e = ref.samples, est.samples
-    for s in sample_chunks(r.size):
-        yield r[s], _tail(e, s.start, s.stop)
+@dataclass(frozen=True)
+class _Sums:
+    """What the metrics read of one pass over the aligned signals: the
+    centred sums of the correlation, the energies of the reference and
+    of the error, and, when the pass was given a hop, the energy of each
+    analysis frame of each."""
+
+    srr: float
+    see: float
+    sre: float
+    ref_energy: float
+    err_energy: float
+    ref_frames: Optional[np.ndarray] = None
+    err_frames: Optional[np.ndarray] = None
 
 
-def correlation(ref: Signal, est: Signal) -> float:
-    """Pearson correlation coefficient of the sample sequences. Its
-    centred sums are taken chunk by chunk."""
+def _block_energies(x: np.ndarray, hop: int) -> np.ndarray:
+    """Sum of squares of each whole hop-sample block of ``x``."""
+    blocks = x[: x.size // hop * hop].reshape(-1, hop)
+    return np.einsum("ij,ij->i", blocks, blocks)
+
+
+def _sums(ref: Signal, est: Signal, hop: Optional[int] = None) -> _Sums:
+    """One chunk loop over the reference and the estimate, the estimate
+    truncated, or zero-padded at its tail, to the reference's length.
+
+    Each chunk is centred on its own means; the centred sums add the
+    spread of the chunk means about the signal's, an exact
+    decomposition whose squares are sums of nonnegative terms. With
+    ``hop`` the loop also sums each whole hop block of the reference and
+    of the error, and a frame's energy is that of its two blocks, since
+    frames are 2·hop samples, hop apart; a reference shorter than one
+    frame is one frame. Chunks are ``linalg.SAMPLE_CHUNK`` samples, or
+    ``hop`` when that is longer, so every block lies in one chunk."""
     r, e = ref.samples, est.samples
-    r_mean = r.mean()
-    # the estimate's zero padding adds nothing to its sum
-    e_mean = e[: r.size].sum() / r.size
-    srr = see = sre = 0.0
-    for rc, ec in _aligned_chunks(ref, est):
-        rc = rc - r_mean
-        ec = ec - e_mean
-        srr += np.dot(rc, rc)
-        see += np.dot(ec, ec)
-        sre += np.dot(rc, ec)
-    if srr == 0.0 or see == 0.0:
+    chunks = sample_chunks(r.size, SAMPLE_CHUNK if hop is None else max(SAMPLE_CHUNK, hop))
+    work = np.empty((2, chunks[0].stop))
+    blocks = None if hop is None else np.empty((2, r.size // hop))
+    srr = see = sre = ref_energy = err_energy = 0.0
+    means = []  # (length, reference mean, estimate mean) of each chunk
+    for s in chunks:
+        rc, ec = r[s], _tail(e, s.start, s.stop)
+        m = rc.size
+        means.append((m, rc.sum() / m, ec.sum() / m))
+        rd = np.subtract(rc, means[-1][1], out=work[0, :m])
+        ed = np.subtract(ec, means[-1][2], out=work[1, :m])
+        srr += np.dot(rd, rd)
+        see += np.dot(ed, ed)
+        sre += np.dot(rd, ed)
+        ref_energy += np.dot(rc, rc)
+        d = np.subtract(ec, rc, out=rd)
+        err_energy += np.dot(d, d)
+        if hop is not None:
+            at = s.start // hop
+            for row, x in enumerate((rc, d)):
+                energies = _block_energies(x, hop)
+                blocks[row, at : at + energies.size] = energies
+    mean_r = sum(m * mr for m, mr, _ in means) / r.size
+    mean_e = sum(m * me for m, _, me in means) / r.size
+    for m, mr, me in means:
+        srr += m * (mr - mean_r) ** 2
+        see += m * (me - mean_e) ** 2
+        sre += m * (mr - mean_r) * (me - mean_e)
+    frames = (None, None)
+    if hop is not None:
+        if r.size < 2 * hop:
+            frames = np.array([ref_energy]), np.array([err_energy])
+        else:
+            frames = blocks[0, :-1] + blocks[0, 1:], blocks[1, :-1] + blocks[1, 1:]
+    return _Sums(float(srr), float(see), float(sre), float(ref_energy), float(err_energy), *frames)
+
+
+def _correlation(sums: _Sums) -> float:
+    if sums.srr == 0.0 or sums.see == 0.0:
         raise ValueError("correlation undefined for zero-variance input")
-    return float(np.clip(sre / (math.sqrt(srr) * math.sqrt(see)), -1.0, 1.0))
+    return float(np.clip(sums.sre / (math.sqrt(sums.srr) * math.sqrt(sums.see)), -1.0, 1.0))
 
 
-def _frame_energies(x: np.ndarray, n: int, hop: int) -> np.ndarray:
-    """Sum of squares of each complete n-sample frame, frames hop apart."""
-    frames = np.lib.stride_tricks.sliding_window_view(x, n)[::hop]
-    return np.einsum("ij,ij->i", frames, frames)
-
-
-def _frame_losses(ref: Signal, est: Signal, cfg: StftConfig) -> np.ndarray:
-    r, e = ref.samples, est.samples
-    n, hop = cfg.frame_len, cfg.hop
-    if r.size < n:
-        # short signals degenerate to a single frame
-        n = hop = r.size
-    count = (r.size - n) // hop + 1
-    ref_energy, err_energy = np.empty(count), np.empty(count)
-    # the error is formed over the samples of one frame chunk at a time
-    for cols in frame_chunks(count):
-        lo, hi = cols.start * hop, (cols.stop - 1) * hop + n
-        ref_energy[cols] = _frame_energies(r[lo:hi], n, hop)
-        err_energy[cols] = _frame_energies(_tail(e, lo, hi) - r[lo:hi], n, hop)
+def _losses(sums: _Sums) -> np.ndarray:
+    """The loss of each analysis frame the reference is not silent in."""
     # a silent reference frame carries no target information
-    voiced = ref_energy > _SILENCE
+    voiced = sums.ref_frames > _SILENCE
     if not voiced.any():
         raise ValueError("reference is silent in every frame")
-    ref_energy, err_energy = ref_energy[voiced], err_energy[voiced]
+    ref_energy, err_energy = sums.ref_frames[voiced], sums.err_frames[voiced]
     losses = np.zeros(ref_energy.size)
     lossy = err_energy > _SILENCE
     snr = 10.0 * np.log10(ref_energy[lossy] / err_energy[lossy])
     losses[lossy] = np.clip(1.0 - snr / FULL_CREDIT_SNR_DB, 0.0, 1.0)
     return losses
+
+
+def _snr_db(sums: _Sums) -> float:
+    if sums.ref_energy == 0.0:
+        raise ValueError("snr undefined for a zero reference")
+    if sums.err_energy == 0.0:
+        return SNR_CAP_DB
+    return min(SNR_CAP_DB, 10.0 * math.log10(sums.ref_energy / sums.err_energy))
+
+
+def correlation(ref: Signal, est: Signal) -> float:
+    """Pearson correlation coefficient of the sample sequences."""
+    return _correlation(_sums(ref, est))
+
+
+def _frame_losses(ref: Signal, est: Signal, cfg: StftConfig) -> np.ndarray:
+    return _losses(_sums(ref, est, cfg.hop))
 
 
 def tir_loss(ref: Signal, est: Signal, cfg: StftConfig) -> float:
@@ -135,37 +190,28 @@ def tir_loss(ref: Signal, est: Signal, cfg: StftConfig) -> float:
 
 
 def tir_esc(ref: Signal, est: Signal, cfg: StftConfig) -> float:
-    r = correlation(ref, est)
-    return tir_loss(ref, est, cfg) * (1.0 - r * r)
+    sums = _sums(ref, est, cfg.hop)
+    r = _correlation(sums)
+    return float(np.mean(_losses(sums))) * (1.0 - r * r)
 
 
 def snr_db(ref: Signal, est: Signal) -> float:
-    """Energy-ratio SNR in dB, capped at 120 for exact matches. The
-    error energy is summed chunk by chunk."""
-    r = ref.samples
-    ref_energy = float(np.dot(r, r))
-    if ref_energy == 0.0:
-        raise ValueError("snr undefined for a zero reference")
-    err_energy = 0.0
-    for rc, ec in _aligned_chunks(ref, est):
-        d = ec - rc
-        err_energy += float(np.dot(d, d))
-    if err_energy == 0.0:
-        return SNR_CAP_DB
-    return min(SNR_CAP_DB, 10.0 * math.log10(ref_energy / err_energy))
+    """Energy-ratio SNR in dB, capped at 120 for exact matches."""
+    return _snr_db(_sums(ref, est))
 
 
 def evaluate(ref: Signal, est: Signal, cfg: StftConfig) -> EvalReport:
-    """All four metrics of ``est`` against ``ref``. The two signals must
-    share one sample rate; ``ValueError`` otherwise. ``cfg`` sets the
-    analysis frames of ``tir_loss``."""
+    """All four metrics of ``est`` against ``ref``, from one pass over
+    the two. The signals must share one sample rate; ``ValueError``
+    otherwise. ``cfg`` sets the analysis frames of ``tir_loss``."""
     if ref.sample_rate != est.sample_rate:
         raise ValueError("sample rate mismatch between ref and est")
-    r = correlation(ref, est)
-    loss = tir_loss(ref, est, cfg)
+    sums = _sums(ref, est, cfg.hop)
+    r = _correlation(sums)
+    loss = float(np.mean(_losses(sums)))
     return EvalReport(
         correlation=r,
         tir_loss=loss,
         tir_esc=loss * (1.0 - r * r),
-        snr_db=snr_db(ref, est),
+        snr_db=_snr_db(sums),
     )

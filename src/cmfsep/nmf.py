@@ -63,7 +63,9 @@ objective weighs D₁₁ by the small h⁺, so its quadratic term keeps the
 direct product's accuracy.
 
 ``NmfProblem`` computes ‖Z‖² once, from the complex Z (a segment's from
-its Zri). With fixed bases G's (U, V) are built with the block bases,
+its Zri), and checks Z finite from it (``linalg.all_finite``): a finite
+‖Z‖² has only finite terms, so Z's exact mask is taken only when it is
+not finite. With fixed bases G's (U, V) are built with the block bases,
 at construction; with free ones a step computes them from its new X and
 shares them between the H update and the objective. The objective is the
 Gram form ``‖Z‖² − 2⟨H, XᵀZc⟩ + ⟨H, XᵀX H⟩``, which costs no 2F×T
@@ -93,6 +95,15 @@ residual r is itself known only to the rounding of its entries, about
 ε·‖Z‖ each in this form and in the block form alike, so near an exact
 fit two direct forms differ by up to about ε·‖Z‖·‖r‖ rather than by a
 fixed fraction of ‖r‖².
+
+A checkpoint's complex error ‖Zri − q·d‖² (``complex_error``) takes the
+same Gram form with fixed bases, ‖Z‖² − 2⟨d, qᵀZri⟩ + ⟨d, qᵀq·d⟩, from
+terms a step already holds: with ys the segment's summed numerator
+Y_L + ΠY_R, qᵀZri = ys[:K] − ys[K:], and qᵀq = 2(V[:K] − V[K:]), so
+qᵀq·d = 2(vd[:K] − vd[K:]) of the V·d that the objective's
+``_stacked_product`` formed. It costs no product and no 2F×T pass. Below
+the same guard, and with free bases, whose V·d is not of the current
+weights, it is ``_residuals``' second term, formed directly.
 """
 
 import copy
@@ -101,11 +112,12 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import as_complex_matrix, frame_chunks, frobenius_norm_sq
+from .linalg import all_finite, as_complex_matrix, frame_chunks, frobenius_norm_sq
 
 __all__ = [
     "NmfProblem",
     "NmfState",
+    "complex_error",
     "gram_terms",
     "objective",
 ]
@@ -126,10 +138,10 @@ class NmfProblem:
     bases constant. The problem takes the complex data and the complex
     rank K, not the block rank 2K, and forms what it needs from them.
 
-    The inputs are checked here: ``z`` nonempty and finite, ``rank`` at
-    least 1, ``fixed_x`` F×K and finite; ``z`` and ``fixed_x`` are kept
-    as complex128. Derived once at construction: ``z_norm_sq``; with
-    free bases the sign parts ``zp`` = max(Zri, 0) and
+    The inputs are checked here: ``z`` nonempty and finite (from its
+    ‖Z‖²), ``rank`` at least 1, ``fixed_x`` F×K and finite; ``z`` and
+    ``fixed_x`` are kept as complex128. Derived once at construction:
+    ``z_norm_sq``; with free bases the sign parts ``zp`` = max(Zri, 0) and
     ``zn`` = max(−Zri, 0) of Zri = [Re Z; Im Z] (2F×T each, Zc's column
     halves); with ``fixed_x`` its 2F×2K block matrix ``xc``, its rotated
     bases ``pq`` = (p, q) = (|Xri|, Xri) with Xri = [Re X; Im X], which
@@ -160,7 +172,9 @@ class NmfProblem:
         self.z = as_complex_matrix(self.z)
         if self.z.size == 0:
             raise ValueError("input matrix is empty")
-        if not np.all(np.isfinite(self.z)):
+        # a finite ‖Z‖² clears Z of non-finite entries at no extra pass
+        self.z_norm_sq = frobenius_norm_sq(self.z)
+        if not all_finite(self.z, self.z_norm_sq):
             raise ValueError("input matrix contains non-finite entries")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
@@ -182,7 +196,6 @@ class NmfProblem:
             self.xc = np.concatenate((np.maximum(0.0, xri), np.maximum(0.0, -xri)), axis=1)
             self.pq = np.abs(xri), xri
             self.uv = _sum_difference(self.xc.T @ self.xc)
-        self.z_norm_sq = frobenius_norm_sq(self.z)
 
     def segment(self, cols: slice, xtz=None, scratch=None, xtz_sum=None) -> "NmfProblem":
         """The problem of the frames ``cols`` of ``z``, with the same
@@ -299,8 +312,9 @@ class NmfState:
     product V·d (each shaped like ``h``), from which ``_stacked_product``
     forms XᵀX·H. A free step also takes ``xtz``, its H-update numerator
     (2·len(h) × cols), and ``xwork``, two arrays shaped like ``x`` for its
-    X update. An ``sd`` not given is allocated by the first objective
-    and then reused; the others not given are allocated at each step.
+    X update. An ``sd`` not given, and with fixed bases a ``vd``, is
+    allocated by the first objective and then reused; the others not
+    given are allocated at each step.
     """
 
     def __init__(
@@ -393,7 +407,8 @@ def _stacked_vdot(h: np.ndarray, stacked: np.ndarray) -> float:
 def objective(problem: NmfProblem, state: NmfState, xtz, uv) -> float:
     """‖Zc − XH‖² of ``state`` from the Gram terms of ``gram_terms``; the
     direct residual below ``GRAM_GUARD``·‖Z‖², where the Gram form
-    cancels. [s; d] of the weights goes into ``state.sd``. The quadratic
+    cancels. [s; d] of the weights goes into ``state.sd``, and with fixed
+    bases V·d into ``state.vd``, for ``complex_error``. The quadratic
     term is ⟨H, XᵀX·H⟩ with fixed bases and ⟨G, H·Hᵀ⟩, G = [U + V, U − V],
     with free ones: the product the next update needs, XᵀX·H or H·Hᵀ, is
     left on ``state.carried``. The linear term reads the segment's
@@ -401,6 +416,7 @@ def objective(problem: NmfProblem, state: NmfState, xtz, uv) -> float:
     h = state.h
     sd = state.sd = _sums(h, state.sd)
     if problem.fixed_x is not None:
+        state.vd = np.empty_like(sd) if state.vd is None else state.vd
         state.carried = _stacked_product(uv, sd, state.product, state.vd)
         quad = _stacked_vdot(h, state.carried)
         linear = np.vdot(h, problem.xtz_sum)
@@ -412,3 +428,25 @@ def objective(problem: NmfProblem, state: NmfState, xtz, uv) -> float:
     if gram < GRAM_GUARD * problem.z_norm_sq:
         return _direct_residual(problem, state.x, sd)
     return float(gram)
+
+
+def complex_error(problem: NmfProblem, state: NmfState) -> float:
+    """The complex error ‖Zri − q·d‖² = ‖Z − X·d‖² of ``state``, with q
+    the bases' Xri and d the d of ``state.sd``. With fixed bases, after
+    an objective has seen the current weights, it is the Gram form
+    ‖Z‖² − 2⟨d, qᵀZri⟩ + ⟨d, qᵀq·d⟩ from terms the step already holds:
+    qᵀZri = ys[:K] − ys[K:] of the segment's ``xtz_sum`` ys, and
+    qᵀq = 2(V[:K] − V[K:]), so qᵀq·d = 2(vd[:K] − vd[K:]) of the
+    ``state.vd`` = V·d that the objective left; it costs no product.
+    Below ``GRAM_GUARD``·‖Z‖², where that form cancels, with free bases,
+    and when no objective has seen the weights, it is the second term of
+    ``_residuals``, formed directly."""
+    k = problem.rank
+    if problem.fixed_x is not None and state.carried is not None:
+        d, ys, vd = state.sd[k:], problem.xtz_sum, state.vd
+        linear = np.vdot(d, ys[:k]) - np.vdot(d, ys[k:])
+        quad = 2.0 * (np.vdot(d, vd[:k]) - np.vdot(d, vd[k:]))
+        gram = problem.z_norm_sq - 2.0 * linear + quad
+        if gram >= GRAM_GUARD * problem.z_norm_sq:
+            return float(gram)
+    return _residuals(problem, state.x, state.sd, modulus=False)[1]

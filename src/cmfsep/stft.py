@@ -15,6 +15,10 @@ inverse transform overlap-adds each chunk's frames into the output
 signal, so besides its input and its output each holds one chunk of
 frames and spectra (about 2 MB each at 512 samples per frame), never a
 full-length temporary.
+
+A ``Signal`` checks its samples finite from their sum of squares
+(``linalg.all_finite``), one pass that takes no mask; only a sum that is
+not finite takes the exact mask.
 """
 
 import numbers
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_real, frame_chunks, sample_chunks
+from .linalg import all_finite, as_real, frame_chunks
 
 __all__ = [
     "StftConfig",
@@ -67,8 +71,9 @@ class StftConfig:
 @dataclass(frozen=True)
 class Signal:
     """Mono samples at a sample rate, checked once, here: nonempty,
-    finite, and a whole number of Hz. The fields cannot be reassigned;
-    the samples array itself can still be written in place."""
+    finite (from their sum of squares, ``linalg.all_finite``), and a
+    whole number of Hz. The fields cannot be reassigned; the samples
+    array itself can still be written in place."""
 
     samples: np.ndarray
     sample_rate: int
@@ -78,8 +83,7 @@ class Signal:
         object.__setattr__(self, "samples", x)
         if x.size == 0:
             raise ValueError("signal must be non-empty")
-        # one chunk's mask at a time, not a full-length one
-        if not all(np.all(np.isfinite(x[c])) for c in sample_chunks(x.size)):
+        if not all_finite(x):
             raise ValueError("signal contains non-finite samples")
         _check_rate(self.sample_rate)
 
@@ -157,15 +161,21 @@ def overlap_add_chunks(frame_count: int, chunk_frames, cfg: StftConfig) -> Signa
     ``chunk_frames(cols)`` returns the rows of the frames in the slice
     ``cols`` of ``linalg.frame_chunks``, in any memory layout; only one
     chunk's rows need exist at a time. Since hop = frame_len/2, frame t's
-    first half lands on hop block t and its second half on block t + 1;
-    the halves are added into a (frame_count + 1) x hop view of the output.
+    first half lands on hop block t and its second half on block t + 1,
+    so block t of a (frame_count + 1) x hop view of the output is the sum
+    of those two halves, written once: the output is neither zeroed nor
+    added into. The second half of a chunk's last frame is kept for the
+    first block of the next chunk.
     """
     hop = cfg.hop
-    out = np.zeros((frame_count + 1, hop))
+    out = np.empty((frame_count + 1, hop))
+    carry = np.zeros(hop)
     for cols in frame_chunks(frame_count):
         frames = chunk_frames(cols)
-        out[cols] += frames[:, :hop]
-        out[cols.start + 1 : cols.stop + 1] += frames[:, hop:]
+        np.add(carry, frames[0, :hop], out=out[cols.start])
+        np.add(frames[:-1, hop:], frames[1:, :hop], out=out[cols.start + 1 : cols.stop])
+        carry[:] = frames[-1, hop:]
+    out[frame_count] = carry
     return Signal(out.reshape(-1), cfg.sample_rate)
 
 

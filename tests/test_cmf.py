@@ -410,6 +410,86 @@ class TestCmfFactorize:
         assert res.checkpoints[-1][2] == res.final_error
 
 
+class TestCheckedHalves:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("half", [0, 1])
+    @pytest.mark.parametrize("at", [(0, 0), (1, 2)])
+    def test_rejects_non_finite_in_either_half(self, bad, half, at):
+        halves = [np.ones((2, 3)), np.ones((2, 3))]
+        halves[half][at] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            cmf_mod._checked_halves(halves, 2, 3)
+
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_rejects_nan_beside_a_negative_entry(self, half):
+        # Python's min keeps -1.0 from (nan, -1.0) but nan from
+        # (-1.0, nan); numpy's reductions give nan either way, so the NaN
+        # is reported wherever the negative entry is
+        halves = [np.ones((2, 3)), np.ones((2, 3))]
+        halves[half][0, 1] = np.nan
+        halves[1 - half][1, 0] = -1.0
+        with pytest.raises(ValueError, match="non-finite"):
+            cmf_mod._checked_halves(halves, 2, 3)
+
+    def test_rejects_a_negative_entry_in_the_second_half_only(self):
+        hp, hm = np.ones((2, 3)), np.ones((2, 3))
+        hm[1, 2] = -1e-300
+        with pytest.raises(ValueError, match="nonnegative"):
+            cmf_mod._checked_halves((hp, hm), 2, 3)
+
+    def test_returns_valid_halves_as_they_are(self):
+        hp, hm = np.zeros((2, 3)), np.full((2, 3), 1e300)
+        got = cmf_mod._checked_halves((hp, hm), 2, 3)
+        assert got[0] is hp and got[1] is hm
+
+
+class TestGramCheckpointError:
+    @pytest.mark.parametrize("frames", [FRAME_CHUNK - 5, 3 * FRAME_CHUNK - 100])
+    def test_matches_the_direct_residual(self, frames, monkeypatch):
+        # each segment's checkpoint error, in the Gram form, against the
+        # residual formed directly from the same iterate
+        pairs = []
+        gram_form = nmf_mod.complex_error
+
+        def both(problem, state):
+            got = gram_form(problem, state)
+            pairs.append((got, nmf_mod._residuals(problem, state.x, state.sd, modulus=False)[1]))
+            return got
+
+        monkeypatch.setattr(cmf_mod, "complex_error", both)
+        rng = np.random.default_rng(40)
+        x = random_complex(rng, (7, 3))
+        z = x @ rng.random((3, frames)) + 0.3 * random_complex(rng, (7, frames))
+        res = cmf_factorize(z, 3, SepConfig(rank=3, iters=30, tol=0.0), fixed_x=x, checkpoint_every=7)
+        assert [c[0] for c in res.checkpoints] == [7, 14, 21, 28, 30]
+        assert len(pairs) == 5 * len(frame_chunks(frames))
+        for got, want in pairs:
+            assert got == pytest.approx(want, rel=1e-12)
+        assert res.final_error == pytest.approx(frobenius_norm_sq(z - x @ res.h), rel=1e-12)
+
+    def test_forms_no_residual_above_the_guard(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a residual was formed")
+
+        rng = np.random.default_rng(41)
+        x = random_complex(rng, (7, 3))
+        z = random_complex(rng, (7, 50))
+        monkeypatch.setattr(nmf_mod, "_residuals", forbidden)
+        res = cmf_factorize(z, 3, SepConfig(rank=3, iters=9, tol=0.0), fixed_x=x, checkpoint_every=3)
+        assert len(res.checkpoints) == 3
+
+    def test_planted_fit_below_the_guard_is_the_direct_residual(self):
+        rng = np.random.default_rng(42)
+        x = random_complex(rng, (7, 3))
+        hp, hm = rng.random((2, 3, 60))
+        problem = nmf_mod.NmfProblem(z=x @ (hp - hm), rank=3, fixed_x=x).segment(slice(None))
+        state = nmf_mod.NmfState(x=problem.xc, h=np.concatenate((hp, hm)))
+        nmf_mod.objective(problem, state, *nmf_mod.gram_terms(problem, state.x))
+        got = nmf_mod.complex_error(problem, state)
+        assert got < nmf_mod.GRAM_GUARD * problem.z_norm_sq
+        assert got == nmf_mod._residuals(problem, state.x, state.sd, modulus=False)[1]
+
+
 def whole_fixed_solve(z, x, cfg, h_init=None):
     """The parent arithmetic of a fixed-basis solve: every frame stepped
     at once on the segment of all frames, no stop rule. Returns h, the

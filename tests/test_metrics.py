@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import metrics_reference as reference
+from cmfsep.linalg import SAMPLE_CHUNK
 from cmfsep.metrics import (
     EvalReport,
     FULL_CREDIT_SNR_DB,
@@ -277,3 +279,50 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < ref.samples.nbytes / 4
         assert report == evaluate(ref, est, CFG)
+
+
+def aligned_pair(n, m, seed):
+    """A reference of n samples and an estimate of m samples that follows
+    it, both with a DC offset, so that the centring shows."""
+    rng = np.random.default_rng(seed)
+    ref = rng.standard_normal(n) + 0.2
+    est = 0.4 * rng.standard_normal(m) - 0.1
+    k = min(n, m)
+    est[:k] += 0.8 * ref[:k]
+    return sig(ref), sig(est)
+
+
+class TestOnePassMatchesPerMetric:
+    """The metrics from one pass over the signals against the per-metric
+    passes of ``metrics_reference``: reference lengths that end inside
+    the first frame, on a hop boundary and around and past sample-chunk
+    boundaries, with estimates shorter than, as long as and longer than
+    the reference."""
+
+    @pytest.mark.parametrize(
+        "n", [CFG.frame_len - 1, 40 * CFG.hop, SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 17]
+    )
+    @pytest.mark.parametrize("extra", [-100, 0, 777])
+    def test_default_frames(self, n, extra):
+        self.check(*aligned_pair(n, n + extra, n + extra), CFG)
+
+    @pytest.mark.parametrize("frame_len", [SAMPLE_CHUNK, 2 * SAMPLE_CHUNK, 4 * SAMPLE_CHUNK])
+    def test_hops_up_to_twice_a_sample_chunk(self, frame_len):
+        # a hop longer than a sample chunk widens the pass's chunks to it
+        n = 5 * SAMPLE_CHUNK + 3
+        self.check(*aligned_pair(n, n - 1000, frame_len), StftConfig(frame_len=frame_len))
+
+    @staticmethod
+    def check(ref, est, cfg):
+        def close(got, want):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+        close(correlation(ref, est), reference.correlation(ref, est))
+        close(tir_loss(ref, est, cfg), reference.tir_loss(ref, est, cfg))
+        close(snr_db(ref, est), reference.snr_db(ref, est))
+        close(tir_esc(ref, est, cfg), reference.tir_esc(ref, est, cfg))
+        report = evaluate(ref, est, cfg)
+        close(report.correlation, reference.correlation(ref, est))
+        close(report.tir_loss, reference.tir_loss(ref, est, cfg))
+        close(report.tir_esc, reference.tir_esc(ref, est, cfg))
+        close(report.snr_db, reference.snr_db(ref, est))

@@ -13,7 +13,7 @@ from blocks import (
 )
 from cmfsep.cmf import EPSILON, cmf_factorize, nmf_step
 from cmfsep.config import SepConfig
-from cmfsep.linalg import FRAME_CHUNK, frobenius_norm_sq
+from cmfsep.linalg import FRAME_CHUNK, SAMPLE_CHUNK, frobenius_norm_sq
 from cmfsep.nmf import (
     GRAM_GUARD,
     NmfProblem,
@@ -93,6 +93,24 @@ class TestProblemValidation:
             tied(np.array([[1.0, complex(0, np.nan)]]), 1)
         with pytest.raises(ValueError, match="non-finite"):
             tied(np.ones((2, 2)), 1, fixed_x=np.array([[1.0], [np.inf]]))
+
+    def test_accepts_finite_entries_whose_squares_overflow(self):
+        # ‖Z‖² is not finite, so the exact mask decides
+        z = np.full((3, SAMPLE_CHUNK), 1e200 - 1e200j)
+        problem = tied(z, 1)
+        assert not np.isfinite(problem.z_norm_sq)
+        assert np.array_equal(problem.z, z)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    # the first and the last entry, and the first of the third chunk of
+    # SAMPLE_CHUNK entries
+    @pytest.mark.parametrize("at", [(0, 0), (-1, -1), (2, 0)])
+    def test_rejects_non_finite_in_any_chunk(self, bad, part, at):
+        z = np.ones((3, SAMPLE_CHUNK), dtype=complex)
+        z[at] = complex(bad, 1.0) if part == "real" else complex(1.0, bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            tied(z, 1)
 
     @pytest.mark.parametrize("fixed", [False, True])
     def test_holds_sign_parts_and_no_block_matrix(self, fixed):

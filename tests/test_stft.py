@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfsep.linalg import FRAME_CHUNK
+from cmfsep.linalg import FRAME_CHUNK, SAMPLE_CHUNK
 from cmfsep.stft import Signal, StftConfig, dft, istft, sqrt_hann_window, stft
 
 CHUNK_EDGES = [1, FRAME_CHUNK - 1, FRAME_CHUNK, FRAME_CHUNK + 1, 2 * FRAME_CHUNK + 1]
@@ -145,6 +145,24 @@ class TestSignal:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             Signal(np.array([0.0, bad, 0.5]), 16000)
+
+    def test_accepts_finite_samples_whose_squares_overflow(self):
+        # the sum of squares is inf, so the exact mask decides
+        x = np.full(2 * SAMPLE_CHUNK + 3, 1e200)
+        x[1::2] *= -1
+        assert np.array_equal(Signal(x, 16000).samples, x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, -1, SAMPLE_CHUNK, 2 * SAMPLE_CHUNK])
+    def test_rejects_non_finite_in_any_chunk(self, bad, at):
+        x = np.linspace(-1.0, 1.0, 2 * SAMPLE_CHUNK + 3)
+        x[at] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Signal(x, 16000)
+        # also beside entries whose squares overflow
+        x[np.arange(x.size) != at % x.size] = 1e200
+        with pytest.raises(ValueError, match="non-finite"):
+            Signal(x, 16000)
 
     def test_rejects_complex_samples(self):
         # a float64 cast would keep [1, 3] and drop the imaginary part

@@ -12,6 +12,7 @@ from scipy.io import wavfile
 from cmfsep.bases_file import BasesFileError, load_bases, save_bases
 from cmfsep.cli import EXIT_DATA, cli_main
 from cmfsep.io_wav import read_wav, write_wav
+from cmfsep.linalg import SAMPLE_CHUNK
 from cmfsep.separation import BasisSet
 from cmfsep.stft import Signal, StftConfig
 
@@ -123,6 +124,29 @@ class TestWav:
         with pytest.raises(ValueError, match="non-finite"):
             write_wav(p, sig)
         assert not p.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, -1, SAMPLE_CHUNK, 2 * SAMPLE_CHUNK])
+    @pytest.mark.parametrize("bit_depth", ["pcm16", "float32"])
+    def test_rejects_samples_made_non_finite_in_any_chunk(self, tmp_path, bad, at, bit_depth):
+        sig = Signal(np.linspace(-1.0, 1.0, 2 * SAMPLE_CHUNK + 3), 16000)
+        sig.samples[at] = bad
+        p = tmp_path / "n.wav"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_wav(p, sig, bit_depth)
+        assert not p.exists()
+
+    def test_writes_finite_samples_whose_squares_overflow(self, tmp_path, caplog):
+        # each chunk's sum of squares is inf, so the exact mask decides;
+        # the samples are then clipped to full scale
+        x = np.full(2 * SAMPLE_CHUNK + 3, 1e200)
+        x[1::2] *= -1
+        p = tmp_path / "big.wav"
+        with caplog.at_level(logging.WARNING, logger="cmfsep.io_wav"):
+            write_wav(p, Signal(x, 16000), "pcm16")
+        _, raw = wavfile.read(p)
+        assert np.array_equal(raw, np.where(x > 0, 32767, -32768))
+        assert f"clipped {x.size} samples" in caplog.text
 
     @pytest.mark.parametrize("rate", [0, -16000])
     def test_rejects_bad_sample_rate_write(self, rate):
