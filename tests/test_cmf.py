@@ -477,6 +477,7 @@ class TestGramCheckpointError:
         monkeypatch.setattr(nmf_mod, "_residuals", forbidden)
         res = cmf_factorize(z, 3, SepConfig(rank=3, iters=9, tol=0.0), fixed_x=x, checkpoint_every=3)
         assert len(res.checkpoints) == 3
+        assert res.final_error == pytest.approx(frobenius_norm_sq(z - x @ res.h), rel=1e-12)
 
     def test_planted_fit_below_the_guard_is_the_direct_residual(self):
         rng = np.random.default_rng(42)
