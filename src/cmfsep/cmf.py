@@ -50,23 +50,23 @@ objective, at no product's cost. Below ``nmf.GRAM_GUARD``·‖Z‖², and with
 free bases, it is formed directly: summed over the frame chunks of
 ``linalg.frame_chunks``, each chunk's residual one real product less
 Zri, at half the flops of the complex product, so no complex F×T
-residual is formed; a fixed-basis segment forms it in its thread's
-scratch.
+residual is formed; it is formed in the scratch of the solve's state.
 
 ``cmf_factorize`` solves in parts and writes each part's weights into
 that part's frames of one rank × T output; a free solve is one part
 over all frames, since the X update couples them. With fixed bases the
 H update of a frame reads only that frame's numerator column, so each
-frame chunk (``nmf.NmfProblem.segment``, which alone builds a
-numerator) is a part, whose whole iteration loop runs on its own. The
+frame chunk is a part, whose whole iteration loop runs on its own. The
 parts run on as many threads as BLAS has at entry, at most one per
 part (``blas.solve_threads``), each product on one BLAS thread while
 they run; the calling thread is one of them, and with one thread none
-is started. Each thread steps its parts in arrays allocated for it
-before any thread starts (``_Workspace``), each aligned to a 64-byte
-cache line, so a step allocates nothing frame-sized. A part's
-arithmetic does not depend on the thread or the arrays it runs in, so
-the result is the same however many threads run the parts.
+is started. Each thread steps its parts in one ``nmf.NmfState``, built
+before any thread starts and pointed at each part in turn
+(``NmfState.set_part``, which builds the part's numerator); a free solve
+steps its one part in a state of its own. So no step allocates anything
+frame-sized. A part's arithmetic does not depend on the thread or the
+arrays it runs in, so the result is the same however many threads run
+the parts.
 Every part's start comes from one ``_start`` over all frames: its
 bases, and its frames of the start's weight halves. Each chunk stops on
 its own objective; the histories, and the complex errors that each
@@ -99,9 +99,7 @@ from .nmf import (
     NmfProblem,
     NmfState,
     _stacked_product,
-    _sums,
     _swap,
-    _weight_gram,
     complex_error,
     gram_terms,
     objective,
@@ -161,47 +159,47 @@ def _tie_ratio(ratio: np.ndarray) -> np.ndarray:
     return symmetrize_h(ratio[:n], ratio[n:])
 
 
-def _flush(a: np.ndarray, mask=None) -> None:
+def _flush(a: np.ndarray, mask: np.ndarray) -> None:
     """Set the entries of ``a`` below ``FLUSH_BELOW`` to 0, through
-    ``mask`` (bool, shaped like ``a``) when given, else a fresh one."""
+    ``mask`` (bool, shaped like ``a``)."""
     np.copyto(a, 0.0, where=np.less(a, FLUSH_BELOW, out=mask))
 
 
 def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
-    """One multiplicative update of X then H (X skipped when fixed).
+    """One multiplicative update of X then H (X skipped when fixed), in
+    the arrays of ``state``, which an objective of its current weights
+    must have seen (``RuntimeError`` otherwise).
 
     The H update multiplies the weights W by ``_tie_ratio``'s tie of
     the update ratio. The objective appended to the history reflects the
     updated iterate.
     """
-    x, h = state.x, state.h
-    carried, state.carried = state.carried, None
-    if carried is None:  # the weights were replaced since the last objective
-        state.sd = _sums(h, state.sd)
+    if state.carried is None:
+        raise RuntimeError("no objective has seen the state's weights")
+    x, h, k = state.x, state.h, problem.rank
     if problem.fixed_x is None:
-        hht = _weight_gram(h) if carried is None else carried
-        # Zc·Hᵀ = Zp·Wᵀ + Zn·(ΠW)ᵀ; the second product's array then
-        # takes X·H·Hᵀ and the ratio
-        num = np.matmul(problem.zp, h.T, out=state.xwork[0])
-        num += np.matmul(problem.zn, _swap(h).T, out=state.xwork[1])
-        ratio = np.matmul(x, hht, out=state.xwork[1])
+        # Zc·Hᵀ = Zp·Wᵀ + Zn·(ΠW)ᵀ, and Zn·(ΠW)ᵀ is Zn·Wᵀ with its two
+        # column halves exchanged, so they are added crosswise; the
+        # second product's array then takes X·H·Hᵀ and the ratio
+        num = np.matmul(problem.zp, h.T, out=state.xnum)
+        cross = np.matmul(problem.zn, h.T, out=state.xratio)
+        num[:, :k] += cross[:, k:]
+        num[:, k:] += cross[:, :k]
+        ratio = np.matmul(x, state.carried, out=state.xratio)
         np.maximum(ratio, EPSILON, out=ratio)
         x *= np.divide(num, ratio, out=ratio)
-        _flush(x)
-        carried = None  # H·Hᵀ, of no use to the H update
-    xtz, uv = gram_terms(problem, x, state.xtz)
-    # the H-update ratio is formed in place in XᵀX·H's buffer, the
-    # carried one when the bases are fixed
-    if carried is None:
-        carried = _stacked_product(uv, state.sd, state.product, state.vd)
-    ratio = carried
+        _flush(x, state.xmask)
+    uv = gram_terms(problem, state)
+    if problem.fixed_x is None:
+        _stacked_product(uv, state.sd, state.product, state.vd)
+    # the H-update ratio is formed in place in XᵀX·H's buffer, which
+    # holds the carried product when the bases are fixed
+    ratio, state.carried = state.product, None
     np.maximum(ratio, EPSILON, out=ratio)
-    np.divide(xtz, ratio, out=ratio)
+    np.divide(state.xtz, ratio, out=ratio)
     h *= _tie_ratio(ratio)
-    # freed before the objective forms the next product
-    del carried, ratio
     _flush(h, state.mask)
-    state.objective_history.append(objective(problem, state, xtz, uv))
+    state.objective_history.append(objective(problem, state, uv))
     return state
 
 
@@ -252,7 +250,7 @@ def _iterate(problem: NmfProblem, state: NmfState, cfg: SepConfig, checkpoint_ev
     ``state.objective_history``."""
     errors = {}
     # also leaves on the state the product the first update needs
-    prev = objective(problem, state, *gram_terms(problem, state.x))
+    prev = objective(problem, state, gram_terms(problem, state))
     for it in range(1, cfg.iters + 1):
         nmf_step(state, problem)
         cur = state.objective_history[-1]
@@ -268,87 +266,6 @@ def _iterate(problem: NmfProblem, state: NmfState, cfg: SepConfig, checkpoint_ev
             break
         prev = cur
     return errors
-
-
-class _Workspace:
-    """One solve thread's arrays for fixed-basis segments of up to
-    ``width`` frames. Each is flat, so that a narrower segment takes a
-    contiguous leading part (``_take``): the stacked numerator and the
-    carried product (4K rows each); the numerator's summed halves, the
-    weights W, the flush mask, the sums and differences [s; d] of W's
-    halves and their product V·d (2K rows each); and a scratch of 2F
-    rows, which holds Zri and then its sign parts while a segment's
-    numerator is built, and then its residuals (``nmf._residuals``). All
-    are allocated before any thread starts and reused for every segment
-    the thread solves, so its steps allocate nothing frame-sized: what a
-    thread frees stays resident in that thread's allocator arena. Each starts
-    on a 64-byte cache line (``_aligned``), where numpy's own
-    allocations here start 16 bytes past one; the elementwise passes
-    over them run faster aligned, and alignment changes no result."""
-
-    def __init__(self, rows: int, rank: int, width: int):
-        self.xtz = _aligned(4 * rank * width)
-        self.product = _aligned(4 * rank * width)
-        self.xtz_sum = _aligned(2 * rank * width)
-        self.w = _aligned(2 * rank * width)
-        self.mask = _aligned(2 * rank * width, bool)
-        self.sd = _aligned(2 * rank * width)
-        self.vd = _aligned(2 * rank * width)
-        self.scratch = _aligned(2 * rows * width)
-
-
-def _aligned(size: int, dtype=np.float64) -> np.ndarray:
-    """An uninitialised flat array of ``size`` entries whose data starts
-    on a 64-byte boundary: a view into a 64 bytes longer byte buffer."""
-    nbytes = size * np.dtype(dtype).itemsize
-    raw = np.empty(nbytes + 64, dtype=np.uint8)
-    start = -raw.ctypes.data % 64
-    return raw[start : start + nbytes].view(dtype)
-
-
-def _take(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The leading rows × cols entries of flat ``buf``, as a C-contiguous
-    rows × cols array."""
-    return buf[: rows * cols].reshape(rows, cols)
-
-
-def _free_state(x: np.ndarray, w: np.ndarray) -> NmfState:
-    """The state of a free solve from bases ``x`` and weights ``w``,
-    with every array its steps write allocated once, here: a step that
-    allocated its larger temporaries afresh would grow and trim the heap
-    at every step, and each step would fault their pages in again."""
-    stacked = (2 * len(w), w.shape[1])
-    return NmfState(
-        x, w, product=np.empty(stacked), mask=np.empty(w.shape, bool), sd=np.empty_like(w),
-        vd=np.empty_like(w), xtz=np.empty(stacked), xwork=(np.empty_like(x), np.empty_like(x)),
-    )
-
-
-def _solve_segment(problem, frames, halves, space, cfg, checkpoint_every, h):
-    """The solve of the frames ``frames`` of a fixed-basis ``problem``
-    in the arrays of ``space``, from those frames of the start's
-    ``halves``; each checkpoint writes its weights into those frames of
-    ``h``. Returns (history, errors)."""
-    rows, rank = problem.z.shape[0], problem.rank
-    width = frames.stop - frames.start
-    part = problem.segment(
-        frames,
-        _take(space.xtz, 4 * rank, width),
-        _take(space.scratch, 2 * rows, width),
-        _take(space.xtz_sum, 2 * rank, width),
-    )
-    w = _take(space.w, 2 * rank, width)
-    w[:rank], w[rank:] = (half[:, frames] for half in halves)
-    state = NmfState(
-        x=problem.xc,
-        h=w,
-        product=_take(space.product, 4 * rank, width),
-        mask=_take(space.mask, 2 * rank, width),
-        sd=_take(space.sd, 2 * rank, width),
-        vd=_take(space.vd, 2 * rank, width),
-    )
-    errors = _iterate(part, state, cfg, checkpoint_every, h[:, frames])
-    return state.objective_history, errors
 
 
 def _run(tasks: int, run, workers: int) -> None:
@@ -386,19 +303,20 @@ def _run(tasks: int, run, workers: int) -> None:
 def _solve_fixed(problem: NmfProblem, halves, cfg, checkpoint_every, h):
     """The solve with fixed bases, one part per frame chunk of
     ``linalg.frame_chunks``, on ``blas.solve_threads`` threads, each
-    stepping its parts in a ``_Workspace`` of its own. Each part writes
-    its weights into its frames of the rank × T output ``h``. Returns
-    the (history, errors) of every part, in frame order."""
-    rows, rank = problem.z.shape[0], problem.rank
+    stepping its parts in an ``NmfState`` of its own. Each part starts
+    from its frames of the start's ``halves`` and writes its weights
+    into its frames of the rank × T output ``h``. Returns the (history,
+    errors) of every part, in frame order."""
     segments = frame_chunks(problem.z.shape[1])
     parts = [None] * len(segments)
     with solve_threads(len(segments)) as workers:
-        spaces = [_Workspace(rows, rank, segments[0].stop) for _ in range(workers)]
+        states = [NmfState(problem, segments[0].stop) for _ in range(workers)]
 
         def run(task, worker):
-            parts[task] = _solve_segment(
-                problem, segments[task], halves, spaces[worker], cfg, checkpoint_every, h
-            )
+            frames = segments[task]
+            state = states[worker].set_part(problem, problem.xc, halves, frames)
+            errors = _iterate(problem, state, cfg, checkpoint_every, h[:, frames])
+            parts[task] = state.objective_history, errors
 
         _run(len(segments), run, workers)
     return parts
@@ -474,7 +392,7 @@ def cmf_factorize(
     h = np.empty((rank, cols))
     if problem.fixed_x is None:
         # one part over all frames, since the X update couples them
-        state = _free_state(x, np.concatenate(halves))
+        state = NmfState(problem, cols).set_part(problem, x, halves)
         del halves  # freed before the solve
         parts = [(state.objective_history, _iterate(problem, state, cfg, checkpoint_every, h))]
         # the complex bases from q = [Re X; Im X], the block bases'

@@ -12,21 +12,24 @@ Written files match ``scipy.io.wavfile.write`` byte for byte: a 16-byte
 ``fmt `` chunk for PCM, and an 18-byte one (cbSize 0) followed by a
 ``fact`` chunk for float.
 
-Both directions walk the samples one ``linalg.SAMPLE_CHUNK`` at a time,
-each in one pass: reading decodes a chunk into the float64 result,
-pcm16 scaled by 2⁻¹⁵ on the way, and writing checks a chunk finite from
-its sum of squares (``linalg.all_finite``) before it is clipped, scaled
-and cast into the output buffer.
+Both directions walk the samples one ``linalg.SAMPLE_CHUNK`` at a time:
+reading decodes a chunk into the float64 result in one pass, pcm16
+scaled by 2⁻¹⁵ on the way. Writing takes a chunk's minimum and maximum,
+which check it finite and tell whether it needs clipping, then scales
+and rounds it (pcm16) in one reused chunk buffer and casts it into the
+output buffer; only a chunk with a sample outside [−1, 1] is counted
+and clipped.
 """
 
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SAMPLE_CHUNK, all_finite, sample_chunks
+from .linalg import SAMPLE_CHUNK, sample_chunks
 from .stft import Signal
 
 __all__ = ["WavFile", "read_wav", "write_wav"]
@@ -162,7 +165,7 @@ def write_wav(path, signal: Signal, bit_depth: str = "pcm16") -> None:
     """Write ``signal`` as a mono WAV. Its length and rate were checked
     when it was made and its fields cannot be reassigned, but its samples
     array can be written in place, so each chunk is checked to be finite
-    here, from its sum of squares, before anything is written."""
+    here, from its minimum and maximum, before anything is written."""
     x = signal.samples
     if bit_depth not in _BIT_DEPTHS:
         raise ValueError(f"unsupported bit depth {bit_depth!r}")
@@ -171,17 +174,24 @@ def write_wav(path, signal: Signal, bit_depth: str = "pcm16") -> None:
     # checked, clipped, scaled, rounded and cast one chunk at a time into
     # the output buffer: no full-length float64 copy of the samples
     data = np.empty(x.size, dtype)
+    buf = np.empty(min(x.size, SAMPLE_CHUNK))
     clipped = 0
     for s in sample_chunks(x.size):
-        chunk = x[s]
-        if not all_finite(chunk):
+        chunk, out = x[s], buf[: s.stop - s.start]
+        # numpy's min and max propagate a NaN, and hold an infinity
+        low, high = chunk.min(), chunk.max()
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise ValueError("refusing to write non-finite samples")
-        clipped += int(np.count_nonzero((chunk < -1.0) | (chunk > 1.0)))
-        chunk = np.clip(chunk, -1.0, 1.0)
+        if low < -1.0 or high > 1.0:
+            clipped += int(np.count_nonzero((chunk < -1.0) | (chunk > 1.0)))
+            chunk = np.clip(chunk, -1.0, 1.0, out=out)
         if tag == _PCM:
-            chunk *= _PCM16_SCALE
+            chunk = np.multiply(chunk, _PCM16_SCALE, out=out)
             np.round(chunk, out=chunk)
-            np.clip(chunk, -32768, 32767, out=chunk)
+            # −1 scales to −32768 exactly; only a sample from
+            # 32767.5/32768 up rounds past 32767
+            if high >= 32767.5 * _PCM16_STEP:
+                np.minimum(chunk, 32767, out=chunk)
         data[s] = chunk
     if clipped:
         log.warning("%s: clipped %d samples to [-1, 1]", path, clipped)

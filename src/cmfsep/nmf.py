@@ -32,15 +32,13 @@ arrays). The H update's numerator is stacked as [Y_L; ΠY_R] from the
 column halves of Y = XᵀZc: ``_numerator`` forms Y_L = XᵀZp and
 ΠY_R = [X_Rᵀ; X_Lᵀ]·Zn, at the flops of XᵀZc. Its denominator is the
 product [G; ΠGΠ]·W with G = XᵀX, which covers both column halves of H.
-With fixed bases each frame's weights update on their own, so
-``NmfProblem.segment`` gives the problem of a run of frames, sharing the
-checked bases and Gram terms and forming its own numerator in a 2F-row
-scratch, which holds Zp and then Zn. The numerator is built there only,
-so a fixed-basis problem is stepped through its segments.
-``cmf.cmf_factorize`` solves runs of at most ``linalg.FRAME_CHUNK``
-frames this way, one per thread at a time, so it never forms the whole
-numerator. A segment also keeps its numerator's two halves summed,
-Y_L + ΠY_R, so its linear term is one ⟨W, ·⟩.
+With fixed bases each frame's weights update on their own, so the
+problem is solved in parts, runs of frames: ``NmfState.set_part`` forms
+a part's numerator in the state's 2F-row scratch, which holds Zri, then
+Zp and then Zn. ``cmf.cmf_factorize`` solves parts of at most
+``linalg.FRAME_CHUNK`` frames, one per thread at a time, so it never
+forms the whole numerator. The state also keeps the numerator's two
+halves summed, Y_L + ΠY_R, so a part's linear term is one ⟨W, ·⟩.
 
 The H update's denominator product is formed at half the flops of the
 (4K×2K)·(2K×T) one, from [s; d] (``_sums``). With U and V half the sum
@@ -62,10 +60,10 @@ There the small entry is known only to about ε of its partner. The
 objective weighs D₁₁ by the small h⁺, so its quadratic term keeps the
 direct product's accuracy.
 
-``NmfProblem`` computes ‖Z‖² once, from the complex Z (a segment's from
-its Zri), and checks Z finite from it (``linalg.all_finite``): a finite
-‖Z‖² has only finite terms, so Z's exact mask is taken only when it is
-not finite. With fixed bases G's (U, V) are built with the block bases,
+``NmfProblem`` computes ‖Z‖² once, from the complex Z (a fixed-basis
+part's from its Zri, in ``NmfState.set_part``), and checks Z finite
+from it (``linalg.all_finite``): a finite ‖Z‖² has only finite terms,
+so Z's exact mask is taken only when it is not finite. With fixed bases G's (U, V) are built with the block bases,
 at construction; with free ones a step computes them from its new X and
 shares them between the H update and the objective. The objective is the
 Gram form ``‖Z‖² − 2⟨H, XᵀZc⟩ + ⟨H, XᵀX H⟩``, which costs no 2F×T
@@ -79,9 +77,11 @@ the next H-update denominator. With free bases it is ⟨G, H·Hᵀ⟩, where
 H·Hᵀ = [[E, F], [F, E]] with E = h⁺h⁺ᵀ + h⁻h⁻ᵀ and F = h⁺h⁻ᵀ + h⁻h⁺ᵀ
 is formed from W·Wᵀ (``_weight_gram``), as sums of nonnegative terms,
 and goes into the next X update's denominator. The product is kept as
-``NmfState.carried``, which assigning ``NmfState.h`` drops; the step
-updates the weights in place, and code outside a step replaces them by
-assignment.
+``NmfState.carried``. ``cmf._iterate`` runs an objective before the
+first step and every step ends with one, so a step and a checkpoint
+always find the product of the current weights; on a state that no
+objective has seen they raise ``RuntimeError`` rather than read what
+the state's buffers hold from another iterate.
 
 The Gram form subtracts terms of size ‖Z‖², so its absolute rounding
 error is about 1e-16·‖Z‖²; below ``GRAM_GUARD``·‖Z‖² = 1e-2·‖Z‖² the
@@ -98,7 +98,7 @@ fixed fraction of ‖r‖².
 
 A checkpoint's complex error ‖Zri − q·d‖² (``complex_error``) takes the
 same Gram form with fixed bases, ‖Z‖² − 2⟨d, qᵀZri⟩ + ⟨d, qᵀq·d⟩, from
-terms a step already holds: with ys the segment's summed numerator
+terms a step already holds: with ys the part's summed numerator
 Y_L + ΠY_R, qᵀZri = ys[:K] − ys[K:], and qᵀq = 2(V[:K] − V[K:]), so
 qᵀq·d = 2(vd[:K] − vd[K:]) of the V·d that the objective's
 ``_stacked_product`` formed. It costs no product and no 2F×T pass. Below
@@ -106,13 +106,12 @@ the same guard, and with free bases, whose V·d is not of the current
 weights, it is ``_residuals``' second term, formed directly.
 """
 
-import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .linalg import all_finite, as_complex_matrix, frame_chunks, frobenius_norm_sq
+from .linalg import FRAME_CHUNK, all_finite, as_complex_matrix, frame_chunks, frobenius_norm_sq
 
 __all__ = [
     "NmfProblem",
@@ -123,12 +122,6 @@ __all__ = [
 ]
 
 GRAM_GUARD = 1e-2
-
-
-def _rotated(z: np.ndarray, out=None) -> np.ndarray:
-    """[Re z; Im z] of complex ``z``, with twice its rows, written into
-    ``out`` when given."""
-    return np.concatenate((z.real, z.imag), out=out)
 
 
 @dataclass
@@ -145,14 +138,10 @@ class NmfProblem:
     ``zn`` = max(−Zri, 0) of Zri = [Re Z; Im Z] (2F×T each, Zc's column
     halves); with ``fixed_x`` its 2F×2K block matrix ``xc``, its rotated
     bases ``pq`` = (p, q) = (|Xri|, Xri) with Xri = [Re X; Im X], which
-    the residuals read (kept, so that a segment's checkpoints allocate
-    no bases-sized arrays), and the sum and difference halves
-    ``uv`` = (U, V) of G = XcᵀXc (``gram_terms``). The
-    stacked numerator ``xtz`` of fixed bases, ``xtz_sum``, its two halves
-    summed, and the ``scratch`` it was formed in are set only by
-    ``segment``, so a fixed-basis problem is stepped through a segment
-    (``segment(slice(None))`` for all of its frames); they stay None on
-    the problem itself and with free bases.
+    the residuals read (kept, so that a checkpoint allocates no
+    bases-sized arrays), and the sum and difference halves
+    ``uv`` = (U, V) of G = XcᵀXc (``gram_terms``). Nothing that depends on
+    the iterate or on a part's frames is held here; that is the state's.
     """
 
     z: np.ndarray
@@ -164,9 +153,6 @@ class NmfProblem:
     xc: Optional[np.ndarray] = field(init=False, repr=False, default=None)
     pq: Optional[tuple] = field(init=False, repr=False, default=None)
     uv: Optional[tuple] = field(init=False, repr=False, default=None)
-    xtz: Optional[np.ndarray] = field(init=False, repr=False, default=None)
-    xtz_sum: Optional[np.ndarray] = field(init=False, repr=False, default=None)
-    scratch: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.z = as_complex_matrix(self.z)
@@ -179,7 +165,7 @@ class NmfProblem:
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.fixed_x is None:
-            parts = _sign_parts(self.z, _rotated(self.z))
+            parts = _sign_parts(self.z, np.concatenate((self.z.real, self.z.imag)))
             self.zp = next(parts).copy()
             self.zn = next(parts)
         else:
@@ -192,36 +178,10 @@ class NmfProblem:
             if not np.all(np.isfinite(self.fixed_x)):
                 raise ValueError("fixed_x contains non-finite entries")
             # the block bases [[P_r, N_r], [P_i, N_i]] of X's sign parts
-            xri = _rotated(self.fixed_x)
+            xri = np.concatenate((self.fixed_x.real, self.fixed_x.imag))
             self.xc = np.concatenate((np.maximum(0.0, xri), np.maximum(0.0, -xri)), axis=1)
             self.pq = np.abs(xri), xri
             self.uv = _sum_difference(self.xc.T @ self.xc)
-
-    def segment(self, cols: slice, xtz=None, scratch=None, xtz_sum=None) -> "NmfProblem":
-        """The problem of the frames ``cols`` of ``z``, with the same
-        fixed bases. It shares this problem's checked bases, ``xc`` and
-        Gram terms rather than checking and deriving them again; its ‖Z‖²
-        and numerator, built here, are those of its own frames.
-
-        Both are formed in ``scratch`` (2F × frames), which takes the
-        frames' Zri, whose ‖·‖² is ‖Z‖², and then in turn its sign parts
-        Zp and Zn (``_sign_parts``), from which ``_numerator`` forms the
-        numerator; the segment keeps it for its residuals.
-        ``xtz_sum`` is Y_L + ΠY_R, with which the objective's linear term
-        is one inner product. ``xtz`` (4K × frames), ``scratch`` and
-        ``xtz_sum`` (2K × frames) are allocated here unless given; given,
-        they are written in place and the segment allocates nothing
-        frame-sized.
-        """
-        if self.fixed_x is None:
-            raise ValueError("only a problem with fixed bases splits into frame segments")
-        part = copy.copy(self)
-        part.z = self.z[:, cols]
-        part.scratch = _rotated(part.z, scratch)
-        part.z_norm_sq = frobenius_norm_sq(part.scratch)
-        part.xtz = _numerator(self.xc, _sign_parts(part.z, part.scratch), xtz, xtz_sum)
-        part.xtz_sum = np.add(part.xtz[: 2 * self.rank], part.xtz[2 * self.rank :], out=xtz_sum)
-        return part
 
 
 def _sign_parts(z: np.ndarray, zri: np.ndarray):
@@ -234,43 +194,37 @@ def _sign_parts(z: np.ndarray, zri: np.ndarray):
     yield zri
 
 
-def _numerator(x: np.ndarray, parts, out=None, tmp=None) -> np.ndarray:
+def _numerator(x: np.ndarray, parts, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """[Y_L; ΠY_R] of Y = xᵀ·Zc, written into ``out`` (4K × T) and
     returned: Y_L = xᵀ·Zp and Y_R = xᵀ·Zn, for the sign parts Zp and Zn
     that the iterator ``parts`` yields in that order, Y_R formed in
-    ``tmp`` (2K × T) and copied in with its row halves swapped; ``out``
-    and ``tmp`` are allocated unless given. Every entry is a sum of
-    nonnegative terms."""
+    ``tmp`` (2K × T) and copied in with its row halves swapped. Every
+    entry is a sum of nonnegative terms."""
     k = x.shape[1] // 2
-    zp = next(parts)
-    out = np.empty((4 * k, zp.shape[1])) if out is None else out
-    np.matmul(x.T, zp, out=out[: 2 * k])
+    np.matmul(x.T, next(parts), out=out[: 2 * k])
     y_r = np.matmul(x.T, next(parts), out=tmp)
     out[2 * k : 3 * k], out[3 * k :] = y_r[k:], y_r[:k]
     return out
 
 
-def _residuals(problem: NmfProblem, x: np.ndarray, sd: np.ndarray, modulus=True):
-    """(‖Zab − p·s‖², ‖Zri − q·d‖²) over ``problem``'s frames, for block
-    bases ``x`` (fixed ones as the problem's ``pq``) and [s; d] ``sd``;
+def _residuals(problem: NmfProblem, state: "NmfState", modulus=True):
+    """(‖Zab − p·s‖², ‖Zri − q·d‖²) over the frames of ``state``'s part,
+    for its bases (fixed ones as the problem's ``pq``) and its [s; d];
     the second is the complex error, which alone is formed without
     ``modulus`` (the first then reads 0). Both are summed over frame
-    chunks, each chunk's residual formed in a 2F-row buffer: the
-    second's in the whole of it, the first's F rows at a time, the real
+    chunks, each chunk's residual formed in the state's ``scratch``: the
+    second's in 2F rows of it, the first's F rows at a time, the real
     rows and then the imaginary ones, in one half, with the moduli of
-    Z's entries in the other. The buffer is a segment's scratch, or else
-    is allocated once for the widest chunk. The sums are ``np.vdot``,
-    not this module's ``frobenius_norm_sq``, which the benchmark's trace
-    times as the objective: a checkpoint's error is not part of it."""
-    z, k, rows, scratch = problem.z, problem.rank, len(problem.z), problem.scratch
+    Z's entries in the other. The sums are ``np.vdot``, not this
+    module's ``frobenius_norm_sq``, which the benchmark's trace times as
+    the objective: a checkpoint's error is not part of it."""
+    z, k, rows, x = state.z, problem.rank, len(state.z), state.x
     p, q = problem.pq or (x[:, :k] + x[:, k:], x[:, :k] - x[:, k:])
-    s, d = sd[:k], sd[k:]
-    chunks = frame_chunks(z.shape[1])
-    flat = np.empty(2 * rows * chunks[0].stop) if scratch is None else scratch.reshape(-1)
+    s, d = state.sd[:k], state.sd[k:]
     ab = ri = 0.0
-    for cols in chunks:
+    for cols in frame_chunks(z.shape[1]):
         n = rows * (cols.stop - cols.start)
-        buf = flat[: 2 * n]
+        buf = state.scratch[: 2 * n]
         r = np.matmul(q, d[:, cols], out=buf.reshape(2 * rows, -1))
         r[:rows] -= z.real[:, cols]
         r[rows:] -= z.imag[:, cols]
@@ -285,55 +239,105 @@ def _residuals(problem: NmfProblem, x: np.ndarray, sd: np.ndarray, modulus=True)
     return float(ab), float(ri)
 
 
-def _direct_residual(problem: NmfProblem, x: np.ndarray, sd: np.ndarray) -> float:
-    """‖Zc − X·[W, ΠW]‖², as ½ times the sum of ``_residuals``."""
-    return 0.5 * sum(_residuals(problem, x, sd))
+def _direct_residual(problem: NmfProblem, state: "NmfState") -> float:
+    """‖Zc − X·[W, ΠW]‖² of ``state``, as ½ times the sum of
+    ``_residuals``."""
+    return 0.5 * sum(_residuals(problem, state))
+
+
+def _aligned(size: int, dtype=np.float64) -> np.ndarray:
+    """An uninitialised flat array of ``size`` entries whose data starts
+    on a 64-byte boundary: a view into a 64 bytes longer byte buffer."""
+    nbytes = size * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + nbytes].view(dtype)
 
 
 class NmfState:
-    """The iterate ``x``, ``h`` and its objective history; ``x`` holds
-    the 2F×2K block bases and ``h`` the stored-once weights
-    W = [h⁺; h⁻].
+    """One solve thread's iterate and every array its steps write, for
+    parts of ``problem`` of up to ``width`` frames. It is built once and
+    then pointed at each part the thread solves in turn
+    (``set_part``), so its steps allocate nothing frame-sized: what a
+    step allocated afresh would grow and trim the heap at every step and
+    fault its pages in again, and what a thread frees stays resident in
+    that thread's allocator arena.
 
-    ``carried`` is the quadratic product the last objective computed
-    from the current ``h`` for the next update: the stacked XᵀX·H when
-    the bases are fixed, H·Hᵀ (``_weight_gram``) when they are free, and
-    None when no objective has seen this ``h``. Assigning ``h`` drops
-    it, so a product never outlives the weights it came from;
-    ``cmf.nmf_step`` itself updates the weights in place, and other code
-    replaces them by assignment. ``sd`` holds [s; d] of the weights that
-    the last objective saw (``_sums``), and is current while ``carried``
-    is set.
+    Its buffers are flat, so that a narrower part takes a contiguous
+    leading part of each, viewed as rows × frames: the stacked numerator
+    ``xtz`` and the XᵀX·H ``product`` of the H update, in which its
+    ratio is formed (4K rows each); ``xtz_sum``, which holds Y_R while a
+    numerator is formed and then, with fixed bases, the numerator's
+    summed halves Y_L + ΠY_R; the weights ``h`` = W = [h⁺; h⁻], the mask
+    ``mask`` of ``cmf``'s flush of them, their sums and differences
+    ``sd`` = [s; d] (``_sums``) and the product ``vd`` = V·d (2K rows
+    each); and ``scratch``, which holds the residuals (``_residuals``)
+    and, with fixed bases, a part's Zri and then its sign parts while its
+    numerator is built: 2F × ``width`` entries with fixed bases, and with
+    free ones 2F × ``linalg.FRAME_CHUNK`` at most. With free bases the X
+    update also has ``xnum`` and ``xratio``, shaped like the bases, and
+    their flush mask ``xmask``.
+    Each buffer starts on a 64-byte cache line (``_aligned``), where
+    numpy's own allocations here start 16 bytes past one; the
+    elementwise passes over them run faster aligned, and alignment
+    changes no result.
 
-    ``product``, ``mask``, ``sd`` and ``vd``, when given, are arrays
-    that a step writes into instead of allocating: the XᵀX·H of the H
-    update (2·len(h) × cols; with fixed bases the carried one), the mask
-    of ``cmf``'s flush of ``h`` (bool, shaped like ``h``), [s; d] and the
-    product V·d (each shaped like ``h``), from which ``_stacked_product``
-    forms XᵀX·H. A free step also takes ``xtz``, its H-update numerator
-    (2·len(h) × cols), and ``xwork``, two arrays shaped like ``x`` for its
-    X update. An ``sd`` not given, and with fixed bases a ``vd``, is
-    allocated by the first objective and then reused; the others not
-    given are allocated at each step.
+    ``x`` is the part's 2F×2K block bases and ``objective_history`` its
+    objectives. ``carried`` is the quadratic product the last objective
+    computed from the current weights for the next update: the stacked
+    XᵀX·H, in ``product``, when the bases are fixed, H·Hᵀ
+    (``_weight_gram``) when they are free. A step consumes it, and None
+    means no objective has seen the weights since.
     """
 
-    def __init__(
-        self, x, h, product=None, mask=None, sd=None, vd=None, xtz=None, xwork=(None, None)
-    ):
-        self.x = x
-        self.h = h
-        self.objective_history = []
-        self.product, self.mask, self.sd, self.vd = product, mask, sd, vd
-        self.xtz, self.xwork = xtz, xwork
+    def __init__(self, problem: NmfProblem, width: int):
+        rows, k = len(problem.z), problem.rank
+        self._flat = {
+            name: (height, _aligned(height * width, dtype))
+            for name, height, dtype in (
+                ("xtz", 4 * k, np.float64),
+                ("product", 4 * k, np.float64),
+                ("xtz_sum", 2 * k, np.float64),
+                ("h", 2 * k, np.float64),
+                ("mask", 2 * k, bool),
+                ("sd", 2 * k, np.float64),
+                ("vd", 2 * k, np.float64),
+            )
+        }
+        # a fixed part's Zri, or with free bases one chunk's residual
+        chunk = width if problem.fixed_x is not None else min(width, FRAME_CHUNK)
+        self.scratch = _aligned(2 * rows * chunk)
+        if problem.fixed_x is None:
+            shape = (2 * rows, 2 * k)
+            self.xnum, self.xratio = (_aligned(4 * rows * k).reshape(shape) for _ in range(2))
+            self.xmask = _aligned(4 * rows * k, bool).reshape(shape)
 
-    @property
-    def h(self) -> np.ndarray:
-        return self._h
-
-    @h.setter
-    def h(self, value: np.ndarray) -> None:
-        self._h = value
-        self.carried = None
+    def set_part(self, problem: NmfProblem, x: np.ndarray, halves, frames=slice(None)):
+        """Point the state at the part of ``problem`` over the frames
+        ``frames`` and return it: the bases ``x``, those frames of the
+        weight ``halves`` (h⁺, h⁻) copied into its weights, a fresh
+        history and no carried product. With fixed bases the part's ‖Z‖²
+        and numerator are formed here, from its frames' Zri in
+        ``scratch``; with free ones the part is all frames, since the X
+        update couples them, and a step forms the numerator."""
+        k, rows = problem.rank, len(problem.z)
+        self.z = problem.z[:, frames]
+        n = self.z.shape[1]
+        if problem.fixed_x is None and n != problem.z.shape[1]:
+            raise ValueError("only a problem with fixed bases splits into frame segments")
+        for name, (height, flat) in self._flat.items():
+            setattr(self, name, flat[: height * n].reshape(height, n))
+        self.h[:k], self.h[k:] = (half[:, frames] for half in halves)
+        self.x, self.objective_history, self.carried = x, [], None
+        if problem.fixed_x is None:
+            self.z_norm_sq = problem.z_norm_sq
+            return self
+        zri = self.scratch[: 2 * rows * n].reshape(2 * rows, n)
+        np.concatenate((self.z.real, self.z.imag), out=zri)
+        self.z_norm_sq = frobenius_norm_sq(zri)
+        _numerator(problem.xc, _sign_parts(self.z, zri), self.xtz, self.xtz_sum)
+        np.add(self.xtz[: 2 * k], self.xtz[2 * k :], out=self.xtz_sum)
+        return self
 
 
 def _sum_difference(xtx: np.ndarray):
@@ -350,11 +354,10 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[n:], a[:n]))
 
 
-def _sums(w: np.ndarray, out=None) -> np.ndarray:
+def _sums(w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """[s; d] = [h⁺ + h⁻; h⁺ − h⁻] of W = [h⁺; h⁻], written into ``out``
-    (shaped like ``w``, allocated unless given) and returned."""
+    (shaped like ``w``) and returned."""
     k = len(w) // 2
-    out = np.empty_like(w) if out is None else out
     np.add(w[:k], w[k:], out=out[:k])
     np.subtract(w[:k], w[k:], out=out[k:])
     return out
@@ -368,17 +371,14 @@ def _weight_gram(w: np.ndarray) -> np.ndarray:
     return wwt + _swap(_swap(wwt).T).T
 
 
-def _stacked_product(uv, sd: np.ndarray, out=None, vd=None) -> np.ndarray:
+def _stacked_product(uv, sd: np.ndarray, out: np.ndarray, vd: np.ndarray) -> np.ndarray:
     """[G; ΠGΠ]·W from ``uv`` = (U, V) and W's [s; d] ``sd``, written
     into ``out`` (4K × T) and returned: GW = U·s + V·d and
     ΠGΠW = Π(U·s − V·d), at half the flops of the direct product; see
     the module docstring for its rounding. U·s is formed in GW's rows of
-    ``out`` and V·d in ``vd`` (shaped like ``sd``); either not given is
-    allocated."""
+    ``out`` and V·d in ``vd`` (shaped like ``sd``)."""
     u, v = uv
     k = len(sd) // 2
-    out = np.empty((2 * len(sd), sd.shape[1])) if out is None else out
-    vd = np.empty_like(sd) if vd is None else vd
     top, bottom = out[: 2 * k], out[2 * k :]
     np.matmul(u, sd[:k], out=top)
     np.matmul(v, sd[k:], out=vd)
@@ -388,14 +388,16 @@ def _stacked_product(uv, sd: np.ndarray, out=None, vd=None) -> np.ndarray:
     return out
 
 
-def gram_terms(problem: NmfProblem, x: np.ndarray, out=None):
-    """The Gram terms of bases ``x``: the H update's stacked numerator
-    [Y_L; ΠY_R], written into ``out`` when given, and G's (U, V) of
-    ``_sum_difference``; when the bases are fixed, the segment's
-    numerator and the terms built at construction."""
+def gram_terms(problem: NmfProblem, state: NmfState):
+    """G's (U, V) of ``_sum_difference`` for ``state``'s bases, with the
+    H update's stacked numerator [Y_L; ΠY_R] in ``state.xtz``: with free
+    bases both formed here, with fixed ones the terms built at
+    construction and the numerator that ``set_part`` formed."""
     if problem.fixed_x is not None:
-        return problem.xtz, problem.uv
-    return _numerator(x, iter((problem.zp, problem.zn)), out), _sum_difference(x.T @ x)
+        return problem.uv
+    x = state.x
+    _numerator(x, iter((problem.zp, problem.zn)), state.xtz, state.xtz_sum)
+    return _sum_difference(x.T @ x)
 
 
 def _stacked_vdot(h: np.ndarray, stacked: np.ndarray) -> float:
@@ -404,49 +406,51 @@ def _stacked_vdot(h: np.ndarray, stacked: np.ndarray) -> float:
     return np.vdot(h, stacked[: len(h)]) + np.vdot(h, stacked[len(h) :])
 
 
-def objective(problem: NmfProblem, state: NmfState, xtz, uv) -> float:
-    """‖Zc − XH‖² of ``state`` from the Gram terms of ``gram_terms``; the
-    direct residual below ``GRAM_GUARD``·‖Z‖², where the Gram form
-    cancels. [s; d] of the weights goes into ``state.sd``, and with fixed
-    bases V·d into ``state.vd``, for ``complex_error``. The quadratic
-    term is ⟨H, XᵀX·H⟩ with fixed bases and ⟨G, H·Hᵀ⟩, G = [U + V, U − V],
-    with free ones: the product the next update needs, XᵀX·H or H·Hᵀ, is
-    left on ``state.carried``. The linear term reads the segment's
-    ``xtz_sum`` with fixed bases and ``xtz`` with free ones."""
+def objective(problem: NmfProblem, state: NmfState, uv) -> float:
+    """‖Zc − XH‖² of ``state`` from G's ``uv`` of ``gram_terms`` and the
+    state's numerator; the direct residual below ``GRAM_GUARD``·‖Z‖²,
+    where the Gram form cancels. [s; d] of the weights goes into
+    ``state.sd``, and with fixed bases V·d into ``state.vd``, for
+    ``complex_error``. The quadratic term is ⟨H, XᵀX·H⟩ with fixed bases
+    and ⟨G, H·Hᵀ⟩, G = [U + V, U − V], with free ones: the product the
+    next update needs, XᵀX·H or H·Hᵀ, is left on ``state.carried``. The
+    linear term reads ``state.xtz_sum`` with fixed bases and
+    ``state.xtz`` with free ones."""
     h = state.h
-    sd = state.sd = _sums(h, state.sd)
+    sd = _sums(h, state.sd)
     if problem.fixed_x is not None:
-        state.vd = np.empty_like(sd) if state.vd is None else state.vd
         state.carried = _stacked_product(uv, sd, state.product, state.vd)
         quad = _stacked_vdot(h, state.carried)
-        linear = np.vdot(h, problem.xtz_sum)
+        linear = np.vdot(h, state.xtz_sum)
     else:
         state.carried, (u, v) = _weight_gram(h), uv
         quad = np.vdot(np.hstack((u + v, u - v)), state.carried)  # ⟨G, H·Hᵀ⟩
-        linear = _stacked_vdot(h, xtz)
-    gram = problem.z_norm_sq - 2.0 * linear + quad
-    if gram < GRAM_GUARD * problem.z_norm_sq:
-        return _direct_residual(problem, state.x, sd)
+        linear = _stacked_vdot(h, state.xtz)
+    gram = state.z_norm_sq - 2.0 * linear + quad
+    if gram < GRAM_GUARD * state.z_norm_sq:
+        return _direct_residual(problem, state)
     return float(gram)
 
 
 def complex_error(problem: NmfProblem, state: NmfState) -> float:
     """The complex error ‖Zri − q·d‖² = ‖Z − X·d‖² of ``state``, with q
-    the bases' Xri and d the d of ``state.sd``. With fixed bases, after
-    an objective has seen the current weights, it is the Gram form
-    ‖Z‖² − 2⟨d, qᵀZri⟩ + ⟨d, qᵀq·d⟩ from terms the step already holds:
-    qᵀZri = ys[:K] − ys[K:] of the segment's ``xtz_sum`` ys, and
-    qᵀq = 2(V[:K] − V[K:]), so qᵀq·d = 2(vd[:K] − vd[K:]) of the
-    ``state.vd`` = V·d that the objective left; it costs no product.
-    Below ``GRAM_GUARD``·‖Z‖², where that form cancels, with free bases,
-    and when no objective has seen the weights, it is the second term of
+    the bases' Xri and d the d of ``state.sd``, after an objective has
+    seen the current weights; before one, ``RuntimeError``. With fixed
+    bases it is the Gram form ‖Z‖² − 2⟨d, qᵀZri⟩ + ⟨d, qᵀq·d⟩ from terms
+    the step already holds: qᵀZri = ys[:K] − ys[K:] of the part's
+    ``state.xtz_sum`` ys, and qᵀq = 2(V[:K] − V[K:]), so
+    qᵀq·d = 2(vd[:K] − vd[K:]) of the ``state.vd`` = V·d that the
+    objective left; it costs no product. Below ``GRAM_GUARD``·‖Z‖², where
+    that form cancels, and with free bases, it is the second term of
     ``_residuals``, formed directly."""
-    k = problem.rank
-    if problem.fixed_x is not None and state.carried is not None:
-        d, ys, vd = state.sd[k:], problem.xtz_sum, state.vd
+    if state.carried is None:
+        raise RuntimeError("no objective has seen the state's weights")
+    if problem.fixed_x is not None:
+        k = problem.rank
+        d, ys, vd = state.sd[k:], state.xtz_sum, state.vd
         linear = np.vdot(d, ys[:k]) - np.vdot(d, ys[k:])
         quad = 2.0 * (np.vdot(d, vd[:k]) - np.vdot(d, vd[k:]))
-        gram = problem.z_norm_sq - 2.0 * linear + quad
-        if gram >= GRAM_GUARD * problem.z_norm_sq:
+        gram = state.z_norm_sq - 2.0 * linear + quad
+        if gram >= GRAM_GUARD * state.z_norm_sq:
             return float(gram)
-    return _residuals(problem, state.x, state.sd, modulus=False)[1]
+    return _residuals(problem, state, modulus=False)[1]

@@ -6,7 +6,9 @@ the iterate of the solver's seeded start, which it never forms whole
 with fixed bases, the H-update denominator as the direct product
 [G; ΠGΠ]·W, which the solver forms from sums and differences, and a
 reference step on the 2K×2T block matrix H that uses the direct
-product."""
+product. The solver's own state of a part is built by ``part_state``."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,14 +20,32 @@ from cmfsep.linalg import (
     frobenius_norm_sq,
     split_complex,
 )
-from cmfsep.nmf import GRAM_GUARD, NmfState
+from cmfsep.nmf import GRAM_GUARD, NmfState, gram_terms, objective
+
+
+def part_state(problem, x, halves, frames=slice(None), seen=True) -> NmfState:
+    """The solver's state of ``problem``'s part over ``frames``, sized
+    for it: bases ``x`` and those frames of the weight ``halves``
+    (h⁺, h⁻). With ``seen``, after the objective that ``cmf._iterate``
+    runs before its first step, so that it can be stepped."""
+    width = len(range(problem.z.shape[1])[frames])
+    state = NmfState(problem, width).set_part(problem, x, halves, frames)
+    if seen:
+        objective(problem, state, gram_terms(problem, state))
+    return state
 
 
 def start_state(problem, seed, h_init=None) -> NmfState:
-    """The iterate of ``cmf._start``'s (x, h⁺, h⁻): the bases and the
+    """The state of ``cmf._start``'s (x, h⁺, h⁻): the bases and the
     weights W = [h⁺; h⁻] over all of ``problem``'s frames."""
-    x, hp, hm = _start(problem, seed, h_init)
-    return NmfState(x=x, h=np.concatenate((hp, hm)))
+    x, *halves = _start(problem, seed, h_init)
+    return part_state(problem, x, halves)
+
+
+def block_state(x, h):
+    """The iterate of ``reference_step``: bases ``x``, the 2K×2T block
+    matrix ``h`` and an empty history."""
+    return SimpleNamespace(x=x, h=h, objective_history=[])
 
 
 def assembled_zc(z) -> np.ndarray:

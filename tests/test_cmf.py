@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import cmfsep.cmf as cmf_mod
 import cmfsep.nmf as nmf_mod
-from blocks import assemble_hc, block_product_identity_check, start_state
+from blocks import assemble_hc, block_product_identity_check, part_state, start_state
 from cmfsep.blas import blas_threads, set_blas_threads
 from cmfsep.cmf import CmfResult, cmf_factorize, symmetrize_h
 from cmfsep.config import SepConfig
@@ -453,7 +453,7 @@ class TestGramCheckpointError:
 
         def both(problem, state):
             got = gram_form(problem, state)
-            pairs.append((got, nmf_mod._residuals(problem, state.x, state.sd, modulus=False)[1]))
+            pairs.append((got, nmf_mod._residuals(problem, state, modulus=False)[1]))
             return got
 
         monkeypatch.setattr(cmf_mod, "complex_error", both)
@@ -483,20 +483,19 @@ class TestGramCheckpointError:
         rng = np.random.default_rng(42)
         x = random_complex(rng, (7, 3))
         hp, hm = rng.random((2, 3, 60))
-        problem = nmf_mod.NmfProblem(z=x @ (hp - hm), rank=3, fixed_x=x).segment(slice(None))
-        state = nmf_mod.NmfState(x=problem.xc, h=np.concatenate((hp, hm)))
-        nmf_mod.objective(problem, state, *nmf_mod.gram_terms(problem, state.x))
+        problem = nmf_mod.NmfProblem(z=x @ (hp - hm), rank=3, fixed_x=x)
+        state = part_state(problem, problem.xc, (hp, hm))
         got = nmf_mod.complex_error(problem, state)
         assert got < nmf_mod.GRAM_GUARD * problem.z_norm_sq
-        assert got == nmf_mod._residuals(problem, state.x, state.sd, modulus=False)[1]
+        assert got == nmf_mod._residuals(problem, state, modulus=False)[1]
 
 
 def whole_fixed_solve(z, x, cfg, h_init=None):
     """The parent arithmetic of a fixed-basis solve: every frame stepped
-    at once on the segment of all frames, no stop rule. Returns h, the
+    at once as one part of all frames, no stop rule. Returns h, the
     history and the final complex error."""
     rank = x.shape[1]
-    problem = nmf_mod.NmfProblem(z=z, rank=rank, fixed_x=x).segment(slice(None))
+    problem = nmf_mod.NmfProblem(z=z, rank=rank, fixed_x=x)
     state = start_state(problem, cfg.seed, h_init)
     for _ in range(cfg.iters):
         cmf_mod.nmf_step(state, problem)
@@ -607,19 +606,71 @@ class TestPooledFixedSolve:
         assert pooled.final_error == serial.final_error
 
 
+def buffers(state):
+    """The flat buffers of ``state``: those it views per part, then the
+    scratch and, with free bases, the X update's."""
+    flat = [a for _, a in state._flat.values()] + [state.scratch]
+    return flat + [getattr(state, n) for n in ("xnum", "xratio", "xmask") if hasattr(state, n)]
+
+
 class TestWorkspace:
-    """A solve thread's ``_Workspace``."""
+    """A solve thread's workspace, its ``nmf.NmfState``."""
 
     @pytest.mark.parametrize("rows, rank, width", [(257, 80, FRAME_CHUNK), (3, 1, 1), (6, 3, 7)])
     def test_arrays_start_on_a_cache_line(self, rows, rank, width):
-        space = cmf_mod._Workspace(rows, rank, width)
-        arrays = vars(space).values()
+        rng = np.random.default_rng(width)
+        z, x = random_complex(rng, (rows, width)), random_complex(rng, (rows, rank))
+        problem = nmf_mod.NmfProblem(z=z, rank=rank, fixed_x=x)
+        state = nmf_mod.NmfState(problem, width)
+        arrays = buffers(state)
         assert len(arrays) == 8
         for a in arrays:
             assert a.ctypes.data % 64 == 0
             assert a.ndim == 1 and a.flags.c_contiguous and a.flags.writeable
-        assert space.mask.dtype == bool and space.mask.size == 2 * rank * width
-        assert space.scratch.size == 2 * rows * width
+        mask = state._flat["mask"][1]
+        assert mask.dtype == bool and mask.size == 2 * rank * width
+        assert state.scratch.size == 2 * rows * width
+
+    def test_free_state_adds_the_x_update_arrays(self):
+        # the X update's numerator, ratio and flush mask, shaped like the
+        # bases, and a residual scratch of one frame chunk at most
+        rng = np.random.default_rng(3)
+        rows, rank, cols = 5, 2, FRAME_CHUNK + 9
+        problem = nmf_mod.NmfProblem(z=random_complex(rng, (rows, cols)), rank=rank)
+        state = nmf_mod.NmfState(problem, cols)
+        arrays = buffers(state)
+        assert len(arrays) == 11
+        assert all(a.ctypes.data % 64 == 0 and a.flags.c_contiguous for a in arrays)
+        shape = (2 * rows, 2 * rank)
+        assert state.xnum.shape == state.xratio.shape == state.xmask.shape == shape
+        assert state.xmask.dtype == bool
+        assert state.scratch.size == 2 * rows * FRAME_CHUNK
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_each_thread_keeps_its_buffers(self, monkeypatch, two_blas_threads, pooled):
+        # each thread is pointed at its parts in turn, in the same arrays:
+        # every view a step writes starts where its buffer does
+        names = ("h", "xtz", "product", "xtz_sum", "mask", "sd", "vd")
+        seen = {}
+        step = cmf_mod.nmf_step
+
+        def recording(state, problem):
+            views = tuple(getattr(state, n).ctypes.data for n in names)
+            flat = tuple(state._flat[n][1].ctypes.data for n in names)
+            assert views == flat
+            parts = seen.setdefault(threading.get_ident(), {})
+            parts.setdefault(id(state.objective_history), set()).add((id(state), views))
+            return step(state, problem)
+
+        monkeypatch.setattr(cmf_mod, "nmf_step", recording)
+        if not pooled:
+            set_blas_threads(1)
+        z, x, h_init, cfg = segments_stopping_apart()
+        cmf_factorize(z, 3, cfg, fixed_x=x, checkpoint_every=50, h_init=h_init)
+        assert len(seen) == (2 if pooled else 1)
+        assert sum(map(len, seen.values())) == 3
+        for parts in seen.values():
+            assert len(set.union(*parts.values())) == 1
 
 
 class TestFixedSolveMemory:
@@ -711,10 +762,13 @@ class TestFixedSolveMemory:
 class TestFreeSolveMemory:
     def test_holds_the_sign_parts_and_one_step(self):
         # the sign parts of [Re Z; Im Z] take 2·z.nbytes, the bytes of
-        # Zc; beyond them a free solve holds its factors, one step's
-        # temporaries (a few arrays the size of W = [h+; h-]) and, at a
-        # checkpoint, one frame chunk of residual. Splitting Z and
-        # assembling Zc from the parts held 4·z.nbytes at once
+        # Zc; beyond them a free solve holds its state: two 4K × T arrays
+        # and four the size of W = [h+; h-] with W's flush mask (8⅛ W),
+        # three arrays shaped like the bases X for its X update (X's
+        # flush mask one of them) and one frame chunk of residual; and,
+        # while the state is built, the bases, the start's W and the
+        # output weights (½ W). Splitting Z and assembling Zc from the
+        # parts held 4·z.nbytes at once
         rng = np.random.default_rng(37)
         rows, rank, cols = 257, 4, 2048
         z = random_complex(rng, (rows, cols))
@@ -724,8 +778,38 @@ class TestFreeSolveMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        w_bytes = 2 * rank * cols * 8
-        assert peak < 2 * z.nbytes + 2 * rows * FRAME_CHUNK * 8 + 12 * w_bytes
+        w_bytes, x_bytes = 2 * rank * cols * 8, 2 * rows * 2 * rank * 8
+        state = 8.125 * w_bytes + 3.125 * x_bytes + 2 * rows * FRAME_CHUNK * 8
+        # rank-sized terms and the buffers' alignment padding stay below 64 kB
+        assert peak < 2 * z.nbytes + state + 1.5 * w_bytes + 64 * 1024
+
+    def test_a_step_allocates_nothing_frame_sized(self, monkeypatch):
+        # from the second step on, a step's traced peak above its entry is
+        # the same at 186 frames as at 624: only rank-sized arrays are
+        # formed (G, U, V and H·Hᵀ, at most 2K × 2K)
+        rows, rank, peaks = 257, 40, {}
+        step = cmf_mod.nmf_step
+
+        def sampled(state, problem):
+            calls.append(None)
+            if len(calls) < 2:
+                return step(state, problem)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = step(state, problem)
+            peaks[cols] = max(peaks.get(cols, 0), tracemalloc.get_traced_memory()[1] - base)
+            return out
+
+        monkeypatch.setattr(cmf_mod, "nmf_step", sampled)
+        for cols in (186, 624):
+            calls = []
+            z = random_complex(np.random.default_rng(cols), (rows, cols))
+            tracemalloc.start()
+            try:
+                cmf_factorize(z, rank, SepConfig(rank=rank, iters=4, tol=0.0))
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[624] - peaks[186]) < 16 * 1024
 
 
 class TestTracedCallPath:

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from blocks import (
     assembled_zc,
     block_coupling,
+    block_state,
     direct_denominator,
+    part_state,
     reference_step,
     stacked_numerator,
     start_state,
@@ -17,7 +19,6 @@ from cmfsep.linalg import FRAME_CHUNK, SAMPLE_CHUNK, frobenius_norm_sq
 from cmfsep.nmf import (
     GRAM_GUARD,
     NmfProblem,
-    NmfState,
     _direct_residual,
     _numerator,
     _residuals,
@@ -26,17 +27,26 @@ from cmfsep.nmf import (
     _sum_difference,
     _sums,
     _weight_gram,
+    complex_error,
     gram_terms,
     objective,
 )
 
 
 def tied(z, rank, fixed_x=None):
-    """The tied problem of complex ``z`` at complex rank ``rank``; with
-    fixed bases, its segment of all frames, which carries the numerator
-    that a step reads."""
-    problem = NmfProblem(z=z, rank=rank, fixed_x=fixed_x)
-    return problem if fixed_x is None else problem.segment(slice(None))
+    """The tied problem of complex ``z`` at complex rank ``rank``."""
+    return NmfProblem(z=z, rank=rank, fixed_x=fixed_x)
+
+
+def ones_halves(problem):
+    """Weight halves (h⁺, h⁻) of ones over all of ``problem``'s frames."""
+    return np.ones((2, problem.rank, problem.z.shape[1]))
+
+
+def stacked(uv, w):
+    """``_stacked_product`` of ``uv`` and W = ``w``, into new arrays."""
+    sd = _sums(w, np.empty_like(w))
+    return _stacked_product(uv, sd, np.empty((2 * len(w), w.shape[1])), np.empty_like(w))
 
 
 def random_complex(rng, shape):
@@ -115,15 +125,15 @@ class TestProblemValidation:
     @pytest.mark.parametrize("fixed", [False, True])
     def test_holds_sign_parts_and_no_block_matrix(self, fixed):
         # free bases read Z as the sign parts of Zri = [Re Z; Im Z], Zc's
-        # column halves, in two arrays; no problem, nor a segment of
-        # one, holds a 2F×2T array
+        # column halves, in two arrays; no problem, nor the state of a
+        # part of one, holds a 2F×2T array
         rng = np.random.default_rng(1)
         z = random_complex(rng, (5, 4))
         fixed_x = random_complex(rng, (5, 2)) if fixed else None
         problem = NmfProblem(z=z, rank=2, fixed_x=fixed_x)
         assert problem.z_norm_sq == pytest.approx(frobenius_norm_sq(assembled_zc(z)), rel=1e-15)
-        # only a segment builds a numerator
-        assert problem.xtz is None
+        # only a part's state builds a numerator
+        assert not hasattr(problem, "xtz")
         problems = [problem]
         if fixed:
             assert problem.zp is None and problem.zn is None
@@ -131,7 +141,7 @@ class TestProblemValidation:
             xri = np.concatenate((fixed_x.real, fixed_x.imag))
             assert np.array_equal(problem.pq[0], np.abs(xri))
             assert np.array_equal(problem.pq[1], xri)
-            problems.append(problem.segment(slice(None)))
+            problems.append(part_state(problem, problem.xc, ones_halves(problem)))
         else:
             zri, zc = np.concatenate((z.real, z.imag)), assembled_zc(z)
             assert np.array_equal(problem.zp, np.maximum(zri, 0.0))
@@ -144,9 +154,9 @@ class TestProblemValidation:
 
 
 class TestChunkedFixedTerms:
-    """With fixed bases the stacked numerator is formed over a segment's
-    own frames; at frame counts on both sides of the chunk width, that of
-    the segment of all frames must equal the one formed from the whole
+    """With fixed bases the stacked numerator is formed over a part's own
+    frames; at frame counts on both sides of the chunk width, that of
+    the part of all frames must equal the one formed from the whole
     assembled Zc. Each entry is a sum of nonnegative terms, so it is held
     to 1e-14 of itself."""
 
@@ -157,30 +167,36 @@ class TestChunkedFixedTerms:
         rng = np.random.default_rng(frames)
         z, x = random_complex(rng, (3, frames)), random_complex(rng, (3, 2))
         problem = tied(z, 2, fixed_x=x)
+        state = part_state(problem, problem.xc, ones_halves(problem))
         want = stacked_numerator(assembled_zc(x), assembled_zc(z))
-        assert problem.xtz.shape == want.shape == (8, frames)
-        np.testing.assert_allclose(problem.xtz, want, rtol=1e-14, atol=0)
+        assert state.xtz.shape == want.shape == (8, frames)
+        np.testing.assert_allclose(state.xtz, want, rtol=1e-14, atol=0)
 
 
 class TestSegment:
-    """``NmfProblem.segment``: the problem of a run of frames."""
+    """``NmfState.set_part``: the state of a run of frames."""
 
     def test_matches_the_problem_of_those_frames(self):
         rng = np.random.default_rng(8)
         z, x = random_complex(rng, (5, 40)), random_complex(rng, (5, 2))
         whole = tied(z, 2, fixed_x=x)
-        part = whole.segment(slice(10, 25))
-        alone = tied(z[:, 10:25], 2, fixed_x=x)
-        assert part.xc is whole.xc and part.pq is whole.pq and part.uv is whole.uv
+        halves = ones_halves(whole)
+        part = part_state(whole, whole.xc, halves, slice(10, 25))
+        alone_problem = tied(z[:, 10:25], 2, fixed_x=x)
+        alone = part_state(alone_problem, alone_problem.xc, halves[:, :, 10:25])
+        every = part_state(whole, whole.xc, halves)
+        # the part steps the problem's checked bases, not a copy
+        assert part.x is whole.xc
         assert part.z_norm_sq == alone.z_norm_sq
         assert np.array_equal(part.xtz, alone.xtz)
         # the numerator's halves summed, for the objective's linear term
         assert np.array_equal(part.xtz_sum, part.xtz[:4] + part.xtz[4:])
-        np.testing.assert_allclose(part.xtz, whole.xtz[:, 10:25], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(part.xtz, every.xtz[:, 10:25], rtol=1e-14, atol=0)
 
     def test_free_bases_do_not_split(self):
+        problem = random_problem(9)
         with pytest.raises(ValueError, match="fixed bases"):
-            random_problem(9).segment(slice(0, 1))
+            part_state(problem, np.ones((8, 4)), ones_halves(problem), slice(0, 1))
 
 
 class TestRotatedForm:
@@ -193,17 +209,14 @@ class TestRotatedForm:
     def test_numerator_equals_the_assembled_one(self, fixed):
         rng = np.random.default_rng(40)
         z = random_complex(rng, (30, 70))
-        if fixed:
-            problem = tied(z, 4, fixed_x=random_complex(rng, (30, 4)))
-            xc, got = problem.xc, problem.xtz
-        else:
-            xc = rng.random((60, 8))
-            got = gram_terms(tied(z, 4), xc)[0]
+        problem = tied(z, 4, fixed_x=random_complex(rng, (30, 4)) if fixed else None)
+        xc = problem.xc if fixed else rng.random((60, 8))
+        got = part_state(problem, xc, ones_halves(problem)).xtz
         want = stacked_numerator(xc, assembled_zc(z))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_sign_parts_take_turns_in_one_buffer(self):
-        # a segment's scratch holds [Re Z; Im Z], then Zc's column halves
+        # a part's scratch holds [Re Z; Im Z], then Zc's column halves
         rng = np.random.default_rng(41)
         z = random_complex(rng, (6, 9))
         zc, buf = assembled_zc(z), np.concatenate((z.real, z.imag))
@@ -211,8 +224,10 @@ class TestRotatedForm:
         assert next(parts) is buf and np.array_equal(buf, zc[:, :9])
         assert next(parts) is buf and np.array_equal(buf, zc[:, 9:])
         x = rng.random((12, 6))
-        got = _numerator(x, _sign_parts(z, np.concatenate((z.real, z.imag))))
-        assert np.array_equal(got, _numerator(x, iter((zc[:, :9], zc[:, 9:]))))
+        parts = _sign_parts(z, np.concatenate((z.real, z.imag)))
+        got = _numerator(x, parts, np.empty((12, 9)), np.empty((6, 9)))
+        want = _numerator(x, iter((zc[:, :9], zc[:, 9:])), np.empty((12, 9)), np.empty((6, 9)))
+        assert np.array_equal(got, want)
 
     def test_updates_keep_small_entries_accurate(self):
         # Z's parts mostly positive, with a few tiny negative entries,
@@ -233,7 +248,8 @@ class TestRotatedForm:
         x = rng.random((2 * rows, 2 * rank))
         h_minus = 1e-9 * rng.random((rank, cols))
         w = np.concatenate((rng.uniform(0.1, 1.0, (rank, cols)), h_minus))
-        got = gram_terms(problem, x)[0]
+        state = part_state(problem, x.copy(), np.split(w, 2))
+        got = state.xtz.copy()
         want = stacked_numerator(x, assembled_zc(z))
         assert np.max(want[2 * rank :]) < 1e-7 * np.min(want[: 2 * rank])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
@@ -241,7 +257,7 @@ class TestRotatedForm:
         assert np.max(hht[:rank, rank:]) < 1e-7 * np.min(hht[:rank, :rank])
         np.testing.assert_allclose(_weight_gram(w), hht, rtol=1e-13, atol=0)
         # the X update of one step, against the block step's
-        state, ref = NmfState(x=x.copy(), h=w.copy()), NmfState(x=x.copy(), h=assembled(w))
+        ref = block_state(x.copy(), assembled(w))
         nmf_step(state, problem)
         reference_step(ref, problem, block_coupling(rank, cols))
         assert np.max(ref.x[:, rank:]) < 1e-7 * np.max(ref.x[:, :rank])
@@ -257,13 +273,13 @@ class TestRotatedForm:
         problem = tied(z, rank, fixed_x=fixed_x)
         x = problem.xc if fixed else rng.random((2 * rows, 2 * rank))
         w = rng.random((2 * rank, cols))
-        sd = _sums(w)
-        ab, ri = _residuals(problem, x, sd)
+        state = part_state(problem, x, np.split(w, 2))
+        ab, ri = _residuals(problem, state)
         want = frobenius_norm_sq(assembled_zc(z) - x @ assembled(w))
         assert abs(0.5 * (ab + ri) - want) <= 1e-13 * want
-        assert _direct_residual(problem, x, sd) == 0.5 * (ab + ri)
+        assert _direct_residual(problem, state) == 0.5 * (ab + ri)
         # a checkpoint forms the complex error alone
-        assert _residuals(problem, x, sd, modulus=False) == (0.0, ri)
+        assert _residuals(problem, state, modulus=False) == (0.0, ri)
         # the q·d term is the complex error of the complex bases and the
         # signed weights
         complex_error = frobenius_norm_sq(z - _complex_bases(x) @ (w[:rank] - w[rank:]))
@@ -327,7 +343,7 @@ class TestStackedProduct:
         xc = assembled_zc(random_complex(rng, (30, 6)))
         w = rng.random((12, 40))
         want = direct_denominator(xc, w)
-        got = _stacked_product(_sum_difference(xc.T @ xc), _sums(w))
+        got = stacked(_sum_difference(xc.T @ xc), w)
         assert np.all(np.abs(got - want) <= 1e-13 * want)
 
     def test_cancellation_is_bounded_by_the_pair(self):
@@ -343,7 +359,7 @@ class TestStackedProduct:
         h_minus = rng.uniform(0.1, 1.0, (rank, 40))
         w = np.concatenate((1e-9 * rng.uniform(0.1, 1.0, (rank, 40)), h_minus))
         want = direct_denominator(xc, w)
-        got = _stacked_product(_sum_difference(g), _sums(w))
+        got = stacked(_sum_difference(g), w)
         d11, d21, d22, d12 = np.split(want, 4)
         assert np.max(d11 / d12) < 1e-7
         pairs = np.concatenate((d11 + d12, d21 + d22, d21 + d22, d11 + d12))
@@ -373,7 +389,7 @@ class TestStep:
         # so W stays [1; 1]. X H = [[1.5, 1.5], [0.5, 0.5]] leaves a
         # residual of 5.
         problem = tied(np.array([[3.0 - 1.0j]]), 1)
-        state = NmfState(x=np.ones((2, 2)), h=np.ones((2, 1)))
+        state = part_state(problem, np.ones((2, 2)), np.ones((2, 1, 1)))
         nmf_step(state, problem)
         np.testing.assert_allclose(state.x, [[0.75, 0.75], [0.25, 0.25]], rtol=1e-15)
         np.testing.assert_allclose(state.h, [[1.0], [1.0]], rtol=1e-15)
@@ -382,7 +398,7 @@ class TestStep:
     def test_exact_factorization_is_fixed_point(self):
         _, xc, w, z = planted_fit(np.random.default_rng(10), rows=4, rank=2, cols=5)
         problem = tied(z, 2)
-        state = NmfState(x=xc.copy(), h=w.copy())
+        state = part_state(problem, xc.copy(), np.split(w, 2))
         nmf_step(state, problem)
         np.testing.assert_allclose(state.x, xc, rtol=1e-12)
         np.testing.assert_allclose(state.h, w, rtol=1e-12)
@@ -446,7 +462,7 @@ def histories(problem, iters, seed=0):
     for _ in range(iters):
         nmf_step(state, problem)
         direct.append(frobenius_norm_sq(zc - state.x @ assembled(state.h)))
-        rotated.append(_direct_residual(problem, state.x, state.sd))
+        rotated.append(_direct_residual(problem, state))
     return np.array(state.objective_history), np.array(direct), np.array(rotated)
 
 
@@ -504,19 +520,43 @@ class TestCarriedProduct:
 
     @pytest.mark.parametrize("fixed", [False, True])
     def test_replacing_h_matches_a_fresh_state(self, fixed):
+        # weights written into the state, then an objective of them, as
+        # ``cmf._iterate`` runs before its first step
         rng = np.random.default_rng(20)
         fixed_x = random_complex(rng, (6, 2)) if fixed else None
         problem = tied(random_complex(rng, (6, 5)), 2, fixed_x=fixed_x)
         state = run_steps(problem, 5)
         h = rng.random((4, 5))
-        state.h = h.copy()
-        fresh = NmfState(x=state.x.copy(), h=h)
+        np.copyto(state.h, h)
+        objective(problem, state, gram_terms(problem, state))
+        fresh = part_state(problem, state.x.copy(), np.split(h, 2))
         for _ in range(5):
             nmf_step(state, problem)
             nmf_step(fresh, problem)
         assert state.objective_history[5:] == fresh.objective_history
         assert np.array_equal(state.x, fresh.x)
         assert np.array_equal(state.h, fresh.h)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_an_unseen_state_raises(self, fixed):
+        # a state pointed at a part holds no product of its weights until
+        # an objective has seen them; its buffers hold another iterate's
+        rng = np.random.default_rng(23)
+        fixed_x = random_complex(rng, (6, 2)) if fixed else None
+        problem = tied(random_complex(rng, (6, 5)), 2, fixed_x=fixed_x)
+        x = problem.xc if fixed else rng.random((12, 4))
+        state = part_state(problem, x, ones_halves(problem), seen=False)
+        with pytest.raises(RuntimeError, match="objective"):
+            nmf_step(state, problem)
+        with pytest.raises(RuntimeError, match="objective"):
+            complex_error(problem, state)
+        assert state.objective_history == []
+        # pointed at a part again, the stepped state forgets its product
+        objective(problem, state, gram_terms(problem, state))
+        nmf_step(state, problem)
+        state.set_part(problem, x, ones_halves(problem))
+        with pytest.raises(RuntimeError, match="objective"):
+            nmf_step(state, problem)
 
     @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("planted", [False, True])
@@ -531,11 +571,10 @@ class TestCarriedProduct:
             x, z = random_complex(rng, (rows, rank)), random_complex(rng, (rows, cols))
         problem = tied(z, rank, fixed_x=x if fixed else None)
         # set up as cmf_factorize does: the seeded start, then an
-        # objective that seeds the carried product; the oracle steps the
-        # block matrix of the same start
+        # objective that seeds the carried product (``start_state`` runs
+        # it); the oracle steps the block matrix of the same start
         state = start_state(problem, 3)
-        ref = NmfState(x=state.x.copy(), h=assembled(state.h))
-        objective(problem, state, *gram_terms(problem, state.x))
+        ref = block_state(state.x.copy(), assembled(state.h))
         couple = block_coupling(rank, cols)
         for _ in range(300):
             nmf_step(state, problem)
@@ -572,7 +611,7 @@ class TestCarriedProduct:
         res = cmf_factorize(z, rank, cfg, fixed_x=x)
         problem = tied(z, rank, fixed_x=x)
         state = start_state(problem, cfg.seed)
-        ref = NmfState(x=state.x.copy(), h=assembled(state.h))
+        ref = block_state(state.x.copy(), assembled(state.h))
         couple = block_coupling(rank, cols)
         for _ in range(cfg.iters):
             reference_step(ref, problem, couple)

@@ -15,6 +15,7 @@ from cmfsep.io_wav import read_wav, write_wav
 from cmfsep.linalg import SAMPLE_CHUNK
 from cmfsep.separation import BasisSet
 from cmfsep.stft import Signal, StftConfig
+from wav_reference import write_wav as reference_write_wav
 
 
 def random_basis(seed=0, rank=3):
@@ -126,7 +127,8 @@ class TestWav:
         assert not p.exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("at", [0, -1, SAMPLE_CHUNK, 2 * SAMPLE_CHUNK])
+    # the first and last samples, and either end of a later chunk
+    @pytest.mark.parametrize("at", [0, -1, SAMPLE_CHUNK, 2 * SAMPLE_CHUNK - 1, 2 * SAMPLE_CHUNK])
     @pytest.mark.parametrize("bit_depth", ["pcm16", "float32"])
     def test_rejects_samples_made_non_finite_in_any_chunk(self, tmp_path, bad, at, bit_depth):
         sig = Signal(np.linspace(-1.0, 1.0, 2 * SAMPLE_CHUNK + 3), 16000)
@@ -275,6 +277,55 @@ class TestWavMalformed:
         cut.write_bytes(ref.read_bytes()[:-501])
         assert cli_main(["eval", "--ref", str(ref), "--est", str(cut)]) == EXIT_DATA
         assert "header claims 2000 bytes, file holds 1499" in capsys.readouterr().err
+
+
+def edge_signal(kind, size, seed=0):
+    """``size`` samples: in range, mostly clipped, or in range with the
+    edge values of the pcm16 scaling (±1, ±32767.5/32768, ±0.5/32768)
+    strewn over every chunk."""
+    rng = np.random.default_rng(seed)
+    if kind == "clipped":
+        return rng.uniform(-3.0, 3.0, size)
+    x = rng.uniform(-0.99, 0.99, size)
+    if kind == "edges":
+        edges = np.array([-32768.0, 32768.0, -32767.5, 32767.5, -0.5, 0.5]) / 32768
+        at = rng.choice(size, min(size, 600), replace=False)
+        x[at] = np.resize(edges, at.size)
+    return x
+
+
+class TestWavWriteReference:
+    """The writer against ``wav_reference``'s nine-pass one, at lengths
+    around the chunk width and over several chunks."""
+
+    @pytest.mark.parametrize("kind", ["in_range", "clipped", "edges"])
+    @pytest.mark.parametrize(
+        "size", [SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 17]
+    )
+    @pytest.mark.parametrize("bit_depth", ["pcm16", "float32"])
+    def test_bytes_and_clip_count_match(self, tmp_path, caplog, kind, size, bit_depth):
+        sig = Signal(edge_signal(kind, size, seed=size), 16000)
+        got, want = tmp_path / "got.wav", tmp_path / "want.wav"
+        with caplog.at_level(logging.WARNING, logger="cmfsep.io_wav"):
+            write_wav(got, sig, bit_depth)
+        clipped = reference_write_wav(want, sig, bit_depth)
+        assert got.read_bytes() == want.read_bytes()
+        assert (kind == "clipped") == (clipped > 0)
+        warnings = [r.getMessage() for r in caplog.records if r.name == "cmfsep.io_wav"]
+        assert warnings == ([f"{got}: clipped {clipped} samples to [-1, 1]"] if clipped else [])
+
+    @pytest.mark.parametrize("bit_depth", ["pcm16", "float32"])
+    def test_only_a_chunk_past_full_scale_is_clipped(self, tmp_path, caplog, bit_depth):
+        # one sample past full scale at the last sample of the middle chunk
+        x = edge_signal("edges", 3 * SAMPLE_CHUNK)
+        x[2 * SAMPLE_CHUNK - 1] = -1.25
+        sig = Signal(x, 16000)
+        got, want = tmp_path / "got.wav", tmp_path / "want.wav"
+        with caplog.at_level(logging.WARNING, logger="cmfsep.io_wav"):
+            write_wav(got, sig, bit_depth)
+        assert reference_write_wav(want, sig, bit_depth) == 1
+        assert got.read_bytes() == want.read_bytes()
+        assert "clipped 1 samples" in caplog.text
 
 
 class _Untouched(np.ndarray):
