@@ -34,13 +34,14 @@ difference of G's column halves: half the flops of the direct product,
 with the rounding bound that the ``nmf`` docstring states. With fixed
 bases that product is the one the last objective carried, and the
 update's ratio is formed in place in its buffer; with free bases it is
-formed from the new G. That ratio's halves, [R11; R21] and [R22; R12],
-both line up with W, so ``_tie_ratio`` averages them into W's
-multiplier in the ratio's top half. The X update's numerator is
-Zc·Hᵀ = [Zp·h⁺ᵀ + Zn·h⁻ᵀ, Zp·h⁻ᵀ + Zn·h⁺ᵀ], from the two products Zp·Wᵀ
-and Zn·Wᵀ, and its denominator is X times the H·Hᵀ that the last
-objective carried (``nmf._weight_gram``); so H is never formed, and
-every entry of both is a sum of nonnegative terms.
+formed from the (U, V) of the new bases, whose terms the state forms
+after the X update (``nmf.NmfState.bases_terms``). That ratio's halves,
+[R11; R21] and [R22; R12], both line up with W, so ``_tie_ratio``
+averages them into W's multiplier in the ratio's top half. The X
+update's numerator is Zc·Hᵀ = [Zp·h⁺ᵀ + Zn·h⁻ᵀ, Zp·h⁻ᵀ + Zn·h⁺ᵀ], from
+the two products Zp·Wᵀ and Zn·Wᵀ, and its denominator is X times the
+H·Hᵀ that the last objective carried (``nmf._weight_gram``); so H is
+never formed, and every entry of both is a sum of nonnegative terms.
 
 The complex-domain error ‖Z − Xh‖² of a checkpoint is the second of the
 two residual terms of ``nmf._residuals``, with q = [Re X; Im X] and
@@ -62,11 +63,11 @@ part (``blas.solve_threads``), each product on one BLAS thread while
 they run; the calling thread is one of them, and with one thread none
 is started. Each thread steps its parts in one ``nmf.NmfState``, built
 before any thread starts and pointed at each part in turn
-(``NmfState.set_part``, which builds the part's numerator); a free solve
-steps its one part in a state of its own. So no step allocates anything
-frame-sized. A part's arithmetic does not depend on the thread or the
-arrays it runs in, so the result is the same however many threads run
-the parts.
+(``NmfState.set_part``, which forms the terms of the part's bases that
+the steps read; see ``nmf``); a free solve steps its one part in a state
+of its own. So no step allocates anything frame-sized. A part's
+arithmetic does not depend on the thread or the arrays it runs in, so
+the result is the same however many threads run the parts.
 Every part's start comes from one ``_start`` over all frames: its
 bases, and its frames of the start's weight halves. Each chunk stops on
 its own objective; the histories, and the complex errors that each
@@ -101,7 +102,6 @@ from .nmf import (
     _stacked_product,
     _swap,
     complex_error,
-    gram_terms,
     objective,
 )
 
@@ -189,9 +189,9 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
         np.maximum(ratio, EPSILON, out=ratio)
         x *= np.divide(num, ratio, out=ratio)
         _flush(x, state.xmask)
-    uv = gram_terms(problem, state)
-    if problem.fixed_x is None:
-        _stacked_product(uv, state.sd, state.product, state.vd)
+        # the new bases' terms, and from them the H-update denominator
+        state.bases_terms(problem)
+        _stacked_product(state.uv, state.sd, state.product, state.vd)
     # the H-update ratio is formed in place in XᵀX·H's buffer, which
     # holds the carried product when the bases are fixed
     ratio, state.carried = state.product, None
@@ -199,7 +199,7 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
     np.divide(state.xtz, ratio, out=ratio)
     h *= _tie_ratio(ratio)
     _flush(h, state.mask)
-    state.objective_history.append(objective(problem, state, uv))
+    state.objective_history.append(objective(problem, state))
     return state
 
 
@@ -243,14 +243,14 @@ def _start(problem: NmfProblem, seed: int, h_init=None):
 
 def _iterate(problem: NmfProblem, state: NmfState, cfg: SepConfig, checkpoint_every: int, h):
     """Step ``state`` until the stop rule fires or ``cfg.iters`` steps
-    are taken. At every ``checkpoint_every``-th step and at the last,
-    write the signed weights h⁺ − h⁻, the d of the state's [s; d], into
-    ``h`` and take the complex error (``nmf.complex_error``); return the
-    errors as {iteration: complex error}. The block objectives are
+    are taken, taking the complex error (``nmf.complex_error``) at every
+    ``checkpoint_every``-th step and at the last; then write the signed
+    weights h⁺ − h⁻, the d of the state's [s; d], into ``h``. Returns
+    the errors as {iteration: complex error}. The block objectives are
     ``state.objective_history``."""
     errors = {}
     # also leaves on the state the product the first update needs
-    prev = objective(problem, state, gram_terms(problem, state))
+    prev = objective(problem, state)
     for it in range(1, cfg.iters + 1):
         nmf_step(state, problem)
         cur = state.objective_history[-1]
@@ -260,11 +260,11 @@ def _iterate(problem: NmfProblem, state: NmfState, cfg: SepConfig, checkpoint_ev
             or it == cfg.iters
             or (checkpoint_every > 0 and it % checkpoint_every == 0)
         ):
-            np.copyto(h, state.sd[problem.rank :])
             errors[it] = complex_error(problem, state)
         if stopping:
             break
         prev = cur
+    np.copyto(h, state.sd[problem.rank :])
     return errors
 
 

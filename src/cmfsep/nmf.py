@@ -1,7 +1,8 @@
 """The tied nonnegative problem of the complex-factorization reduction
-and its algebra: the problem, the iterate, the stacked Gram terms, the
-residuals and the objective. The update step (``cmf.nmf_step``), the
-iterate-and-stop loop and the seeded start live in ``cmf``.
+and its algebra: the problem, the state of a solve with the terms of its
+bases, the residuals and the objective. The update step
+(``cmf.nmf_step``), the iterate-and-stop loop and the seeded start live
+in ``cmf``.
 
 The problem is built from complex data Z (F×T) at complex rank K. Its
 nonnegative form, the 2F×2T block matrix Zc of Z's split, is factored
@@ -30,15 +31,25 @@ about ε of the partner and could round below 0, which the update and
 bases ``NmfProblem`` holds Zp and Zn (2F×T each, Zc's bytes, in two
 arrays). The H update's numerator is stacked as [Y_L; ΠY_R] from the
 column halves of Y = XᵀZc: ``_numerator`` forms Y_L = XᵀZp and
-ΠY_R = [X_Rᵀ; X_Lᵀ]·Zn, at the flops of XᵀZc. Its denominator is the
-product [G; ΠGΠ]·W with G = XᵀX, which covers both column halves of H.
-With fixed bases each frame's weights update on their own, so the
-problem is solved in parts, runs of frames: ``NmfState.set_part`` forms
-a part's numerator in the state's 2F-row scratch, which holds Zri, then
-Zp and then Zn. ``cmf.cmf_factorize`` solves parts of at most
-``linalg.FRAME_CHUNK`` frames, one per thread at a time, so it never
-forms the whole numerator. The state also keeps the numerator's two
-halves summed, Y_L + ΠY_R, so a part's linear term is one ⟨W, ·⟩.
+ΠY_R = [X_Rᵀ; X_Lᵀ]·Zn, at the flops of XᵀZc, and its summed halves
+Y_L + ΠY_R. Its denominator is the product [G; ΠGΠ]·W with G = XᵀX,
+which covers both column halves of H.
+
+The terms of the bases that a step reads are held by the solve's
+``NmfState``, for its current bases, and formed once per bases:
+(U, V) of G (below), the stacked numerator and its summed halves, and
+with free bases G itself. ``NmfState.set_part`` forms them when it
+points the state at a part. With fixed bases (U, V) is the problem's,
+built with the block bases at construction. Each frame's weights then
+update on their own, so the problem is solved in parts, runs of frames:
+``set_part`` forms a part's numerator in the state's 2F-row scratch,
+which holds Zri, then Zp and then Zn, and ``cmf.cmf_factorize`` solves
+parts of at most ``linalg.FRAME_CHUNK`` frames, one per thread at a
+time, so it never forms the whole numerator. With free bases the part
+is all frames, since the X update couples them, and
+``NmfState.bases_terms`` forms the terms from the bases and the
+problem's Zp and Zn, at ``set_part`` and again after each step's X
+update.
 
 The H update's denominator product is formed at half the flops of the
 (4K×2K)·(2K×T) one, from [s; d] (``_sums``). With U and V half the sum
@@ -63,20 +74,19 @@ direct product's accuracy.
 ``NmfProblem`` computes ‖Z‖² once, from the complex Z (a fixed-basis
 part's from its Zri, in ``NmfState.set_part``), and checks Z finite
 from it (``linalg.all_finite``): a finite ‖Z‖² has only finite terms,
-so Z's exact mask is taken only when it is not finite. With fixed bases G's (U, V) are built with the block bases,
-at construction; with free ones a step computes them from its new X and
-shares them between the H update and the objective. The objective is the
-Gram form ``‖Z‖² − 2⟨H, XᵀZc⟩ + ⟨H, XᵀX H⟩``, which costs no 2F×T
-residual; each inner product over H is the sum of two over W, one per
-row block of the stacked term.
+so Z's exact mask is taken only when it is not finite. The objective is
+the Gram form ``‖Z‖² − 2⟨H, XᵀZc⟩ + ⟨H, XᵀX H⟩``, which costs no 2F×T
+residual and reads the state's terms of the bases. Its linear term is
+⟨W, Y_L + ΠY_R⟩, one inner product over W, for free and fixed bases
+alike.
 
 Its quadratic term is taken from the product the next update needs, so
 a step forms one quadratic product fewer. With fixed bases it is
 ⟨W, [G; ΠGΠ]·W⟩ summed over the two row blocks, and that product becomes
-the next H-update denominator. With free bases it is ⟨G, H·Hᵀ⟩, where
-H·Hᵀ = [[E, F], [F, E]] with E = h⁺h⁺ᵀ + h⁻h⁻ᵀ and F = h⁺h⁻ᵀ + h⁻h⁺ᵀ
-is formed from W·Wᵀ (``_weight_gram``), as sums of nonnegative terms,
-and goes into the next X update's denominator. The product is kept as
+the next H-update denominator. With free bases it is ⟨G, H·Hᵀ⟩ of the
+state's G, where H·Hᵀ = [[E, F], [F, E]] with E = h⁺h⁺ᵀ + h⁻h⁻ᵀ and
+F = h⁺h⁻ᵀ + h⁻h⁺ᵀ is formed from W·Wᵀ (``_weight_gram``), as sums of
+nonnegative terms, and goes into the next X update's denominator. The product is kept as
 ``NmfState.carried``. ``cmf._iterate`` runs an objective before the
 first step and every step ends with one, so a step and a checkpoint
 always find the product of the current weights; on a state that no
@@ -117,7 +127,6 @@ __all__ = [
     "NmfProblem",
     "NmfState",
     "complex_error",
-    "gram_terms",
     "objective",
 ]
 
@@ -140,8 +149,9 @@ class NmfProblem:
     bases ``pq`` = (p, q) = (|Xri|, Xri) with Xri = [Re X; Im X], which
     the residuals read (kept, so that a checkpoint allocates no
     bases-sized arrays), and the sum and difference halves
-    ``uv`` = (U, V) of G = XcᵀXc (``gram_terms``). Nothing that depends on
-    the iterate or on a part's frames is held here; that is the state's.
+    ``uv`` = (U, V) of G = XcᵀXc (``_sum_difference``), which every
+    part's state takes. Nothing that depends on the iterate or on a
+    part's frames is held here; that is the state's.
     """
 
     z: np.ndarray
@@ -194,16 +204,18 @@ def _sign_parts(z: np.ndarray, zri: np.ndarray):
     yield zri
 
 
-def _numerator(x: np.ndarray, parts, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def _numerator(x: np.ndarray, parts, out: np.ndarray, summed: np.ndarray) -> np.ndarray:
     """[Y_L; ΠY_R] of Y = xᵀ·Zc, written into ``out`` (4K × T) and
-    returned: Y_L = xᵀ·Zp and Y_R = xᵀ·Zn, for the sign parts Zp and Zn
-    that the iterator ``parts`` yields in that order, Y_R formed in
-    ``tmp`` (2K × T) and copied in with its row halves swapped. Every
-    entry is a sum of nonnegative terms."""
+    returned, and its summed halves Y_L + ΠY_R into ``summed`` (2K × T):
+    Y_L = xᵀ·Zp and Y_R = xᵀ·Zn, for the sign parts Zp and Zn that the
+    iterator ``parts`` yields in that order, Y_R formed in ``summed``
+    and copied in with its row halves swapped. Every entry of ``out`` is
+    a sum of nonnegative terms."""
     k = x.shape[1] // 2
     np.matmul(x.T, next(parts), out=out[: 2 * k])
-    y_r = np.matmul(x.T, next(parts), out=tmp)
+    y_r = np.matmul(x.T, next(parts), out=summed)
     out[2 * k : 3 * k], out[3 * k :] = y_r[k:], y_r[:k]
+    np.add(out[: 2 * k], out[2 * k :], out=summed)
     return out
 
 
@@ -267,8 +279,8 @@ class NmfState:
     leading part of each, viewed as rows × frames: the stacked numerator
     ``xtz`` and the XᵀX·H ``product`` of the H update, in which its
     ratio is formed (4K rows each); ``xtz_sum``, which holds Y_R while a
-    numerator is formed and then, with fixed bases, the numerator's
-    summed halves Y_L + ΠY_R; the weights ``h`` = W = [h⁺; h⁻], the mask
+    numerator is formed and then the numerator's summed halves
+    Y_L + ΠY_R; the weights ``h`` = W = [h⁺; h⁻], the mask
     ``mask`` of ``cmf``'s flush of them, their sums and differences
     ``sd`` = [s; d] (``_sums``) and the product ``vd`` = V·d (2K rows
     each); and ``scratch``, which holds the residuals (``_residuals``)
@@ -282,12 +294,17 @@ class NmfState:
     elementwise passes over them run faster aligned, and alignment
     changes no result.
 
-    ``x`` is the part's 2F×2K block bases and ``objective_history`` its
-    objectives. ``carried`` is the quadratic product the last objective
-    computed from the current weights for the next update: the stacked
-    XᵀX·H, in ``product``, when the bases are fixed, H·Hᵀ
-    (``_weight_gram``) when they are free. A step consumes it, and None
-    means no objective has seen the weights since.
+    ``x`` is the part's 2F×2K block bases and ``uv`` (U, V) of their
+    G = XᵀX (``_sum_difference``); with free bases ``gram`` is G itself.
+    With ``xtz`` and ``xtz_sum`` these are the terms of the bases that a
+    step reads, formed by ``set_part`` and, for free bases, again by
+    ``bases_terms`` after each X update (see the module docstring).
+    ``objective_history`` holds the part's objectives. ``carried`` is
+    the quadratic product the last objective computed from the current
+    weights for the next update: the stacked XᵀX·H, in ``product``, when
+    the bases are fixed, H·Hᵀ (``_weight_gram``) when they are free. A
+    step consumes it, and None means no objective has seen the weights
+    since.
     """
 
     def __init__(self, problem: NmfProblem, width: int):
@@ -314,12 +331,13 @@ class NmfState:
 
     def set_part(self, problem: NmfProblem, x: np.ndarray, halves, frames=slice(None)):
         """Point the state at the part of ``problem`` over the frames
-        ``frames`` and return it: the bases ``x``, those frames of the
-        weight ``halves`` (h⁺, h⁻) copied into its weights, a fresh
-        history and no carried product. With fixed bases the part's ‖Z‖²
-        and numerator are formed here, from its frames' Zri in
-        ``scratch``; with free ones the part is all frames, since the X
-        update couples them, and a step forms the numerator."""
+        ``frames`` and return it: the bases ``x`` with their terms, those
+        frames of the weight ``halves`` (h⁺, h⁻) copied into its weights,
+        a fresh history and no carried product. With fixed bases the
+        terms are the problem's ``uv`` and the part's numerator, formed
+        here with its ‖Z‖² from its frames' Zri in ``scratch``; with free
+        ones the part is all frames, since the X update couples them,
+        and ``bases_terms`` forms them."""
         k, rows = problem.rank, len(problem.z)
         self.z = problem.z[:, frames]
         n = self.z.shape[1]
@@ -331,12 +349,25 @@ class NmfState:
         self.x, self.objective_history, self.carried = x, [], None
         if problem.fixed_x is None:
             self.z_norm_sq = problem.z_norm_sq
-            return self
+            return self.bases_terms(problem)
         zri = self.scratch[: 2 * rows * n].reshape(2 * rows, n)
         np.concatenate((self.z.real, self.z.imag), out=zri)
         self.z_norm_sq = frobenius_norm_sq(zri)
+        self.uv = problem.uv
         _numerator(problem.xc, _sign_parts(self.z, zri), self.xtz, self.xtz_sum)
-        np.add(self.xtz[: 2 * k], self.xtz[2 * k :], out=self.xtz_sum)
+        return self
+
+    def bases_terms(self, problem: NmfProblem):
+        """Form the terms of the free bases X = ``x`` that a step reads
+        and return the state: ``gram`` G = XᵀX, its (U, V) ``uv``
+        (``_sum_difference``), and the stacked numerator ``xtz`` with its
+        summed halves ``xtz_sum`` (``_numerator``) from the problem's sign
+        parts. ``set_part`` calls it, and ``cmf.nmf_step`` after each X
+        update."""
+        x = self.x
+        self.gram = x.T @ x
+        self.uv = _sum_difference(self.gram)
+        _numerator(x, iter((problem.zp, problem.zn)), self.xtz, self.xtz_sum)
         return self
 
 
@@ -388,45 +419,27 @@ def _stacked_product(uv, sd: np.ndarray, out: np.ndarray, vd: np.ndarray) -> np.
     return out
 
 
-def gram_terms(problem: NmfProblem, state: NmfState):
-    """G's (U, V) of ``_sum_difference`` for ``state``'s bases, with the
-    H update's stacked numerator [Y_L; ΠY_R] in ``state.xtz``: with free
-    bases both formed here, with fixed ones the terms built at
-    construction and the numerator that ``set_part`` formed."""
-    if problem.fixed_x is not None:
-        return problem.uv
-    x = state.x
-    _numerator(x, iter((problem.zp, problem.zn)), state.xtz, state.xtz_sum)
-    return _sum_difference(x.T @ x)
-
-
-def _stacked_vdot(h: np.ndarray, stacked: np.ndarray) -> float:
-    """⟨H, ·⟩ of a stacked term: the sum of ⟨W, block⟩ over its two row
-    blocks."""
-    return np.vdot(h, stacked[: len(h)]) + np.vdot(h, stacked[len(h) :])
-
-
-def objective(problem: NmfProblem, state: NmfState, uv) -> float:
-    """‖Zc − XH‖² of ``state`` from G's ``uv`` of ``gram_terms`` and the
-    state's numerator; the direct residual below ``GRAM_GUARD``·‖Z‖²,
-    where the Gram form cancels. [s; d] of the weights goes into
+def objective(problem: NmfProblem, state: NmfState) -> float:
+    """‖Zc − XH‖² of ``state``, from the terms of its bases; the direct
+    residual below ``GRAM_GUARD``·‖Z‖², where the Gram form cancels. The
+    linear term is ⟨W, Y_L + ΠY_R⟩ of ``state.xtz_sum``. The quadratic
+    term is taken from the product the next update needs, which is left
+    on ``state.carried``: with fixed bases ⟨H, XᵀX·H⟩, the sum of ⟨W, ·⟩
+    over the two row blocks of the stacked XᵀX·H (``_stacked_product``
+    of ``state.uv``); with free ones ⟨G, H·Hᵀ⟩ of ``state.gram`` and
+    H·Hᵀ (``_weight_gram``). [s; d] of the weights goes into
     ``state.sd``, and with fixed bases V·d into ``state.vd``, for
-    ``complex_error``. The quadratic term is ⟨H, XᵀX·H⟩ with fixed bases
-    and ⟨G, H·Hᵀ⟩, G = [U + V, U − V], with free ones: the product the
-    next update needs, XᵀX·H or H·Hᵀ, is left on ``state.carried``. The
-    linear term reads ``state.xtz_sum`` with fixed bases and
-    ``state.xtz`` with free ones."""
+    ``complex_error``."""
     h = state.h
     sd = _sums(h, state.sd)
     if problem.fixed_x is not None:
-        state.carried = _stacked_product(uv, sd, state.product, state.vd)
-        quad = _stacked_vdot(h, state.carried)
-        linear = np.vdot(h, state.xtz_sum)
+        carried = _stacked_product(state.uv, sd, state.product, state.vd)
+        quad = np.vdot(h, carried[: len(h)]) + np.vdot(h, carried[len(h) :])
     else:
-        state.carried, (u, v) = _weight_gram(h), uv
-        quad = np.vdot(np.hstack((u + v, u - v)), state.carried)  # ⟨G, H·Hᵀ⟩
-        linear = _stacked_vdot(h, state.xtz)
-    gram = state.z_norm_sq - 2.0 * linear + quad
+        carried = _weight_gram(h)
+        quad = np.vdot(state.gram, carried)
+    state.carried = carried
+    gram = state.z_norm_sq - 2.0 * np.vdot(h, state.xtz_sum) + quad
     if gram < GRAM_GUARD * state.z_norm_sq:
         return _direct_residual(problem, state)
     return float(gram)

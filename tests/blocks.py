@@ -20,7 +20,7 @@ from cmfsep.linalg import (
     frobenius_norm_sq,
     split_complex,
 )
-from cmfsep.nmf import GRAM_GUARD, NmfState, gram_terms, objective
+from cmfsep.nmf import GRAM_GUARD, NmfState, objective
 
 
 def part_state(problem, x, halves, frames=slice(None), seen=True) -> NmfState:
@@ -31,7 +31,7 @@ def part_state(problem, x, halves, frames=slice(None), seen=True) -> NmfState:
     width = len(range(problem.z.shape[1])[frames])
     state = NmfState(problem, width).set_part(problem, x, halves, frames)
     if seen:
-        objective(problem, state, gram_terms(problem, state))
+        objective(problem, state)
     return state
 
 

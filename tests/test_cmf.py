@@ -1009,3 +1009,28 @@ class TestStatedConvergenceTargets:
             res = cmf_factorize(z, 40, SepConfig(rank=40, iters=500, seed=seed))
             rels.append(np.sqrt(res.final_error / frobenius_norm_sq(z)))
         assert np.median(rels) <= 0.05
+
+
+class TestDescentFromOtherStarts:
+    """Criterion 3's monotone descent, from a start other than the
+    seeded draw: problem 0 of ``test_acceptance.descent_runs`` started
+    from the tied weight draw (0, 0), its left block given as
+    ``h_init``. Of the 20 problems, each from ten such draws, 10 of 200
+    solves rise by more than 1e-9, at one BLAS thread and at two."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the tie multiplies W by the mean of its two block ratios, "
+        "which is not the majorize-minimize step of the tied problem (the "
+        "summed numerators over the summed denominators), so Lee and "
+        "Seung's descent proof does not cover it; from this start the "
+        "block objective rises from 501.940658 to 501.941647 at "
+        "iteration 288",
+    )
+    def test_objective_nonincreasing_from_another_start(self):
+        z = random_complex(np.random.default_rng(0), (32, 24))
+        hc = np.maximum(np.random.default_rng((0, 0)).random((16, 48)), cmf_mod.EPSILON)
+        w = cmf_mod._make_coupling(8, 24)(hc)[:, :24]
+        cfg = SepConfig(rank=8, iters=300, tol=0.0, seed=0)
+        hist = cmf_factorize(z, 8, cfg, h_init=np.split(w, 2)).objective_history
+        assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))

@@ -28,7 +28,6 @@ from cmfsep.nmf import (
     _sums,
     _weight_gram,
     complex_error,
-    gram_terms,
     objective,
 )
 
@@ -514,6 +513,39 @@ class TestGramObjective:
         assert np.all(np.abs(recorded[below] - direct[below]) <= 1e-12 * direct[below])
 
 
+class TestBasesTerms:
+    """The terms of a state's bases, which its steps read: with free
+    bases G = XᵀX, its (U, V), the stacked numerator [Y_L; ΠY_R] and
+    Y_L + ΠY_R, formed by ``set_part`` and again after each X update;
+    with fixed ones the problem's (U, V) and the part's numerator."""
+
+    def test_free_terms_follow_the_current_bases(self):
+        rng = np.random.default_rng(50)
+        z = random_complex(rng, (12, 20))
+        problem = tied(z, 3)
+        state = part_state(problem, rng.random((24, 6)), np.split(rng.random((6, 20)), 2))
+        zc = assembled_zc(z)
+        for step in range(4):
+            if step:
+                nmf_step(state, problem)
+            x = state.x
+            np.testing.assert_allclose(state.gram, x.T @ x, rtol=1e-14, atol=0)
+            for got, want in zip(state.uv, _sum_difference(x.T @ x)):
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+            want = stacked_numerator(x, zc)
+            np.testing.assert_allclose(state.xtz, want, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(state.xtz_sum, want[:6] + want[6:], rtol=1e-14, atol=0)
+
+    def test_fixed_terms_are_the_problems(self):
+        rng = np.random.default_rng(51)
+        problem = tied(random_complex(rng, (12, 20)), 3, fixed_x=random_complex(rng, (12, 3)))
+        state = part_state(problem, problem.xc, ones_halves(problem), slice(4, 15))
+        assert state.uv is problem.uv
+        want = stacked_numerator(problem.xc, assembled_zc(problem.z[:, 4:15]))
+        np.testing.assert_allclose(state.xtz, want, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(state.xtz_sum, want[:6] + want[6:], rtol=1e-14, atol=0)
+
+
 class TestCarriedProduct:
     """Each objective leaves the quadratic product the next update needs
     on the state (XᵀX·H with fixed bases, H·Hᵀ with free ones)."""
@@ -528,7 +560,7 @@ class TestCarriedProduct:
         state = run_steps(problem, 5)
         h = rng.random((4, 5))
         np.copyto(state.h, h)
-        objective(problem, state, gram_terms(problem, state))
+        objective(problem, state)
         fresh = part_state(problem, state.x.copy(), np.split(h, 2))
         for _ in range(5):
             nmf_step(state, problem)
@@ -552,7 +584,7 @@ class TestCarriedProduct:
             complex_error(problem, state)
         assert state.objective_history == []
         # pointed at a part again, the stepped state forgets its product
-        objective(problem, state, gram_terms(problem, state))
+        objective(problem, state)
         nmf_step(state, problem)
         state.set_part(problem, x, ones_halves(problem))
         with pytest.raises(RuntimeError, match="objective"):
