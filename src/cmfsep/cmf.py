@@ -12,11 +12,11 @@ through Zri = [Re Z; Im Z]: its multiplicative updates through Zri's
 sign parts Zp = max(Zri, 0) and Zn = max(−Zri, 0), Zc's column halves,
 and its residual as ½‖Zab − p·s‖² + ½‖Zri − q·d‖² with Zab = |Zri|
 (see ``nmf``), so the 2F×2T block matrix Zc is never formed. The solve
-stores the weights once, as W = [h⁺; h⁻], and ties them with one
-in-place average of a stacked pair (``symmetrize_h``): the drawn
-start's left column block with its row-swapped right one, and at every
-multiplicative update the two halves of the stacked update ratio; at
-termination the signed factors are reassembled from the blocks.
+stores the weights once, as W = [h⁺; h⁻]. The drawn start is tied once
+by an in-place average of a stacked pair (``symmetrize_h``), its left
+column block with its row-swapped right one; every update then keeps
+the tie, since it updates W itself. At termination the signed factors
+are reassembled from the blocks.
 
 The update step ``nmf_step`` is one Lee–Seung multiplicative update of
 the tied problem of ``nmf``, X then H. Denominators are floored at
@@ -24,20 +24,20 @@ the tied problem of ``nmf``, X then H. Denominators are floored at
 once per step, after the update, so ``objective_history`` always
 describes the actual iterate.
 
-Lee–Seung updates act on each column of H separately, so both column
-halves of H update from W: the numerator is the stacked [Y_L; ΠY_R] and
-the product [G; ΠGΠ]·W gives the denominators of both halves. That
-product is formed by ``nmf._stacked_product`` from the sums
+The H update is the tied problem's own majorize–minimize step (Lee and
+Seung, "Algorithms for non-negative matrix factorization", NIPS 2001):
+W = [h⁺; h⁻] is both column halves of H = [W, ΠW], so its gradient sums
+theirs, and W is multiplied by the summed numerator over the summed
+denominator, ys = Y_L + ΠY_R over GW + ΠGΠW. It averages the updates
+of the two column halves, weighted by their denominators. That
+denominator is formed by ``nmf._summed_product`` from the sums
 s = h⁺ + h⁻ and differences d = h⁺ − h⁻ of the tied weights, as
-[U·s + V·d; Π(U·s − V·d)] with U and V half the sum and half the
-difference of G's column halves: half the flops of the direct product,
-with the rounding bound that the ``nmf`` docstring states. With fixed
-bases that product is the one the last objective carried, and the
-update's ratio is formed in place in its buffer; with free bases it is
-formed from the (U, V) of the new bases, whose terms the state forms
-after the X update (``nmf.NmfState.bases_terms``). That ratio's halves,
-[R11; R21] and [R22; R12], both line up with W, so ``_tie_ratio``
-averages them into W's multiplier in the ratio's top half. The X
+[a + b; a − b] with a = Ũ·s and b = Ṽ·d of two K×K terms: half the
+flops of GW alone, with the rounding bound that the ``nmf`` docstring
+states. With fixed bases it is the one the last objective carried, and
+the update's ratio is formed in place in its buffer; with free bases
+it is formed from the (Ũ, Ṽ) of the new bases, whose terms the state
+forms after the X update (``nmf.NmfState.bases_terms``). The X
 update's numerator is Zc·Hᵀ = [Zp·h⁺ᵀ + Zn·h⁻ᵀ, Zp·h⁻ᵀ + Zn·h⁺ᵀ], from
 the two products Zp·Wᵀ and Zn·Wᵀ, and its denominator is X times the
 H·Hᵀ that the last objective carried (``nmf._weight_gram``); so H is
@@ -46,9 +46,9 @@ never formed, and every entry of both is a sum of nonnegative terms.
 The complex-domain error ‖Z − Xh‖² of a checkpoint is the second of the
 two residual terms of ``nmf._residuals``, with q = [Re X; Im X] and
 d = h⁺ − h⁻, which ``nmf.complex_error`` takes. With fixed bases it is
-the Gram form of the segment's summed numerator and the V·d of the last
-objective, at no product's cost. Below ``nmf.GRAM_GUARD``·‖Z‖², and with
-free bases, it is formed directly: summed over the frame chunks of
+the Gram form of the segment's summed numerator and the b = Ṽ·d of the
+last objective, at no product's cost. Below ``nmf.GRAM_GUARD``·‖Z‖², and
+with free bases, it is formed directly: summed over the frame chunks of
 ``linalg.frame_chunks``, each chunk's residual one real product less
 Zri, at half the flops of the complex product, so no complex F×T
 residual is formed; it is formed in the scratch of the solve's state.
@@ -99,7 +99,7 @@ from .linalg import BlockMatrix, assemble_zc, split_complex  # noqa: F401
 from .nmf import (
     NmfProblem,
     NmfState,
-    _stacked_product,
+    _summed_product,
     _swap,
     complex_error,
     objective,
@@ -119,8 +119,8 @@ FLUSH_BELOW = float(np.sqrt(np.finfo(np.float64).tiny))
 
 def symmetrize_h(top, bottom):
     """The tie of a stacked pair, in place: ``top`` becomes the mean of
-    ``top`` and ``bottom`` and is returned. Both ties line up their
-    halves with W = [h⁺; h⁻], so each is one call."""
+    ``top`` and ``bottom`` and is returned. A drawn start's tie
+    (``_make_coupling``) is its one caller."""
     top += bottom
     top *= 0.5
     return top
@@ -149,16 +149,6 @@ def _make_coupling(rank: int, cols: int):
     return couple
 
 
-def _tie_ratio(ratio: np.ndarray) -> np.ndarray:
-    """The tie of ``nmf_step``'s H update: the multiplier of W, formed in
-    place in the top half of ``ratio``. The stacked H-update ratio's row
-    blocks are R11, R21, R22 and R12, block (i, j) being the ratio for
-    block (i, j) of [[h⁺, h⁻], [h⁻, h⁺]], so its halves [R11; R21] and
-    [R22; R12] both line up with [h⁺; h⁻]."""
-    n = len(ratio) // 2
-    return symmetrize_h(ratio[:n], ratio[n:])
-
-
 def _flush(a: np.ndarray, mask: np.ndarray) -> None:
     """Set the entries of ``a`` below ``FLUSH_BELOW`` to 0, through
     ``mask`` (bool, shaped like ``a``)."""
@@ -170,9 +160,9 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
     the arrays of ``state``, which an objective of its current weights
     must have seen (``RuntimeError`` otherwise).
 
-    The H update multiplies the weights W by ``_tie_ratio``'s tie of
-    the update ratio. The objective appended to the history reflects the
-    updated iterate.
+    The H update multiplies the weights W by the summed numerator
+    ``state.xtz_sum`` over the summed denominator GW + ΠGΠW. The
+    objective appended to the history reflects the updated iterate.
     """
     if state.carried is None:
         raise RuntimeError("no objective has seen the state's weights")
@@ -191,13 +181,12 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
         _flush(x, state.xmask)
         # the new bases' terms, and from them the H-update denominator
         state.bases_terms(problem)
-        _stacked_product(state.uv, state.sd, state.product, state.vd)
-    # the H-update ratio is formed in place in XᵀX·H's buffer, which
-    # holds the carried product when the bases are fixed
+        _summed_product(state.uv, state.sd, state.product, state.vd)
+    # the H-update ratio is formed in place in the denominator's buffer,
+    # which holds the carried product when the bases are fixed
     ratio, state.carried = state.product, None
     np.maximum(ratio, EPSILON, out=ratio)
-    np.divide(state.xtz, ratio, out=ratio)
-    h *= _tie_ratio(ratio)
+    h *= np.divide(state.xtz_sum, ratio, out=ratio)
     _flush(h, state.mask)
     state.objective_history.append(objective(problem, state))
     return state

@@ -29,47 +29,46 @@ Zab and Zri, an entry far below its partner would be known only to
 about ε of the partner and could round below 0, which the update and
 ``cmf``'s flush would turn into a weight that never recovers. With free
 bases ``NmfProblem`` holds Zp and Zn (2F×T each, Zc's bytes, in two
-arrays). The H update's numerator is stacked as [Y_L; ΠY_R] from the
-column halves of Y = XᵀZc: ``_numerator`` forms Y_L = XᵀZp and
-ΠY_R = [X_Rᵀ; X_Lᵀ]·Zn, at the flops of XᵀZc, and its summed halves
-Y_L + ΠY_R. Its denominator is the product [G; ΠGΠ]·W with G = XᵀX,
-which covers both column halves of H.
+arrays). The tied H update of ``cmf.nmf_step`` multiplies W by the
+summed numerator over the summed denominator of its two column blocks.
+With Y = XᵀZc and G = XᵀX, its numerator is ys = Y_L + ΠY_R:
+``_numerator`` forms Y_L = XᵀZp and Y_R = XᵀZn, at the flops of XᵀZc,
+and adds Y_R's row halves crosswise. Its denominator is GW + ΠGΠW:
+the gradient of ½‖Zc − X·[W, ΠW]‖² over W is GW + ΠGΠW − ys.
 
 The terms of the bases that a step reads are held by the solve's
 ``NmfState``, for its current bases, and formed once per bases:
-(U, V) of G (below), the stacked numerator and its summed halves, and
-with free bases G itself. ``NmfState.set_part`` forms them when it
-points the state at a part. With fixed bases (U, V) is the problem's,
-built with the block bases at construction. Each frame's weights then
-update on their own, so the problem is solved in parts, runs of frames:
-``set_part`` forms a part's numerator in the state's 2F-row scratch,
-which holds Zri, then Zp and then Zn, and ``cmf.cmf_factorize`` solves
-parts of at most ``linalg.FRAME_CHUNK`` frames, one per thread at a
-time, so it never forms the whole numerator. With free bases the part
-is all frames, since the X update couples them, and
-``NmfState.bases_terms`` forms the terms from the bases and the
-problem's Zp and Zn, at ``set_part`` and again after each step's X
-update.
+(Ũ, Ṽ) (below), the summed numerator ys, and with free bases G itself.
+``NmfState.set_part`` forms them when it points the state at a part.
+With fixed bases (Ũ, Ṽ) is the problem's, built from its ``pq`` at
+construction. Each frame's weights then update on their own, so the
+problem is solved in parts, runs of frames: ``set_part`` forms a
+part's numerator in the state's 2F-row scratch, which holds Zri, then
+Zp and then Zn, and ``cmf.cmf_factorize`` solves parts of at most
+``linalg.FRAME_CHUNK`` frames, one per thread at a time, so it never
+forms the whole numerator. With free bases the part is all frames,
+since the X update couples them, and ``NmfState.bases_terms`` forms the
+terms from the bases and the problem's Zp and Zn, at ``set_part`` and
+again after each step's X update; (Ũ, Ṽ) then comes from G's blocks.
 
-The H update's denominator product is formed at half the flops of the
-(4K×2K)·(2K×T) one, from [s; d] (``_sums``). With U and V half the sum
-and half the difference of G's two column halves (2K×K each),
-GW = U·s + V·d and ΠGΠW = Π(U·s − V·d): two (2K×K)·(K×T) products
-(``_stacked_product``). G's entries and W's are nonnegative, so the
-direct product sums nonnegative terms; V and d have mixed signs, so the
-sum/difference form can cancel. Write a column's entries of [G; ΠGΠ]·W
-as D₁₁, D₂₁ (GW) and D₂₂, D₁₂ (ΠGΠW), block (i, j) being the
-denominator of block (i, j) of H. D₁₁ and D₁₂ are formed from the same
-U·s and V·d entries, as their sum and their difference, and so are D₂₁
-and D₂₂; since |V| ≤ U entrywise and |d| ≤ s, each of them is off by
-|error| ≲ c·ε·(D₁₁ + D₁₂) (or c·ε·(D₂₁ + D₂₂)), with ε the unit roundoff
-and c a small multiple of K. That is relative to the entry itself except
-where one entry of a pair is far below its partner: for instance
-h⁺ ≪ h⁻ under bases whose positive and negative parts have disjoint
-supports, where G's cross blocks vanish and D₁₁ = G₁₁h⁺ ≪ D₁₂ = G₁₁h⁻.
-There the small entry is known only to about ε of its partner. The
-objective weighs D₁₁ by the small h⁺, so its quadratic term keeps the
-direct product's accuracy.
+The H update's denominator costs two (K×K)·(K×T) products, half the
+flops of the (2K×2K)·(2K×T) product GW alone, from [s; d] (``_sums``).
+With Ũ = ½pᵀp and Ṽ = ½qᵀq (K×K each; with free bases
+Ũ = ½(G₁₁ + G₁₂ + G₂₁ + G₂₂) and Ṽ = ½(G₁₁ − G₁₂ − G₂₁ + G₂₂) of G's
+K×K blocks), a = Ũ·s and b = Ṽ·d give GW + ΠGΠW = [a + b; a − b]
+(``_summed_product``). G's entries and W's are nonnegative, so the
+direct sum of products sums nonnegative terms; Ṽ and d have mixed
+signs, so a + b and a − b can cancel. Since |Ṽ| ≤ Ũ entrywise and
+|d| ≤ s, |b| ≤ a, and each of the pair is off by
+|error| ≲ c·ε·(top + bottom) = 2c·ε·a, with ε the unit roundoff and c a
+small multiple of K. That is relative to the entry itself except where
+one entry of a pair is far below its partner: for instance h⁺ ≪ h⁻
+under bases whose positive and negative parts have disjoint supports,
+where G's cross blocks vanish and the top entry (G₁₁ + G₂₂)·h⁺ is far
+below the bottom one, (G₁₁ + G₂₂)·h⁻. There the small entry is known
+only to about ε of its partner; it multiplies the small h⁺, and the
+objective's quadratic term ⟨s, a⟩ + ⟨d, b⟩ = ½‖p·s‖² + ½‖q·d‖² sums two
+nonnegative terms.
 
 ``NmfProblem`` computes ‖Z‖² once, from the complex Z (a fixed-basis
 part's from its Zri, in ``NmfState.set_part``), and checks Z finite
@@ -82,16 +81,16 @@ alike.
 
 Its quadratic term is taken from the product the next update needs, so
 a step forms one quadratic product fewer. With fixed bases it is
-⟨W, [G; ΠGΠ]·W⟩ summed over the two row blocks, and that product becomes
-the next H-update denominator. With free bases it is ⟨G, H·Hᵀ⟩ of the
+⟨H, G·H⟩ = ⟨W, GW + ΠGΠW⟩ = ⟨s, a⟩ + ⟨d, b⟩, and GW + ΠGΠW becomes the
+next H-update denominator. With free bases it is ⟨G, H·Hᵀ⟩ of the
 state's G, where H·Hᵀ = [[E, F], [F, E]] with E = h⁺h⁺ᵀ + h⁻h⁻ᵀ and
 F = h⁺h⁻ᵀ + h⁻h⁺ᵀ is formed from W·Wᵀ (``_weight_gram``), as sums of
-nonnegative terms, and goes into the next X update's denominator. The product is kept as
-``NmfState.carried``. ``cmf._iterate`` runs an objective before the
-first step and every step ends with one, so a step and a checkpoint
-always find the product of the current weights; on a state that no
-objective has seen they raise ``RuntimeError`` rather than read what
-the state's buffers hold from another iterate.
+nonnegative terms, and goes into the next X update's denominator. The
+product is kept as ``NmfState.carried``. ``cmf._iterate`` runs an
+objective before the first step and every step ends with one, so a
+step and a checkpoint always find the product of the current weights;
+on a state that no objective has seen they raise ``RuntimeError``
+rather than read what the state's buffers hold from another iterate.
 
 The Gram form subtracts terms of size ‖Z‖², so its absolute rounding
 error is about 1e-16·‖Z‖²; below ``GRAM_GUARD``·‖Z‖² = 1e-2·‖Z‖² the
@@ -109,10 +108,10 @@ fixed fraction of ‖r‖².
 A checkpoint's complex error ‖Zri − q·d‖² (``complex_error``) takes the
 same Gram form with fixed bases, ‖Z‖² − 2⟨d, qᵀZri⟩ + ⟨d, qᵀq·d⟩, from
 terms a step already holds: with ys the part's summed numerator
-Y_L + ΠY_R, qᵀZri = ys[:K] − ys[K:], and qᵀq = 2(V[:K] − V[K:]), so
-qᵀq·d = 2(vd[:K] − vd[K:]) of the V·d that the objective's
-``_stacked_product`` formed. It costs no product and no 2F×T pass. Below
-the same guard, and with free bases, whose V·d is not of the current
+Y_L + ΠY_R, qᵀZri = ys[:K] − ys[K:], and qᵀq·d = 2b, so the quadratic
+term is 2⟨d, b⟩ of the b = Ṽ·d that the objective's
+``_summed_product`` formed. It costs no product and no 2F×T pass. Below
+the same guard, and with free bases, whose b is not of the current
 weights, it is ``_residuals``' second term, formed directly.
 """
 
@@ -148,10 +147,9 @@ class NmfProblem:
     halves); with ``fixed_x`` its 2F×2K block matrix ``xc``, its rotated
     bases ``pq`` = (p, q) = (|Xri|, Xri) with Xri = [Re X; Im X], which
     the residuals read (kept, so that a checkpoint allocates no
-    bases-sized arrays), and the sum and difference halves
-    ``uv`` = (U, V) of G = XcᵀXc (``_sum_difference``), which every
-    part's state takes. Nothing that depends on the iterate or on a
-    part's frames is held here; that is the state's.
+    bases-sized arrays), and from them ``uv`` = (Ũ, Ṽ) = (½pᵀp, ½qᵀq),
+    K×K each, which every part's state takes. Nothing that depends on
+    the iterate or on a part's frames is held here; that is the state's.
     """
 
     z: np.ndarray
@@ -190,8 +188,8 @@ class NmfProblem:
             # the block bases [[P_r, N_r], [P_i, N_i]] of X's sign parts
             xri = np.concatenate((self.fixed_x.real, self.fixed_x.imag))
             self.xc = np.concatenate((np.maximum(0.0, xri), np.maximum(0.0, -xri)), axis=1)
-            self.pq = np.abs(xri), xri
-            self.uv = _sum_difference(self.xc.T @ self.xc)
+            p, q = self.pq = np.abs(xri), xri
+            self.uv = 0.5 * (p.T @ p), 0.5 * (q.T @ q)
 
 
 def _sign_parts(z: np.ndarray, zri: np.ndarray):
@@ -204,18 +202,17 @@ def _sign_parts(z: np.ndarray, zri: np.ndarray):
     yield zri
 
 
-def _numerator(x: np.ndarray, parts, out: np.ndarray, summed: np.ndarray) -> np.ndarray:
-    """[Y_L; ΠY_R] of Y = xᵀ·Zc, written into ``out`` (4K × T) and
-    returned, and its summed halves Y_L + ΠY_R into ``summed`` (2K × T):
-    Y_L = xᵀ·Zp and Y_R = xᵀ·Zn, for the sign parts Zp and Zn that the
-    iterator ``parts`` yields in that order, Y_R formed in ``summed``
-    and copied in with its row halves swapped. Every entry of ``out`` is
-    a sum of nonnegative terms."""
+def _numerator(x: np.ndarray, parts, out: np.ndarray, y_r: np.ndarray) -> np.ndarray:
+    """The summed numerator ys = Y_L + ΠY_R of Y = xᵀ·Zc, written into
+    ``out`` (2K × T) and returned: Y_L = xᵀ·Zp and Y_R = xᵀ·Zn, for the
+    sign parts Zp and Zn that the iterator ``parts`` yields in that
+    order, Y_R formed in ``y_r`` (2K × T) and added with its row halves
+    swapped. Every entry of ys is a sum of nonnegative terms."""
     k = x.shape[1] // 2
-    np.matmul(x.T, next(parts), out=out[: 2 * k])
-    y_r = np.matmul(x.T, next(parts), out=summed)
-    out[2 * k : 3 * k], out[3 * k :] = y_r[k:], y_r[:k]
-    np.add(out[: 2 * k], out[2 * k :], out=summed)
+    np.matmul(x.T, next(parts), out=out)
+    np.matmul(x.T, next(parts), out=y_r)
+    out[:k] += y_r[k:]
+    out[k:] += y_r[:k]
     return out
 
 
@@ -276,33 +273,33 @@ class NmfState:
     that thread's allocator arena.
 
     Its buffers are flat, so that a narrower part takes a contiguous
-    leading part of each, viewed as rows × frames: the stacked numerator
-    ``xtz`` and the XᵀX·H ``product`` of the H update, in which its
-    ratio is formed (4K rows each); ``xtz_sum``, which holds Y_R while a
-    numerator is formed and then the numerator's summed halves
-    Y_L + ΠY_R; the weights ``h`` = W = [h⁺; h⁻], the mask
-    ``mask`` of ``cmf``'s flush of them, their sums and differences
-    ``sd`` = [s; d] (``_sums``) and the product ``vd`` = V·d (2K rows
-    each); and ``scratch``, which holds the residuals (``_residuals``)
-    and, with fixed bases, a part's Zri and then its sign parts while its
-    numerator is built: 2F × ``width`` entries with fixed bases, and with
-    free ones 2F × ``linalg.FRAME_CHUNK`` at most. With free bases the X
-    update also has ``xnum`` and ``xratio``, shaped like the bases, and
-    their flush mask ``xmask``.
+    leading part of each, viewed as rows × frames: the summed numerator
+    ``xtz_sum`` = Y_L + ΠY_R and the H-update denominator ``product`` =
+    GW + ΠGΠW, in which the update's ratio is formed and which holds Y_R
+    while a numerator is formed; the weights ``h`` = W = [h⁺; h⁻], the
+    mask ``mask`` of ``cmf``'s flush of them and their sums and
+    differences ``sd`` = [s; d] (``_sums``), 2K rows each; the product
+    ``vd`` = b = Ṽ·d (K rows); and ``scratch``, which holds the
+    residuals (``_residuals``) and, with fixed bases, a part's Zri and
+    then its sign parts while its numerator is built: 2F × ``width``
+    entries with fixed bases, and with free ones 2F ×
+    ``linalg.FRAME_CHUNK`` at most. With free bases the X update also
+    has ``xnum`` and ``xratio``, shaped like the bases, and their flush
+    mask ``xmask``.
     Each buffer starts on a 64-byte cache line (``_aligned``), where
     numpy's own allocations here start 16 bytes past one; the
     elementwise passes over them run faster aligned, and alignment
     changes no result.
 
-    ``x`` is the part's 2F×2K block bases and ``uv`` (U, V) of their
-    G = XᵀX (``_sum_difference``); with free bases ``gram`` is G itself.
-    With ``xtz`` and ``xtz_sum`` these are the terms of the bases that a
-    step reads, formed by ``set_part`` and, for free bases, again by
-    ``bases_terms`` after each X update (see the module docstring).
+    ``x`` is the part's 2F×2K block bases and ``uv`` the (Ũ, Ṽ) of
+    their G = XᵀX (K×K each); with free bases ``gram`` is G itself.
+    With ``xtz_sum`` these are the terms of the bases that a step reads,
+    formed by ``set_part`` and, for free bases, again by ``bases_terms``
+    after each X update (see the module docstring).
     ``objective_history`` holds the part's objectives. ``carried`` is
     the quadratic product the last objective computed from the current
-    weights for the next update: the stacked XᵀX·H, in ``product``, when
-    the bases are fixed, H·Hᵀ (``_weight_gram``) when they are free. A
+    weights for the next update: GW + ΠGΠW, in ``product``, when the
+    bases are fixed, H·Hᵀ (``_weight_gram``) when they are free. A
     step consumes it, and None means no objective has seen the weights
     since.
     """
@@ -312,13 +309,12 @@ class NmfState:
         self._flat = {
             name: (height, _aligned(height * width, dtype))
             for name, height, dtype in (
-                ("xtz", 4 * k, np.float64),
-                ("product", 4 * k, np.float64),
+                ("product", 2 * k, np.float64),
                 ("xtz_sum", 2 * k, np.float64),
                 ("h", 2 * k, np.float64),
                 ("mask", 2 * k, bool),
                 ("sd", 2 * k, np.float64),
-                ("vd", 2 * k, np.float64),
+                ("vd", k, np.float64),
             )
         }
         # a fixed part's Zri, or with free bases one chunk's residual
@@ -334,10 +330,10 @@ class NmfState:
         ``frames`` and return it: the bases ``x`` with their terms, those
         frames of the weight ``halves`` (h⁺, h⁻) copied into its weights,
         a fresh history and no carried product. With fixed bases the
-        terms are the problem's ``uv`` and the part's numerator, formed
-        here with its ‖Z‖² from its frames' Zri in ``scratch``; with free
-        ones the part is all frames, since the X update couples them,
-        and ``bases_terms`` forms them."""
+        terms are the problem's ``uv`` and the part's summed numerator,
+        formed here with its ‖Z‖² from its frames' Zri in ``scratch``;
+        with free ones the part is all frames, since the X update couples
+        them, and ``bases_terms`` forms them."""
         k, rows = problem.rank, len(problem.z)
         self.z = problem.z[:, frames]
         n = self.z.shape[1]
@@ -354,29 +350,30 @@ class NmfState:
         np.concatenate((self.z.real, self.z.imag), out=zri)
         self.z_norm_sq = frobenius_norm_sq(zri)
         self.uv = problem.uv
-        _numerator(problem.xc, _sign_parts(self.z, zri), self.xtz, self.xtz_sum)
+        _numerator(problem.xc, _sign_parts(self.z, zri), self.xtz_sum, self.product)
         return self
 
     def bases_terms(self, problem: NmfProblem):
         """Form the terms of the free bases X = ``x`` that a step reads
-        and return the state: ``gram`` G = XᵀX, its (U, V) ``uv``
-        (``_sum_difference``), and the stacked numerator ``xtz`` with its
-        summed halves ``xtz_sum`` (``_numerator``) from the problem's sign
-        parts. ``set_part`` calls it, and ``cmf.nmf_step`` after each X
-        update."""
+        and return the state: ``gram`` G = XᵀX, its (Ũ, Ṽ) ``uv``
+        (``_tied_gram``), and the summed numerator ``xtz_sum``
+        (``_numerator``) from the problem's sign parts. ``set_part``
+        calls it, and ``cmf.nmf_step`` after each X update."""
         x = self.x
         self.gram = x.T @ x
-        self.uv = _sum_difference(self.gram)
-        _numerator(x, iter((problem.zp, problem.zn)), self.xtz, self.xtz_sum)
+        self.uv = _tied_gram(self.gram)
+        _numerator(x, iter((problem.zp, problem.zn)), self.xtz_sum, self.product)
         return self
 
 
-def _sum_difference(xtx: np.ndarray):
-    """(U, V): half the sum and half the difference of the two column
-    halves of G = ``xtx``, each a C-contiguous 2K×K array."""
-    k = len(xtx) // 2
-    left, right = xtx[:, :k], xtx[:, k:]
-    return 0.5 * (left + right), 0.5 * (left - right)
+def _tied_gram(g: np.ndarray):
+    """(Ũ, Ṽ) = (½pᵀp, ½qᵀq) of block bases X = [X_L, X_R] from their
+    G = XᵀX = ``g``, with p = X_L + X_R and q = X_L − X_R:
+    ½(G₁₁ + G₁₂ + G₂₁ + G₂₂) and ½(G₁₁ − G₁₂ − G₂₁ + G₂₂) of its K×K
+    blocks, each a C-contiguous K×K array."""
+    k = len(g) // 2
+    diagonal, cross = g[:k, :k] + g[k:, k:], g[:k, k:] + g[k:, :k]
+    return 0.5 * (diagonal + cross), 0.5 * (diagonal - cross)
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
@@ -402,21 +399,21 @@ def _weight_gram(w: np.ndarray) -> np.ndarray:
     return wwt + _swap(_swap(wwt).T).T
 
 
-def _stacked_product(uv, sd: np.ndarray, out: np.ndarray, vd: np.ndarray) -> np.ndarray:
-    """[G; ΠGΠ]·W from ``uv`` = (U, V) and W's [s; d] ``sd``, written
-    into ``out`` (4K × T) and returned: GW = U·s + V·d and
-    ΠGΠW = Π(U·s − V·d), at half the flops of the direct product; see
-    the module docstring for its rounding. U·s is formed in GW's rows of
-    ``out`` and V·d in ``vd`` (shaped like ``sd``)."""
+def _summed_product(uv, sd: np.ndarray, out: np.ndarray, vd: np.ndarray) -> float:
+    """GW + ΠGΠW = [a + b; a − b] from ``uv`` = (Ũ, Ṽ) and W's [s; d]
+    ``sd``, with a = Ũ·s and b = Ṽ·d, written into ``out`` (shaped like
+    ``sd``), and b into ``vd`` (K × T); see the module docstring for its
+    rounding. Returns ⟨W, GW + ΠGΠW⟩ = ⟨H, G·H⟩ as ⟨s, a⟩ + ⟨d, b⟩, a
+    sum of two nonnegative terms."""
     u, v = uv
     k = len(sd) // 2
-    top, bottom = out[: 2 * k], out[2 * k :]
-    np.matmul(u, sd[:k], out=top)
-    np.matmul(v, sd[k:], out=vd)
-    np.subtract(top[k:], vd[k:], out=bottom[:k])
-    np.subtract(top[:k], vd[:k], out=bottom[k:])
-    top += vd
-    return out
+    s, d = sd[:k], sd[k:]
+    a = np.matmul(u, s, out=out[:k])
+    b = np.matmul(v, d, out=vd)
+    quad = np.vdot(s, a) + np.vdot(d, b)
+    np.subtract(a, b, out=out[k:])
+    a += b
+    return quad
 
 
 def objective(problem: NmfProblem, state: NmfState) -> float:
@@ -424,17 +421,16 @@ def objective(problem: NmfProblem, state: NmfState) -> float:
     residual below ``GRAM_GUARD``·‖Z‖², where the Gram form cancels. The
     linear term is ⟨W, Y_L + ΠY_R⟩ of ``state.xtz_sum``. The quadratic
     term is taken from the product the next update needs, which is left
-    on ``state.carried``: with fixed bases ⟨H, XᵀX·H⟩, the sum of ⟨W, ·⟩
-    over the two row blocks of the stacked XᵀX·H (``_stacked_product``
-    of ``state.uv``); with free ones ⟨G, H·Hᵀ⟩ of ``state.gram`` and
-    H·Hᵀ (``_weight_gram``). [s; d] of the weights goes into
-    ``state.sd``, and with fixed bases V·d into ``state.vd``, for
-    ``complex_error``."""
+    on ``state.carried``: with fixed bases ⟨H, G·H⟩ = ⟨s, a⟩ + ⟨d, b⟩,
+    from GW + ΠGΠW (``_summed_product`` of ``state.uv``); with free ones
+    ⟨G, H·Hᵀ⟩ of ``state.gram`` and H·Hᵀ (``_weight_gram``). [s; d] of
+    the weights goes into ``state.sd``, and with fixed bases b = Ṽ·d
+    into ``state.vd``, for ``complex_error``."""
     h = state.h
     sd = _sums(h, state.sd)
     if problem.fixed_x is not None:
-        carried = _stacked_product(state.uv, sd, state.product, state.vd)
-        quad = np.vdot(h, carried[: len(h)]) + np.vdot(h, carried[len(h) :])
+        quad = _summed_product(state.uv, sd, state.product, state.vd)
+        carried = state.product
     else:
         carried = _weight_gram(h)
         quad = np.vdot(state.gram, carried)
@@ -451,18 +447,17 @@ def complex_error(problem: NmfProblem, state: NmfState) -> float:
     seen the current weights; before one, ``RuntimeError``. With fixed
     bases it is the Gram form ‖Z‖² − 2⟨d, qᵀZri⟩ + ⟨d, qᵀq·d⟩ from terms
     the step already holds: qᵀZri = ys[:K] − ys[K:] of the part's
-    ``state.xtz_sum`` ys, and qᵀq = 2(V[:K] − V[K:]), so
-    qᵀq·d = 2(vd[:K] − vd[K:]) of the ``state.vd`` = V·d that the
-    objective left; it costs no product. Below ``GRAM_GUARD``·‖Z‖², where
-    that form cancels, and with free bases, it is the second term of
-    ``_residuals``, formed directly."""
+    ``state.xtz_sum`` ys, and qᵀq·d = 2b of the ``state.vd`` = b = Ṽ·d
+    that the objective left; it costs no product. Below
+    ``GRAM_GUARD``·‖Z‖², where that form cancels, and with free bases, it
+    is the second term of ``_residuals``, formed directly."""
     if state.carried is None:
         raise RuntimeError("no objective has seen the state's weights")
     if problem.fixed_x is not None:
         k = problem.rank
-        d, ys, vd = state.sd[k:], state.xtz_sum, state.vd
+        d, ys = state.sd[k:], state.xtz_sum
         linear = np.vdot(d, ys[:k]) - np.vdot(d, ys[k:])
-        quad = 2.0 * (np.vdot(d, vd[:k]) - np.vdot(d, vd[k:]))
+        quad = 2.0 * np.vdot(d, state.vd)
         gram = state.z_norm_sq - 2.0 * linear + quad
         if gram >= GRAM_GUARD * state.z_norm_sq:
             return float(gram)

@@ -1,12 +1,12 @@
 """The weight block matrix, the four explicit part-products of the
-factorization and the assembled block matrix Zc with its stacked
+factorization and the assembled block matrix Zc with its summed
 numerator, which the solver never forms; tests check the reduction's
 block algebra, and the solver's rotated form of it, against them. Also
 the iterate of the solver's seeded start, which it never forms whole
-with fixed bases, the H-update denominator as the direct product
-[G; ΠGΠ]·W, which the solver forms from sums and differences, and a
-reference step on the 2K×2T block matrix H that uses the direct
-product. The solver's own state of a part is built by ``part_state``."""
+with fixed bases, the H-update denominator as the direct sum of
+products GW + ΠGΠW, which the solver forms from sums and differences,
+and a reference step on the 2K×2T block matrix H that uses the direct
+products. The solver's own state of a part is built by ``part_state``."""
 
 from types import SimpleNamespace
 
@@ -53,12 +53,17 @@ def assembled_zc(z) -> np.ndarray:
     return assemble_zc(split_complex(z)).assembled
 
 
-def stacked_numerator(xc: np.ndarray, zc: np.ndarray) -> np.ndarray:
-    """[Y_L; ΠY_R] of Y = xcᵀ·zc, from the whole of ``zc``: the left
-    column half of Y, then the right one with its row halves swapped."""
-    y = xc.T @ zc
-    half, cols = xc.shape[1] // 2, zc.shape[1] // 2
-    return np.concatenate((y[:, :cols], y[half:, cols:], y[:half, cols:]))
+def tied_sum(a: np.ndarray) -> np.ndarray:
+    """A_L + ΠA_R of a 2K×2T block matrix ``a``: its left column half
+    plus its right one with the row halves swapped, the sum over the two
+    column blocks of H = [W, ΠW] lined up with W."""
+    half, cols = len(a) // 2, a.shape[1] // 2
+    return a[:, :cols] + np.concatenate((a[half:, cols:], a[:half, cols:]))
+
+
+def summed_numerator(xc: np.ndarray, zc: np.ndarray) -> np.ndarray:
+    """Y_L + ΠY_R of Y = xcᵀ·zc, from the whole of ``zc``."""
+    return tied_sum(xc.T @ zc)
 
 
 def assemble_hc(h_plus: np.ndarray, h_minus: np.ndarray) -> BlockMatrix:
@@ -90,39 +95,31 @@ def block_product_identity_check(
 
 
 def direct_denominator(xc: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """[G; ΠGΠ]·W with G = xcᵀ·xc, as one (4K×2K)·(2K×T) product of
-    nonnegative terms."""
+    """GW + ΠGΠW with G = xcᵀ·xc, from one (4K×2K)·(2K×T) product
+    [G; ΠGΠ]·W of nonnegative terms, its halves added."""
     g = xc.T @ xc
     k = len(g) // 2
     pgp = np.block([[g[k:, k:], g[k:, :k]], [g[:k, k:], g[:k, :k]]])
-    return np.concatenate((g, pgp)) @ w
+    return sum(np.split(np.concatenate((g, pgp)) @ w, 2))
 
 
-def block_coupling(rank, cols):
-    """The weight-block tie built as a new array with ``np.block``."""
-
-    def couple(hc):
-        h_plus = 0.5 * (hc[:rank, :cols] + hc[rank:, cols:])
-        h_minus = 0.5 * (hc[:rank, cols:] + hc[rank:, :cols])
-        return np.block([[h_plus, h_minus], [h_minus, h_plus]])
-
-    return couple
-
-
-def reference_step(state, problem, couple):
-    """One step on the 2K×2T block matrix H, computed plainly: XᵀZ and
-    XᵀX formed here, nothing carried from the last step, an allocating
-    H-update ratio over the direct product XᵀX·H, the tie applied to H,
-    and the quadratic term as ⟨H, XᵀX H⟩."""
+def reference_step(state, problem):
+    """One step on the 2K×2T block matrix H = [W, ΠW], computed plainly:
+    XᵀZ and XᵀX formed here, nothing carried from the last step, and the
+    tied H update in block form, W times the summed numerator over the
+    summed denominator of H's two column blocks (``tied_sum`` of XᵀZ and
+    of the direct product XᵀX·H), from which H is assembled again; the
+    quadratic term is ⟨H, XᵀX H⟩."""
     z, eps = assembled_zc(problem.z), EPSILON
     x, h = state.x, state.h
     if problem.fixed_x is None:
         x *= (z @ h.T) / np.maximum(x @ (h @ h.T), eps)
         x[x < FLUSH_BELOW] = 0.0
     xtz, xtx = x.T @ z, x.T @ x
-    h *= xtz / np.maximum(xtx @ h, eps)
-    h = couple(h)
-    h[h < FLUSH_BELOW] = 0.0
+    cols, half = h.shape[1] // 2, len(h) // 2
+    w = h[:, :cols] * tied_sum(xtz) / np.maximum(tied_sum(xtx @ h), eps)
+    w[w < FLUSH_BELOW] = 0.0
+    h = np.concatenate((w, np.concatenate((w[half:], w[:half]))), axis=1)
     gram = problem.z_norm_sq - 2.0 * np.vdot(h, xtz) + np.vdot(h, xtx @ h)
     if gram < GRAM_GUARD * problem.z_norm_sq:
         gram = frobenius_norm_sq(z - x @ h)

@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from blocks import (
     assembled_zc,
-    block_coupling,
     block_state,
     direct_denominator,
     part_state,
     reference_step,
-    stacked_numerator,
     start_state,
+    summed_numerator,
 )
 from cmfsep.cmf import EPSILON, cmf_factorize, nmf_step
 from cmfsep.config import SepConfig
@@ -23,9 +22,9 @@ from cmfsep.nmf import (
     _numerator,
     _residuals,
     _sign_parts,
-    _stacked_product,
-    _sum_difference,
+    _summed_product,
     _sums,
+    _tied_gram,
     _weight_gram,
     complex_error,
     objective,
@@ -42,10 +41,20 @@ def ones_halves(problem):
     return np.ones((2, problem.rank, problem.z.shape[1]))
 
 
-def stacked(uv, w):
-    """``_stacked_product`` of ``uv`` and W = ``w``, into new arrays."""
-    sd = _sums(w, np.empty_like(w))
-    return _stacked_product(uv, sd, np.empty((2 * len(w), w.shape[1])), np.empty_like(w))
+def summed(uv, w):
+    """``_summed_product``'s GW + ΠGΠW of ``uv`` and W = ``w``, in new
+    arrays."""
+    sd, out = _sums(w, np.empty_like(w)), np.empty_like(w)
+    _summed_product(uv, sd, out, np.empty((len(w) // 2, w.shape[1])))
+    return out
+
+
+def pq_terms(xc):
+    """(Ũ, Ṽ) = (½pᵀp, ½qᵀq) of block bases ``xc``, with p = X_L + X_R
+    and q = X_L − X_R formed directly."""
+    k = xc.shape[1] // 2
+    p, q = xc[:, :k] + xc[:, k:], xc[:, :k] - xc[:, k:]
+    return 0.5 * (p.T @ p), 0.5 * (q.T @ q)
 
 
 def random_complex(rng, shape):
@@ -132,7 +141,7 @@ class TestProblemValidation:
         problem = NmfProblem(z=z, rank=2, fixed_x=fixed_x)
         assert problem.z_norm_sq == pytest.approx(frobenius_norm_sq(assembled_zc(z)), rel=1e-15)
         # only a part's state builds a numerator
-        assert not hasattr(problem, "xtz")
+        assert not hasattr(problem, "xtz_sum")
         problems = [problem]
         if fixed:
             assert problem.zp is None and problem.zn is None
@@ -153,7 +162,7 @@ class TestProblemValidation:
 
 
 class TestChunkedFixedTerms:
-    """With fixed bases the stacked numerator is formed over a part's own
+    """With fixed bases the summed numerator is formed over a part's own
     frames; at frame counts on both sides of the chunk width, that of
     the part of all frames must equal the one formed from the whole
     assembled Zc. Each entry is a sum of nonnegative terms, so it is held
@@ -167,9 +176,9 @@ class TestChunkedFixedTerms:
         z, x = random_complex(rng, (3, frames)), random_complex(rng, (3, 2))
         problem = tied(z, 2, fixed_x=x)
         state = part_state(problem, problem.xc, ones_halves(problem))
-        want = stacked_numerator(assembled_zc(x), assembled_zc(z))
-        assert state.xtz.shape == want.shape == (8, frames)
-        np.testing.assert_allclose(state.xtz, want, rtol=1e-14, atol=0)
+        want = summed_numerator(assembled_zc(x), assembled_zc(z))
+        assert state.xtz_sum.shape == want.shape == (4, frames)
+        np.testing.assert_allclose(state.xtz_sum, want, rtol=1e-14, atol=0)
 
 
 class TestSegment:
@@ -187,10 +196,8 @@ class TestSegment:
         # the part steps the problem's checked bases, not a copy
         assert part.x is whole.xc
         assert part.z_norm_sq == alone.z_norm_sq
-        assert np.array_equal(part.xtz, alone.xtz)
-        # the numerator's halves summed, for the objective's linear term
-        assert np.array_equal(part.xtz_sum, part.xtz[:4] + part.xtz[4:])
-        np.testing.assert_allclose(part.xtz, every.xtz[:, 10:25], rtol=1e-14, atol=0)
+        assert np.array_equal(part.xtz_sum, alone.xtz_sum)
+        np.testing.assert_allclose(part.xtz_sum, every.xtz_sum[:, 10:25], rtol=1e-14, atol=0)
 
     def test_free_bases_do_not_split(self):
         problem = random_problem(9)
@@ -200,7 +207,7 @@ class TestSegment:
 
 class TestRotatedForm:
     """The coordinates in which the problem reads Z, against the
-    assembled Zc: the numerator [Y_L; ΠY_R] from the sign parts of
+    assembled Zc: the numerator Y_L + ΠY_R from the sign parts of
     Zri = [Re Z; Im Z], and the residual ‖Zc − X·H‖² as
     ½‖Zab − p·s‖² + ½‖Zri − q·d‖²."""
 
@@ -210,8 +217,8 @@ class TestRotatedForm:
         z = random_complex(rng, (30, 70))
         problem = tied(z, 4, fixed_x=random_complex(rng, (30, 4)) if fixed else None)
         xc = problem.xc if fixed else rng.random((60, 8))
-        got = part_state(problem, xc, ones_halves(problem)).xtz
-        want = stacked_numerator(xc, assembled_zc(z))
+        got = part_state(problem, xc, ones_halves(problem)).xtz_sum
+        want = summed_numerator(xc, assembled_zc(z))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_sign_parts_take_turns_in_one_buffer(self):
@@ -224,8 +231,8 @@ class TestRotatedForm:
         assert next(parts) is buf and np.array_equal(buf, zc[:, 9:])
         x = rng.random((12, 6))
         parts = _sign_parts(z, np.concatenate((z.real, z.imag)))
-        got = _numerator(x, parts, np.empty((12, 9)), np.empty((6, 9)))
-        want = _numerator(x, iter((zc[:, :9], zc[:, 9:])), np.empty((12, 9)), np.empty((6, 9)))
+        got = _numerator(x, parts, np.empty((6, 9)), np.empty((6, 9)))
+        want = _numerator(x, iter((zc[:, :9], zc[:, 9:])), np.empty((6, 9)), np.empty((6, 9)))
         assert np.array_equal(got, want)
 
     def test_updates_keep_small_entries_accurate(self):
@@ -235,8 +242,9 @@ class TestRotatedForm:
         # block F are all about 1e-9 of their partners. Formed as half
         # the difference of products with |Zri| and Zri (or of s·sᵀ and
         # d·dᵀ), such an entry is known only to about ε of its partner
-        # and may round below 0; from the sign parts each entry is a sum
-        # of nonnegative terms and keeps its own relative accuracy
+        # and may round below 0; from the sign parts each entry, and each
+        # entry of the summed numerator Y_L + ΠY_R, is a sum of
+        # nonnegative terms and keeps its own relative accuracy
         rng = np.random.default_rng(43)
         rows, rank, cols = 30, 4, 50
         parts = rng.uniform(0.1, 1.0, (2, rows, cols))
@@ -248,17 +256,17 @@ class TestRotatedForm:
         h_minus = 1e-9 * rng.random((rank, cols))
         w = np.concatenate((rng.uniform(0.1, 1.0, (rank, cols)), h_minus))
         state = part_state(problem, x.copy(), np.split(w, 2))
-        got = state.xtz.copy()
-        want = stacked_numerator(x, assembled_zc(z))
-        assert np.max(want[2 * rank :]) < 1e-7 * np.min(want[: 2 * rank])
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        got = state.xtz_sum.copy()
+        y = x.T @ assembled_zc(z)
+        assert np.max(y[:, cols:]) < 1e-7 * np.min(y[:, :cols])
+        np.testing.assert_allclose(got, summed_numerator(x, assembled_zc(z)), rtol=1e-13, atol=0)
         hht = assembled(w) @ assembled(w).T
         assert np.max(hht[:rank, rank:]) < 1e-7 * np.min(hht[:rank, :rank])
         np.testing.assert_allclose(_weight_gram(w), hht, rtol=1e-13, atol=0)
         # the X update of one step, against the block step's
         ref = block_state(x.copy(), assembled(w))
         nmf_step(state, problem)
-        reference_step(ref, problem, block_coupling(rank, cols))
+        reference_step(ref, problem)
         assert np.max(ref.x[:, rank:]) < 1e-7 * np.max(ref.x[:, :rank])
         np.testing.assert_allclose(state.x, ref.x, rtol=1e-13, atol=0)
 
@@ -332,9 +340,11 @@ class TestInit:
 
 
 class TestStackedProduct:
-    """``_stacked_product``: the H-update denominator [G; ΠGΠ]·W from the
-    sums s = h⁺ + h⁻ and differences d = h⁺ − h⁻, against the direct
-    product."""
+    """``_summed_product``: the H-update denominator GW + ΠGΠW from the
+    sums s = h⁺ + h⁻ and differences d = h⁺ − h⁻, as [a + b; a − b] with
+    a = Ũ·s and b = Ṽ·d, against the direct sum of products. Fixed bases
+    take (Ũ, Ṽ) from p and q, free ones from G's blocks
+    (``_tied_gram``)."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_the_direct_product(self, seed):
@@ -342,14 +352,17 @@ class TestStackedProduct:
         xc = assembled_zc(random_complex(rng, (30, 6)))
         w = rng.random((12, 40))
         want = direct_denominator(xc, w)
-        got = stacked(_sum_difference(xc.T @ xc), w)
-        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        for uv in (pq_terms(xc), _tied_gram(xc.T @ xc)):
+            got = summed(uv, w)
+            assert np.all(np.abs(got - want) <= 1e-13 * want)
 
     def test_cancellation_is_bounded_by_the_pair(self):
         # rows of one sign give bases whose positive and negative parts
-        # have disjoint supports, so G's cross blocks are 0; with
-        # h+ << h-, D11 = G11·h+ is the difference of two terms of size
-        # G11·h- = D12, and is held to 1e-13 of D11 + D12, not of itself
+        # have disjoint supports, so G's cross blocks are 0 and Ṽ = Ũ;
+        # with h+ << h-, the top entry (G11 + G22)·h+ = a + b is the
+        # difference of two terms of size a, about the bottom entry
+        # (G11 + G22)·h-, and is held to 1e-13 of top + bottom = 2a, not
+        # of itself; |Ṽ| <= Ũ and |d| <= s bound |b| by a
         rng = np.random.default_rng(4)
         rank = 6
         _, xc, _, _ = planted_fit(rng, rows=30, rank=rank, cols=1)
@@ -358,23 +371,32 @@ class TestStackedProduct:
         h_minus = rng.uniform(0.1, 1.0, (rank, 40))
         w = np.concatenate((1e-9 * rng.uniform(0.1, 1.0, (rank, 40)), h_minus))
         want = direct_denominator(xc, w)
-        got = stacked(_sum_difference(g), w)
-        d11, d21, d22, d12 = np.split(want, 4)
-        assert np.max(d11 / d12) < 1e-7
-        pairs = np.concatenate((d11 + d12, d21 + d22, d21 + d22, d11 + d12))
-        assert np.all(np.abs(got - want) <= 1e-13 * pairs)
-        assert np.max(np.abs(got[:rank] - d11) / d11) > 1e-13
+        top, bottom = np.split(want, 2)
+        assert np.max(top / bottom) < 1e-7
+        pairs = np.concatenate((top + bottom, top + bottom))
+        for uv in (pq_terms(xc), _tied_gram(g)):
+            u, v = uv
+            assert np.all(np.abs(v) <= u)
+            got = summed(uv, w)
+            assert np.all(np.abs(got - want) <= 1e-13 * pairs)
+            assert np.max(np.abs(got[:rank] - top) / top) > 1e-13
 
     def test_writes_into_given_arrays(self):
         rng = np.random.default_rng(5)
         xc = assembled_zc(random_complex(rng, (8, 3)))
         w = rng.random((6, 7))
-        out, sd, vd = np.empty((12, 7)), np.empty((6, 7)), np.empty((6, 7))
+        out, sd, vd = np.empty((6, 7)), np.empty((6, 7)), np.empty((3, 7))
         assert _sums(w, sd) is sd
         assert np.array_equal(sd, np.concatenate((w[:3] + w[3:], w[:3] - w[3:])))
-        got = _stacked_product(_sum_difference(xc.T @ xc), sd, out, vd)
-        assert got is out
-        np.testing.assert_allclose(got, direct_denominator(xc, w), rtol=1e-13, atol=0)
+        u, v = uv = pq_terms(xc)
+        quad = _summed_product(uv, sd, out, vd)
+        want = direct_denominator(xc, w)
+        np.testing.assert_allclose(out, want, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(vd, v @ sd[3:], rtol=1e-13, atol=0)
+        # ⟨W, GW + ΠGΠW⟩ = ⟨H, G·H⟩, as ⟨s, a⟩ + ⟨d, b⟩
+        h = assembled(w)
+        assert quad == pytest.approx(np.vdot(h, xc.T @ xc @ h), rel=1e-13)
+        assert quad == pytest.approx(np.vdot(w, want), rel=1e-13)
 
 
 class TestStep:
@@ -383,9 +405,8 @@ class TestStep:
         # Zc = [[3, 0], [0, 1]]; X = ones and W = [1; 1], so H = ones.
         # X <- X * (Zc Hᵀ) / (X H Hᵀ) = [[3, 3], [1, 1]] / 4.
         # XᵀZc = [[2.25, 0.25], [2.25, 0.25]] and XᵀX H = 1.25 everywhere,
-        # so the block ratios are R11 = R21 = 1.8 and R12 = R22 = 0.2;
-        # tied, h+ takes (R11 + R22)/2 = 1 and h- takes (R12 + R21)/2 = 1,
-        # so W stays [1; 1]. X H = [[1.5, 1.5], [0.5, 0.5]] leaves a
+        # so the summed numerator Y_L + ΠY_R is 2.5 in both rows, as is
+        # the summed denominator GW + ΠGΠW, and W stays [1; 1]. X H = [[1.5, 1.5], [0.5, 0.5]] leaves a
         # residual of 5.
         problem = tied(np.array([[3.0 - 1.0j]]), 1)
         state = part_state(problem, np.ones((2, 2)), np.ones((2, 1, 1)))
@@ -434,10 +455,8 @@ class TestSolve:
 
     def test_full_rank_square_converges(self):
         # from rank K = T on, an exact fit exists (h+ = I, h- = 0 and X
-        # holding the columns of Z); on small squares the tied update
-        # stalls on some seeds even at K = 2T (0.16 relative at side 3 on
-        # seed 6, 9.2e-3 at side 4 on seed 3), so this runs at side 6 and
-        # twice the full rank
+        # holding the columns of Z); this runs at side 6 and twice the
+        # full rank
         rels = []
         for seed in range(10):
             rng = np.random.default_rng(seed)
@@ -515,9 +534,11 @@ class TestGramObjective:
 
 class TestBasesTerms:
     """The terms of a state's bases, which its steps read: with free
-    bases G = XᵀX, its (U, V), the stacked numerator [Y_L; ΠY_R] and
-    Y_L + ΠY_R, formed by ``set_part`` and again after each X update;
-    with fixed ones the problem's (U, V) and the part's numerator."""
+    bases G = XᵀX, its (Ũ, Ṽ) and the summed numerator Y_L + ΠY_R,
+    formed by ``set_part`` and again after each X update; with fixed
+    ones the problem's (Ũ, Ṽ) and the part's numerator. Ũ's entries
+    are sums of nonnegative terms; Ṽ, formed from G's blocks with free
+    bases, is held to 1e-14 of Ũ, which bounds it."""
 
     def test_free_terms_follow_the_current_bases(self):
         rng = np.random.default_rng(50)
@@ -530,25 +551,26 @@ class TestBasesTerms:
                 nmf_step(state, problem)
             x = state.x
             np.testing.assert_allclose(state.gram, x.T @ x, rtol=1e-14, atol=0)
-            for got, want in zip(state.uv, _sum_difference(x.T @ x)):
-                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
-            want = stacked_numerator(x, zc)
-            np.testing.assert_allclose(state.xtz, want, rtol=1e-14, atol=0)
-            np.testing.assert_allclose(state.xtz_sum, want[:6] + want[6:], rtol=1e-14, atol=0)
+            u, v = pq_terms(x)
+            np.testing.assert_allclose(state.uv[0], u, rtol=1e-14, atol=0)
+            assert np.all(np.abs(state.uv[1] - v) <= 1e-14 * u)
+            want = summed_numerator(x, zc)
+            np.testing.assert_allclose(state.xtz_sum, want, rtol=1e-14, atol=0)
 
     def test_fixed_terms_are_the_problems(self):
         rng = np.random.default_rng(51)
         problem = tied(random_complex(rng, (12, 20)), 3, fixed_x=random_complex(rng, (12, 3)))
         state = part_state(problem, problem.xc, ones_halves(problem), slice(4, 15))
         assert state.uv is problem.uv
-        want = stacked_numerator(problem.xc, assembled_zc(problem.z[:, 4:15]))
-        np.testing.assert_allclose(state.xtz, want, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(state.xtz_sum, want[:6] + want[6:], rtol=1e-14, atol=0)
+        for got, want in zip(problem.uv, pq_terms(problem.xc)):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        want = summed_numerator(problem.xc, assembled_zc(problem.z[:, 4:15]))
+        np.testing.assert_allclose(state.xtz_sum, want, rtol=1e-14, atol=0)
 
 
 class TestCarriedProduct:
     """Each objective leaves the quadratic product the next update needs
-    on the state (XᵀX·H with fixed bases, H·Hᵀ with free ones)."""
+    on the state (GW + ΠGΠW with fixed bases, H·Hᵀ with free ones)."""
 
     @pytest.mark.parametrize("fixed", [False, True])
     def test_replacing_h_matches_a_fresh_state(self, fixed):
@@ -593,7 +615,7 @@ class TestCarriedProduct:
     @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("planted", [False, True])
     def test_matches_reference_step(self, fixed, planted):
-        """The stored-once step against the 2K×2T block step: the stacked
+        """The stored-once step against the 2K×2T block step: the summed
         products sum in another order, so agreement is to rounding."""
         rows, rank, cols = 10, 3, 8
         rng = np.random.default_rng(21)
@@ -607,10 +629,9 @@ class TestCarriedProduct:
         # it); the oracle steps the block matrix of the same start
         state = start_state(problem, 3)
         ref = block_state(state.x.copy(), assembled(state.h))
-        couple = block_coupling(rank, cols)
         for _ in range(300):
             nmf_step(state, problem)
-            reference_step(ref, problem, couple)
+            reference_step(ref, problem)
         assert state.h.shape == (2 * rank, cols)
         # a split has zeros, and the factor entries they feed decay toward
         # 0 (to 1e-143 here), where rounding compounds over the steps; such
@@ -644,9 +665,8 @@ class TestCarriedProduct:
         problem = tied(z, rank, fixed_x=x)
         state = start_state(problem, cfg.seed)
         ref = block_state(state.x.copy(), assembled(state.h))
-        couple = block_coupling(rank, cols)
         for _ in range(cfg.iters):
-            reference_step(ref, problem, couple)
+            reference_step(ref, problem)
         got, want = np.array(res.objective_history), np.array(ref.objective_history)
         floor = 1e-18 * problem.z_norm_sq
         assert np.all(np.abs(got - want) <= np.maximum(1e-12 * want, floor))
