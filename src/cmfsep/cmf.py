@@ -60,14 +60,17 @@ H update of a frame reads only that frame's numerator column, so each
 frame chunk is a part, whose whole iteration loop runs on its own. The
 parts run on as many threads as BLAS has at entry, at most one per
 part (``blas.solve_threads``), each product on one BLAS thread while
-they run; the calling thread is one of them, and with one thread none
-is started. Each thread steps its parts in one ``nmf.NmfState``, built
-before any thread starts and pointed at each part in turn
+they run, also when there is one part; the calling thread is one of
+them, and with one thread none is started. Each thread steps its parts
+in one ``nmf.NmfState``, built before any thread starts and pointed at
+each part in turn
 (``NmfState.set_part``, which forms the terms of the part's bases that
 the steps read; see ``nmf``); a free solve steps its one part in a state
 of its own. So no step allocates anything frame-sized. A part's
-arithmetic does not depend on the thread or the arrays it runs in, so
-the result is the same however many threads run the parts.
+arithmetic does not depend on the thread or the arrays it runs in, nor,
+at one BLAS thread, on the BLAS count at entry, so the result is the
+same however many threads there are. A free solve runs at BLAS's own
+count, and its bits depend on it.
 Every part's start comes from one ``_start`` over all frames: its
 bases, and its frames of the start's weight halves. Each chunk stops on
 its own objective; the histories, and the complex errors that each
@@ -292,10 +295,11 @@ def _run(tasks: int, run, workers: int) -> None:
 def _solve_fixed(problem: NmfProblem, halves, cfg, checkpoint_every, h):
     """The solve with fixed bases, one part per frame chunk of
     ``linalg.frame_chunks``, on ``blas.solve_threads`` threads, each
-    stepping its parts in an ``NmfState`` of its own. Each part starts
-    from its frames of the start's ``halves`` and writes its weights
-    into its frames of the rank × T output ``h``. Returns the (history,
-    errors) of every part, in frame order."""
+    stepping its parts in an ``NmfState`` of its own at one BLAS thread,
+    however many parts there are. Each part starts from its frames of
+    the start's ``halves`` and writes its weights into its frames of the
+    rank × T output ``h``. Returns the (history, errors) of every part,
+    in frame order."""
     segments = frame_chunks(problem.z.shape[1])
     parts = [None] * len(segments)
     with solve_threads(len(segments)) as workers:
@@ -338,15 +342,17 @@ def cmf_factorize(
     update on their own, so the solve runs in frame chunks
     (``linalg.FRAME_CHUNK`` = 512 frames), one chunk per thread at a
     time, on as many threads as BLAS has at entry (at most one per
-    chunk; the BLAS count is 1 while they run and is restored on
-    return). It holds ``z``, the given ``h_init`` and the output
-    weights, plus one chunk's numerator, weights and products per
-    thread, so with ``h_init`` (as ``separate`` passes) its memory does
-    not otherwise grow with length. A drawn start also holds the 2K×T
-    drawn weights, and while they are drawn the 2K×2T block draw. The
-    result does not depend on the number of threads. Each chunk stops on
-    its own objective. An entry of ``objective_history``, and a checkpoint's
-    objective and complex error, is the sum over chunks of each chunk's
+    chunk; the BLAS count is 1 while they run, also for one chunk, and
+    is restored on return). It holds ``z``, the given ``h_init`` and
+    the output weights, plus one chunk's numerator, weights and products
+    per thread, so with ``h_init`` (as ``separate`` passes) its memory
+    does not otherwise grow with length. A drawn start also holds the
+    2K×T drawn weights, and while they are drawn the 2K×2T block draw.
+    With fixed bases the result does not depend on the number of
+    threads, solve or BLAS; with free bases it depends on the BLAS
+    count. Each chunk stops on its own objective. An entry of
+    ``objective_history``, and a checkpoint's objective and complex
+    error, is the sum over chunks of each chunk's
     value at that iteration, or at its last iteration if it stopped
     before; the history is as long as the slowest chunk's. With
     ``tol=0`` every chunk runs ``cfg.iters`` iterations, and the result

@@ -13,9 +13,10 @@ from cmfsep.linalg import FRAME_CHUNK
 
 
 def segmented_solve(seed=0, frames=2 * FRAME_CHUNK + 50):
-    """A fixed-basis solve of three frame chunks. At rank 10 a chunk's
-    weights have 2·10·512 entries, more than OpenBLAS's dot product
-    takes on one thread alone, so its bits depend on the BLAS count."""
+    """A fixed-basis solve, by default of three frame chunks. At rank 10
+    a chunk's weights have about 2·10·512 entries, more than OpenBLAS's
+    dot product takes on one thread alone, so its bits depend on the
+    BLAS count it runs at."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((12, frames)) + 1j * rng.standard_normal((12, frames))
     x = rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10))
@@ -48,9 +49,10 @@ class TestHelper:
         with pytest.raises(ValueError, match=">= 1"):
             set_blas_threads(0)
 
-    def test_one_part_leaves_the_count(self, two_blas_threads):
+    def test_one_part_moves_the_count(self, two_blas_threads):
         with solve_threads(1) as workers:
-            assert workers == 1 and blas_threads() == 2
+            assert workers == 1 and blas_threads() == 1
+        assert blas_threads() == 2
         with solve_threads(5) as workers:
             assert workers == 2 and blas_threads() == 1
         assert blas_threads() == 2
@@ -75,6 +77,32 @@ class TestHelper:
         assert blas_threads() == 1
         assert threads == {threading.get_ident()}
         assert_same(serial, pooled)
+
+
+class TestOnePart:
+    """A solve of one frame chunk runs on the calling thread at one BLAS
+    thread, as each part of a longer solve does, so its bits are those
+    of the solve at BLAS 1."""
+
+    frames = FRAME_CHUNK - 12
+
+    def test_equals_the_one_thread_solve(self, two_blas_threads):
+        at_two = segmented_solve(frames=self.frames)
+        set_blas_threads(1)
+        assert_same(at_two, segmented_solve(frames=self.frames))
+
+    def test_steps_at_one_blas_thread(self, monkeypatch, two_blas_threads):
+        counts = []
+        step = cmf_mod.nmf_step
+
+        def recording(state, problem):
+            counts.append(blas_threads())
+            return step(state, problem)
+
+        monkeypatch.setattr(cmf_mod, "nmf_step", recording)
+        segmented_solve(frames=self.frames)
+        assert len(counts) == 30 and set(counts) == {1}
+        assert blas_threads() == 2
 
 
 class TestRestored:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cmfsep.blas import set_blas_threads
 from cmfsep.config import SepConfig
 from cmfsep.linalg import FRAME_CHUNK, complex_matmul_real
 from cmfsep.separation import (
@@ -126,6 +127,22 @@ class TestSeparate:
         spec_b = complex_matmul_real(bb.x_train, h[ba.rank :])
         full = complex_matmul_real(np.hstack([ba.x_train, bb.x_train]), h)
         assert np.max(np.abs(spec_a + spec_b - full)) <= 1e-12
+
+    def test_same_bits_at_any_blas_count(self, two_blas_threads):
+        # a one-chunk solve runs at one BLAS thread whatever the count,
+        # and the STFT and synthesis around it give the same bits at 1 and 2
+        cfg = SepConfig(rank=40, iters=30, tol=0.0)
+        rng = np.random.default_rng(0)
+        shape = (cfg.stft_cfg.freq_bins, 40)
+        ba, bb = (
+            BasisSet(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), name, cfg.stft_cfg)
+            for name in ("a", "b")
+        )
+        mix = Signal(0.3 * rng.standard_normal(16000), 16000)
+        at_two = separate(mix, ba, bb, cfg)
+        set_blas_threads(1)
+        for a, b in zip(at_two, separate(mix, ba, bb, cfg)):
+            assert np.array_equal(a.samples, b.samples)
 
     def test_permutation_symmetry(self, tone_bases):
         # swapping the basis sets swaps the outputs; the weight
