@@ -39,19 +39,20 @@ the update's ratio is formed in place in its buffer; with free bases
 it is formed from the (Ũ, Ṽ) of the new bases, whose terms the state
 forms after the X update (``nmf.NmfState.bases_terms``). The X
 update's numerator is Zc·Hᵀ = [Zp·h⁺ᵀ + Zn·h⁻ᵀ, Zp·h⁻ᵀ + Zn·h⁺ᵀ], from
-the two products Zp·Wᵀ and Zn·Wᵀ, and its denominator is X times the
-H·Hᵀ that the last objective carried (``nmf._weight_gram``); so H is
+the two products Zp·Wᵀ and Zn·Wᵀ, and its denominator is X times
+H·Hᵀ, which the step forms from W·Wᵀ (``nmf._weight_gram``); so H is
 never formed, and every entry of both is a sum of nonnegative terms.
 
 The complex-domain error ‖Z − Xh‖² of a checkpoint is the second of the
 two residual terms of ``nmf._residuals``, with q = [Re X; Im X] and
-d = h⁺ − h⁻, which ``nmf.complex_error`` takes. With fixed bases it is
-the Gram form of the segment's summed numerator and the b = Ṽ·d of the
-last objective, at no product's cost. Below ``nmf.GRAM_GUARD``·‖Z‖², and
-with free bases, it is formed directly: summed over the frame chunks of
-``linalg.frame_chunks``, each chunk's residual one real product less
-Zri, at half the flops of the complex product, so no complex F×T
-residual is formed; it is formed in the scratch of the solve's state.
+d = h⁺ − h⁻. ``nmf.complex_error`` takes it in the Gram form of the
+part's summed numerator and the b = Ṽ·d of the last objective, for free
+and fixed bases alike, at no product's cost. Below
+``nmf.GRAM_GUARD``·‖Z‖² it forms it directly: summed over the frame
+chunks of ``linalg.frame_chunks``, each chunk's residual one real
+product less Zri, at half the flops of the complex product, so no
+complex F×T residual is formed; it is formed in the scratch of the
+solve's state.
 
 ``cmf_factorize`` solves in parts and writes each part's weights into
 that part's frames of one rank × T output; a free solve is one part
@@ -104,6 +105,7 @@ from .nmf import (
     NmfState,
     _summed_product,
     _swap,
+    _weight_gram,
     complex_error,
     objective,
 )
@@ -178,7 +180,7 @@ def nmf_step(state: NmfState, problem: NmfProblem) -> NmfState:
         cross = np.matmul(problem.zn, h.T, out=state.xratio)
         num[:, :k] += cross[:, k:]
         num[:, k:] += cross[:, :k]
-        ratio = np.matmul(x, state.carried, out=state.xratio)
+        ratio = np.matmul(x, _weight_gram(h), out=state.xratio)
         np.maximum(ratio, EPSILON, out=ratio)
         x *= np.divide(num, ratio, out=ratio)
         _flush(x, state.xmask)

@@ -1,10 +1,19 @@
 """Tunables for factorization and separation runs."""
 
+import numbers
 from dataclasses import dataclass, field
 
 from .stft import StftConfig
 
 __all__ = ["SepConfig"]
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    """``value`` is a whole number (a numpy integer too) of at least
+    ``least``: a float count passes a comparison and fails only later,
+    in ``range`` or ``np.empty``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -27,8 +36,9 @@ class SepConfig:
     stft_cfg: StftConfig = field(default_factory=StftConfig)
 
     def __post_init__(self):
-        if self.rank < 1 or self.iters < 1:
-            raise ValueError("rank and iters must be >= 1")
+        _check_integer("rank", self.rank, 1)
+        _check_integer("iters", self.iters, 1)
+        _check_integer("seed", self.seed, 0)
         # a NaN tol would never stop the loop; inf stops after one iteration
         if not self.tol >= 0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")

@@ -37,19 +37,19 @@ and adds Y_R's row halves crosswise. Its denominator is GW + ΠGΠW:
 the gradient of ½‖Zc − X·[W, ΠW]‖² over W is GW + ΠGΠW − ys.
 
 The terms of the bases that a step reads are held by the solve's
-``NmfState``, for its current bases, and formed once per bases:
-(Ũ, Ṽ) (below), the summed numerator ys, and with free bases G itself.
-``NmfState.set_part`` forms them when it points the state at a part.
-With fixed bases (Ũ, Ṽ) is the problem's, built from its ``pq`` at
-construction. Each frame's weights then update on their own, so the
-problem is solved in parts, runs of frames: ``set_part`` forms a
-part's numerator in the state's 2F-row scratch, which holds Zri, then
-Zp and then Zn, and ``cmf.cmf_factorize`` solves parts of at most
-``linalg.FRAME_CHUNK`` frames, one per thread at a time, so it never
-forms the whole numerator. With free bases the part is all frames,
-since the X update couples them, and ``NmfState.bases_terms`` forms the
-terms from the bases and the problem's Zp and Zn, at ``set_part`` and
-again after each step's X update; (Ũ, Ṽ) then comes from G's blocks.
+``NmfState``, for its current bases, and formed once per bases: (Ũ, Ṽ)
+(below) and the summed numerator ys. ``NmfState.set_part`` forms them
+when it points the state at a part. With fixed bases (Ũ, Ṽ) is the
+problem's, built from its ``pq`` at construction. Each frame's weights
+then update on their own, so the problem is solved in parts, runs of
+frames: ``set_part`` forms a part's numerator in the state's 2F-row
+scratch, which holds Zri, then Zp and then Zn, and ``cmf.cmf_factorize``
+solves parts of at most ``linalg.FRAME_CHUNK`` frames, one per thread at
+a time, so it never forms the whole numerator. With free bases the part
+is all frames, since the X update couples them, and
+``NmfState.bases_terms`` forms the terms from the bases and the
+problem's Zp and Zn, at ``set_part`` and again after each step's X
+update; (Ũ, Ṽ) then comes from G's blocks.
 
 The H update's denominator costs two (K×K)·(K×T) products, half the
 flops of the (2K×2K)·(2K×T) product GW alone, from [s; d] (``_sums``).
@@ -79,18 +79,18 @@ residual and reads the state's terms of the bases. Its linear term is
 ⟨W, Y_L + ΠY_R⟩, one inner product over W, for free and fixed bases
 alike.
 
-Its quadratic term is taken from the product the next update needs, so
-a step forms one quadratic product fewer. With fixed bases it is
-⟨H, G·H⟩ = ⟨W, GW + ΠGΠW⟩ = ⟨s, a⟩ + ⟨d, b⟩, and GW + ΠGΠW becomes the
-next H-update denominator. With free bases it is ⟨G, H·Hᵀ⟩ of the
-state's G, where H·Hᵀ = [[E, F], [F, E]] with E = h⁺h⁺ᵀ + h⁻h⁻ᵀ and
-F = h⁺h⁻ᵀ + h⁻h⁺ᵀ is formed from W·Wᵀ (``_weight_gram``), as sums of
-nonnegative terms, and goes into the next X update's denominator. The
-product is kept as ``NmfState.carried``. ``cmf._iterate`` runs an
-objective before the first step and every step ends with one, so a
-step and a checkpoint always find the product of the current weights;
-on a state that no objective has seen they raise ``RuntimeError``
-rather than read what the state's buffers hold from another iterate.
+Its quadratic term is ⟨H, G·H⟩ = ⟨W, GW + ΠGΠW⟩ = ⟨s, a⟩ + ⟨d, b⟩,
+for free and fixed bases alike, from the H-update denominator
+GW + ΠGΠW (``_summed_product``), which is kept as
+``NmfState.carried``. With fixed bases it is the next H update's
+denominator, so a step forms one quadratic product fewer. With free
+bases the step's X update changes the bases, and the step forms it
+again from the new bases' (Ũ, Ṽ): two (K×K)·(K×T) products, about
+K/(8F) of a free step's flops. ``cmf._iterate`` runs an objective
+before the first step and every step ends with one, so a step and a
+checkpoint always find the terms of the current weights; on a state
+that no objective has seen they raise ``RuntimeError`` rather than read
+what the state's buffers hold from another iterate.
 
 The Gram form subtracts terms of size ‖Z‖², so its absolute rounding
 error is about 1e-16·‖Z‖²; below ``GRAM_GUARD``·‖Z‖² = 1e-2·‖Z‖² the
@@ -106,13 +106,12 @@ fit two direct forms differ by up to about ε·‖Z‖·‖r‖ rather than by a
 fixed fraction of ‖r‖².
 
 A checkpoint's complex error ‖Zri − q·d‖² (``complex_error``) takes the
-same Gram form with fixed bases, ‖Z‖² − 2⟨d, qᵀZri⟩ + ⟨d, qᵀq·d⟩, from
-terms a step already holds: with ys the part's summed numerator
-Y_L + ΠY_R, qᵀZri = ys[:K] − ys[K:], and qᵀq·d = 2b, so the quadratic
-term is 2⟨d, b⟩ of the b = Ṽ·d that the objective's
+same Gram form, ‖Z‖² − 2⟨d, qᵀZri⟩ + ⟨d, qᵀq·d⟩, for free and fixed
+bases alike, from terms a step already holds: with ys the part's
+summed numerator Y_L + ΠY_R, qᵀZri = ys[:K] − ys[K:], and qᵀq·d = 2b,
+so the quadratic term is 2⟨d, b⟩ of the b = Ṽ·d that the objective's
 ``_summed_product`` formed. It costs no product and no 2F×T pass. Below
-the same guard, and with free bases, whose b is not of the current
-weights, it is ``_residuals``' second term, formed directly.
+the same guard it is ``_residuals``' second term, formed directly.
 """
 
 from dataclasses import dataclass, field
@@ -120,6 +119,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import _check_integer
 from .linalg import FRAME_CHUNK, all_finite, as_complex_matrix, frame_chunks, frobenius_norm_sq
 
 __all__ = [
@@ -140,16 +140,17 @@ class NmfProblem:
     rank K, not the block rank 2K, and forms what it needs from them.
 
     The inputs are checked here: ``z`` nonempty and finite (from its
-    ‖Z‖²), ``rank`` at least 1, ``fixed_x`` F×K and finite; ``z`` and
-    ``fixed_x`` are kept as complex128. Derived once at construction:
-    ``z_norm_sq``; with free bases the sign parts ``zp`` = max(Zri, 0) and
-    ``zn`` = max(−Zri, 0) of Zri = [Re Z; Im Z] (2F×T each, Zc's column
-    halves); with ``fixed_x`` its 2F×2K block matrix ``xc``, its rotated
-    bases ``pq`` = (p, q) = (|Xri|, Xri) with Xri = [Re X; Im X], which
-    the residuals read (kept, so that a checkpoint allocates no
-    bases-sized arrays), and from them ``uv`` = (Ũ, Ṽ) = (½pᵀp, ½qᵀq),
-    K×K each, which every part's state takes. Nothing that depends on
-    the iterate or on a part's frames is held here; that is the state's.
+    ‖Z‖²), ``rank`` an integer of at least 1, ``fixed_x`` F×K and
+    finite; ``z`` and ``fixed_x`` are kept as complex128. Derived once
+    at construction: ``z_norm_sq``; with free bases the sign parts
+    ``zp`` = max(Zri, 0) and ``zn`` = max(−Zri, 0) of Zri = [Re Z; Im Z]
+    (2F×T each, Zc's column halves); with ``fixed_x`` its 2F×2K block
+    matrix ``xc``, its rotated bases ``pq`` = (p, q) = (|Xri|, Xri) with
+    Xri = [Re X; Im X], which the direct residuals read (kept, so that
+    one allocates no bases-sized arrays), and from them ``uv`` = (Ũ, Ṽ)
+    = (½pᵀp, ½qᵀq), K×K each, which every part's state takes. Nothing
+    that depends on the iterate or on a part's frames is held here; that
+    is the state's.
     """
 
     z: np.ndarray
@@ -170,8 +171,7 @@ class NmfProblem:
         self.z_norm_sq = frobenius_norm_sq(self.z)
         if not all_finite(self.z, self.z_norm_sq):
             raise ValueError("input matrix contains non-finite entries")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        _check_integer("rank", self.rank, 1)
         if self.fixed_x is None:
             parts = _sign_parts(self.z, np.concatenate((self.z.real, self.z.imag)))
             self.zp = next(parts).copy()
@@ -292,16 +292,14 @@ class NmfState:
     changes no result.
 
     ``x`` is the part's 2F×2K block bases and ``uv`` the (Ũ, Ṽ) of
-    their G = XᵀX (K×K each); with free bases ``gram`` is G itself.
-    With ``xtz_sum`` these are the terms of the bases that a step reads,
-    formed by ``set_part`` and, for free bases, again by ``bases_terms``
-    after each X update (see the module docstring).
-    ``objective_history`` holds the part's objectives. ``carried`` is
-    the quadratic product the last objective computed from the current
-    weights for the next update: GW + ΠGΠW, in ``product``, when the
-    bases are fixed, H·Hᵀ (``_weight_gram``) when they are free. A
-    step consumes it, and None means no objective has seen the weights
-    since.
+    their G = XᵀX (K×K each). With ``xtz_sum`` these are the terms of
+    the bases that a step reads, formed by ``set_part`` and, for free
+    bases, again by ``bases_terms`` after each X update (see the module
+    docstring). ``objective_history`` holds the part's objectives.
+    ``carried`` is ``product`` once the last objective has formed
+    GW + ΠGΠW of the current weights in it, for free and fixed bases
+    alike. A step consumes it, and None means no objective has seen the
+    weights since.
     """
 
     def __init__(self, problem: NmfProblem, width: int):
@@ -355,13 +353,12 @@ class NmfState:
 
     def bases_terms(self, problem: NmfProblem):
         """Form the terms of the free bases X = ``x`` that a step reads
-        and return the state: ``gram`` G = XᵀX, its (Ũ, Ṽ) ``uv``
+        and return the state: the (Ũ, Ṽ) ``uv`` of G = XᵀX
         (``_tied_gram``), and the summed numerator ``xtz_sum``
         (``_numerator``) from the problem's sign parts. ``set_part``
         calls it, and ``cmf.nmf_step`` after each X update."""
         x = self.x
-        self.gram = x.T @ x
-        self.uv = _tied_gram(self.gram)
+        self.uv = _tied_gram(x.T @ x)
         _numerator(x, iter((problem.zp, problem.zn)), self.xtz_sum, self.product)
         return self
 
@@ -419,22 +416,15 @@ def _summed_product(uv, sd: np.ndarray, out: np.ndarray, vd: np.ndarray) -> floa
 def objective(problem: NmfProblem, state: NmfState) -> float:
     """‖Zc − XH‖² of ``state``, from the terms of its bases; the direct
     residual below ``GRAM_GUARD``·‖Z‖², where the Gram form cancels. The
-    linear term is ⟨W, Y_L + ΠY_R⟩ of ``state.xtz_sum``. The quadratic
-    term is taken from the product the next update needs, which is left
-    on ``state.carried``: with fixed bases ⟨H, G·H⟩ = ⟨s, a⟩ + ⟨d, b⟩,
-    from GW + ΠGΠW (``_summed_product`` of ``state.uv``); with free ones
-    ⟨G, H·Hᵀ⟩ of ``state.gram`` and H·Hᵀ (``_weight_gram``). [s; d] of
-    the weights goes into ``state.sd``, and with fixed bases b = Ṽ·d
-    into ``state.vd``, for ``complex_error``."""
+    linear term is ⟨W, Y_L + ΠY_R⟩ of ``state.xtz_sum``, and the
+    quadratic term ⟨H, G·H⟩ = ⟨s, a⟩ + ⟨d, b⟩ of GW + ΠGΠW
+    (``_summed_product`` of ``state.uv``), which is left in
+    ``state.product`` and on ``state.carried`` for the next H update.
+    [s; d] of the weights goes into ``state.sd`` and b = Ṽ·d into
+    ``state.vd``, for ``complex_error``."""
     h = state.h
-    sd = _sums(h, state.sd)
-    if problem.fixed_x is not None:
-        quad = _summed_product(state.uv, sd, state.product, state.vd)
-        carried = state.product
-    else:
-        carried = _weight_gram(h)
-        quad = np.vdot(state.gram, carried)
-    state.carried = carried
+    quad = _summed_product(state.uv, _sums(h, state.sd), state.product, state.vd)
+    state.carried = state.product
     gram = state.z_norm_sq - 2.0 * np.vdot(h, state.xtz_sum) + quad
     if gram < GRAM_GUARD * state.z_norm_sq:
         return _direct_residual(problem, state)
@@ -444,21 +434,19 @@ def objective(problem: NmfProblem, state: NmfState) -> float:
 def complex_error(problem: NmfProblem, state: NmfState) -> float:
     """The complex error ‖Zri − q·d‖² = ‖Z − X·d‖² of ``state``, with q
     the bases' Xri and d the d of ``state.sd``, after an objective has
-    seen the current weights; before one, ``RuntimeError``. With fixed
-    bases it is the Gram form ‖Z‖² − 2⟨d, qᵀZri⟩ + ⟨d, qᵀq·d⟩ from terms
-    the step already holds: qᵀZri = ys[:K] − ys[K:] of the part's
+    seen the current weights; before one, ``RuntimeError``. It is the
+    Gram form ‖Z‖² − 2⟨d, qᵀZri⟩ + ⟨d, qᵀq·d⟩ from terms the step
+    already holds: qᵀZri = ys[:K] − ys[K:] of the summed numerator
     ``state.xtz_sum`` ys, and qᵀq·d = 2b of the ``state.vd`` = b = Ṽ·d
     that the objective left; it costs no product. Below
-    ``GRAM_GUARD``·‖Z‖², where that form cancels, and with free bases, it
-    is the second term of ``_residuals``, formed directly."""
+    ``GRAM_GUARD``·‖Z‖², where that form cancels, it is the second term
+    of ``_residuals``, formed directly."""
     if state.carried is None:
         raise RuntimeError("no objective has seen the state's weights")
-    if problem.fixed_x is not None:
-        k = problem.rank
-        d, ys = state.sd[k:], state.xtz_sum
-        linear = np.vdot(d, ys[:k]) - np.vdot(d, ys[k:])
-        quad = 2.0 * np.vdot(d, state.vd)
-        gram = state.z_norm_sq - 2.0 * linear + quad
-        if gram >= GRAM_GUARD * state.z_norm_sq:
-            return float(gram)
-    return _residuals(problem, state, modulus=False)[1]
+    k = problem.rank
+    d, ys = state.sd[k:], state.xtz_sum
+    linear = np.vdot(d, ys[:k]) - np.vdot(d, ys[k:])
+    gram = state.z_norm_sq - 2.0 * linear + 2.0 * np.vdot(d, state.vd)
+    if gram < GRAM_GUARD * state.z_norm_sq:
+        return _residuals(problem, state, modulus=False)[1]
+    return float(gram)

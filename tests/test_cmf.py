@@ -214,6 +214,22 @@ class TestCmfFactorize:
         with pytest.raises(ValueError, match="iters"):
             SepConfig(rank=2, iters=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rank", 2.0), ("rank", 2.5), ("iters", 2.5), ("iters", 3.0),
+         ("seed", 1.0), ("seed", "1"), ("seed", -1)],
+    )
+    def test_config_rejects_non_integral_counts_and_negative_seed(self, field, value):
+        # a float rank or iteration count would fail only in the solve,
+        # with a TypeError from np.empty or range
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SepConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = SepConfig(rank=np.int64(2), iters=np.int32(3), seed=np.uint8(0))
+        res = cmf_factorize(np.ones((2, 3), dtype=complex), cfg.rank, cfg)
+        assert len(res.objective_history) == 3
+
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, -np.inf])
     def test_rejects_nan_or_negative_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
@@ -444,9 +460,20 @@ class TestCheckedHalves:
 
 
 class TestGramCheckpointError:
-    @pytest.mark.parametrize("frames", [FRAME_CHUNK - 5, 3 * FRAME_CHUNK - 100])
-    def test_matches_the_direct_residual(self, frames, monkeypatch):
-        # each segment's checkpoint error, in the Gram form, against the
+    """A checkpoint's complex error is the Gram form of terms the step
+    already holds, for free and fixed bases alike, and the direct
+    residual below ``GRAM_GUARD``·‖Z‖²."""
+
+    @pytest.mark.parametrize(
+        "frames, fixed",
+        [
+            pytest.param(frames, fixed, id=f"{frames}" if fixed else f"free-{frames}")
+            for fixed in (True, False)
+            for frames in (FRAME_CHUNK - 5, 3 * FRAME_CHUNK - 100)
+        ],
+    )
+    def test_matches_the_direct_residual(self, frames, fixed, monkeypatch):
+        # each part's checkpoint error, in the Gram form, against the
         # residual formed directly from the same iterate
         pairs = []
         gram_form = nmf_mod.complex_error
@@ -460,14 +487,18 @@ class TestGramCheckpointError:
         rng = np.random.default_rng(40)
         x = random_complex(rng, (7, 3))
         z = x @ rng.random((3, frames)) + 0.3 * random_complex(rng, (7, frames))
-        res = cmf_factorize(z, 3, SepConfig(rank=3, iters=30, tol=0.0), fixed_x=x, checkpoint_every=7)
+        cfg = SepConfig(rank=3, iters=30, tol=0.0)
+        res = cmf_factorize(z, 3, cfg, fixed_x=x if fixed else None, checkpoint_every=7)
         assert [c[0] for c in res.checkpoints] == [7, 14, 21, 28, 30]
-        assert len(pairs) == 5 * len(frame_chunks(frames))
+        assert len(pairs) == 5 * (len(frame_chunks(frames)) if fixed else 1)
         for got, want in pairs:
             assert got == pytest.approx(want, rel=1e-12)
-        assert res.final_error == pytest.approx(frobenius_norm_sq(z - x @ res.h), rel=1e-12)
+        want = frobenius_norm_sq(z - res.x @ res.h)
+        assert want >= nmf_mod.GRAM_GUARD * frobenius_norm_sq(z)
+        assert res.final_error == pytest.approx(want, rel=1e-12)
 
-    def test_forms_no_residual_above_the_guard(self, monkeypatch):
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_forms_no_residual_above_the_guard(self, fixed, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("a residual was formed")
 
@@ -475,19 +506,39 @@ class TestGramCheckpointError:
         x = random_complex(rng, (7, 3))
         z = random_complex(rng, (7, 50))
         monkeypatch.setattr(nmf_mod, "_residuals", forbidden)
-        res = cmf_factorize(z, 3, SepConfig(rank=3, iters=9, tol=0.0), fixed_x=x, checkpoint_every=3)
+        cfg = SepConfig(rank=3, iters=9, tol=0.0)
+        res = cmf_factorize(z, 3, cfg, fixed_x=x if fixed else None, checkpoint_every=3)
         assert len(res.checkpoints) == 3
-        assert res.final_error == pytest.approx(frobenius_norm_sq(z - x @ res.h), rel=1e-12)
+        assert res.final_error == pytest.approx(frobenius_norm_sq(z - res.x @ res.h), rel=1e-12)
 
-    def test_planted_fit_below_the_guard_is_the_direct_residual(self):
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_planted_fit_below_the_guard_is_the_direct_residual(self, fixed):
         rng = np.random.default_rng(42)
         x = random_complex(rng, (7, 3))
         hp, hm = rng.random((2, 3, 60))
-        problem = nmf_mod.NmfProblem(z=x @ (hp - hm), rank=3, fixed_x=x)
-        state = part_state(problem, problem.xc, (hp, hm))
+        problem = nmf_mod.NmfProblem(z=x @ (hp - hm), rank=3, fixed_x=x if fixed else None)
+        xc = assemble_zc(split_complex(x)).assembled
+        state = part_state(problem, xc, (hp, hm))
         got = nmf_mod.complex_error(problem, state)
         assert got < nmf_mod.GRAM_GUARD * problem.z_norm_sq
         assert got == nmf_mod._residuals(problem, state, modulus=False)[1]
+
+    def test_free_error_above_the_guard_allocates_nothing_bases_sized(self):
+        # the Gram form reads the state's terms; the direct residual
+        # would form p and q, 2F×K each, from the free bases
+        rng = np.random.default_rng(43)
+        rows, rank, cols = 257, 4, 50
+        problem = nmf_mod.NmfProblem(z=random_complex(rng, (rows, cols)), rank=rank)
+        state = part_state(problem, rng.random((2 * rows, 2 * rank)), rng.random((2, rank, cols)))
+        tracemalloc.start()
+        try:
+            got = nmf_mod.complex_error(problem, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got >= nmf_mod.GRAM_GUARD * problem.z_norm_sq
+        assert got == pytest.approx(nmf_mod._residuals(problem, state, modulus=False)[1], rel=1e-12)
+        assert peak < 2 * rows * rank * 8
 
 
 def whole_fixed_solve(z, x, cfg, h_init=None):
@@ -916,8 +967,8 @@ class TestComplexErrorBound:
         # h+ = 0.75·I and h- = 0.25·I, so s = I and d = 0.5·I. Then X~s
         # fits Z~ exactly while Xd = Z/2 misses Z: the slack
         # 2 * block - complex error vanishes and the bound's constant 2
-        # is reached. Fixed bases take both values in Gram form, free
-        # ones the complex error directly
+        # is reached. Free and fixed bases alike take both values in
+        # Gram form
         rng = np.random.default_rng(3)
         z = random_complex(rng, (3, 2))
         xc = assemble_zc(split_complex(z)).assembled

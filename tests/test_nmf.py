@@ -100,6 +100,11 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="rank"):
             tied(np.ones((2, 2)), 0)
 
+    @pytest.mark.parametrize("rank", [2.0, 1.5, "2"])
+    def test_rejects_non_integral_rank(self, rank):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            tied(np.ones((2, 2)), rank)
+
     def test_rejects_fixed_x_shape(self):
         with pytest.raises(ValueError, match="fixed_x shape"):
             tied(np.ones((2, 2)), 2, fixed_x=np.ones((3, 2)))
@@ -534,7 +539,7 @@ class TestGramObjective:
 
 class TestBasesTerms:
     """The terms of a state's bases, which its steps read: with free
-    bases G = XᵀX, its (Ũ, Ṽ) and the summed numerator Y_L + ΠY_R,
+    bases the (Ũ, Ṽ) of G = XᵀX and the summed numerator Y_L + ΠY_R,
     formed by ``set_part`` and again after each X update; with fixed
     ones the problem's (Ũ, Ṽ) and the part's numerator. Ũ's entries
     are sums of nonnegative terms; Ṽ, formed from G's blocks with free
@@ -550,7 +555,6 @@ class TestBasesTerms:
             if step:
                 nmf_step(state, problem)
             x = state.x
-            np.testing.assert_allclose(state.gram, x.T @ x, rtol=1e-14, atol=0)
             u, v = pq_terms(x)
             np.testing.assert_allclose(state.uv[0], u, rtol=1e-14, atol=0)
             assert np.all(np.abs(state.uv[1] - v) <= 1e-14 * u)
@@ -569,8 +573,10 @@ class TestBasesTerms:
 
 
 class TestCarriedProduct:
-    """Each objective leaves the quadratic product the next update needs
-    on the state (GW + ΠGΠW with fixed bases, H·Hᵀ with free ones)."""
+    """Each objective leaves GW + ΠGΠW of the current weights on the
+    state, for free and fixed bases alike: the next H update's
+    denominator with fixed bases; free bases form it again from the
+    bases of the X update."""
 
     @pytest.mark.parametrize("fixed", [False, True])
     def test_replacing_h_matches_a_fresh_state(self, fixed):
